@@ -6,15 +6,20 @@ zero transfer latency.  The newest arrival at a queue always preempts;
 preempted work resumes where it left off.  The per-flow, per-queue
 arrival and departure instants recorded here drive the discrete-time
 emulation and its invariant checks.
+
+`run_ct` is one loop over integer queue indices that merges the sorted
+injections with a heap of pending completions.  Completions sharing an
+instant pop in the order they were pushed; that order decides which flow
+reaches a shared next queue first, so it is part of the result.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, InternalConsistencyError, StabilityViolationError
-from .events import EventQueue
 from .topology import LoadProfile, QueueNode, Route
 from .flow_gen import FlowType
 
@@ -30,7 +35,7 @@ def slot_ceil(t: float, eps: float) -> int:
     if t <= 0:
         return 0
     r = t / eps
-    return math.ceil(r - _GUARD * max(1.0, r))
+    return math.ceil(r - _GUARD * r if r > 1.0 else r - _GUARD)
 
 
 @dataclass(frozen=True)
@@ -43,9 +48,6 @@ class EpsilonConfig:
     n_slots: dict[float, int]          # size -> packet count
     f_eps: dict[QueueNode, float]      # queue -> load at rounded sizes
     rule_chosen: bool = True
-
-    def size_slots(self, x: float) -> int:
-        return self.n_slots[x]
 
 
 def choose_epsilon(profile: LoadProfile, c0: float, override: float | None = None) -> EpsilonConfig:
@@ -125,17 +127,19 @@ class CtResult:
         return self.deltas[uid][-1] - self.taus[uid][0]
 
 
-_ARRIVAL = 1
-_COMPLETION = 0
-
-
-class _NodeState:
-    __slots__ = ("stack", "service_start", "token")
-
-    def __init__(self) -> None:
-        self.stack: list[list] = []       # [uid, remaining]; top is in service
-        self.service_start = 0.0
-        self.token = 0
+def queue_paths(routes: list[Route],
+                types: tuple[FlowType, ...]) -> tuple[list[QueueNode], list[tuple[int, ...]]]:
+    """Number the queues the types use, in order of first use; return the
+    queues and each type's route as a tuple of queue indices."""
+    by_id = {r.id: r for r in routes}
+    index: dict[QueueNode, int] = {}
+    paths = []
+    for t in types:
+        path = by_id[t.route].queue_path
+        for q in path:
+            index.setdefault(q, len(index))
+        paths.append(tuple(index[q] for q in path))
+    return list(index), paths
 
 
 def run_ct(
@@ -148,74 +152,82 @@ def run_ct(
     """Simulate the reference network for (time, type_index, uid) injections.
 
     Completions at an instant are handled before arrivals at the same
-    instant; a completed flow arrives at its next queue immediately.
+    instant, and simultaneous completions in the order they were
+    scheduled; a completed flow arrives at its next queue immediately.
     Simultaneous arrivals at a queue stack in uid order, so the larger
     uid ends up on top and is served first.
+
+    External arrivals are read from the sorted injection list; only
+    completions go through the heap, keyed (t, seq).  Each queue keeps a
+    stack of [uid, remaining, type, hop] entries whose top is in service,
+    the instant the top's current service stint began, and a token that
+    invalidates a completion scheduled before a preemption.
     """
-    by_id = {r.id: r for r in routes}
-    paths = [tuple(by_id[t.route].queue_path) for t in types]
+    queues, paths = queue_paths(routes, types)
     service = [eps.x_eps[t.size] for t in types]
+    stacks: list[list[list]] = [[] for _ in queues]
+    started = [0.0] * len(queues)
+    tokens = [0] * len(queues)
+    logs: list[list[tuple[float, str, int]]] | None = (
+        [[] for _ in queues] if record_events else None
+    )
 
-    nodes: dict[QueueNode, _NodeState] = {}
-    for path in paths:
-        for q in path:
-            nodes.setdefault(q, _NodeState())
+    arrivals = sorted(injections, key=lambda e: (e[0], e[2]))
+    taus: dict[int, list[float]] = {uid: [] for _, _, uid in arrivals}
+    deltas: dict[int, list[float]] = {uid: [] for _, _, uid in arrivals}
+    heap: list[tuple[float, int, int, int, int]] = []  # (t, seq, queue, token, uid)
+    seq = 0
+    i, n_arrivals = 0, len(arrivals)
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    taus: dict[int, list[float]] = {}
-    deltas: dict[int, list[float]] = {}
-    hop_of: dict[int, int] = {}
-    type_of: dict[int, int] = {}
-    node_events = {q: [] for q in nodes} if record_events else None
+    while True:
+        if heap and (i == n_arrivals or heap[0][0] <= arrivals[i][0]):
+            t, _, q, token, uid = heappop(heap)
+            if token != tokens[q]:
+                continue  # superseded by a preemption
+            stack = stacks[q]
+            done_uid, remaining, ti, hop = stack.pop()
+            if done_uid != uid or abs(remaining - (t - started[q])) > 1e-6:
+                raise InternalConsistencyError(f"completion bookkeeping broken at {queues[q]}")
+            deltas[uid].append(t)
+            if logs is not None:
+                logs[q].append((t, "dep", uid))
+            tokens[q] += 1
+            if stack:
+                started[q] = t
+                top = stack[-1]
+                heappush(heap, (t + top[1], seq, q, tokens[q], top[0]))
+                seq += 1
+            hop += 1
+            if hop == len(paths[ti]):
+                continue
+        elif i < n_arrivals:
+            t, ti, uid = arrivals[i]
+            i += 1
+            hop = 0
+        else:
+            break
 
-    queue = EventQueue()
-    for t, ti, uid in sorted(injections, key=lambda e: (e[0], e[2])):
-        queue.push(t, ("arr", uid), priority=_ARRIVAL)
-        taus[uid] = []
-        deltas[uid] = []
-        hop_of[uid] = 0
-        type_of[uid] = ti
-
-    def arrive(t: float, uid: int) -> None:
-        ti = type_of[uid]
-        q = paths[ti][hop_of[uid]]
-        node = nodes[q]
+        # flow `uid` arrives at the hop-th queue of its route at t
+        q = paths[ti][hop]
+        stack = stacks[q]
         taus[uid].append(t)
-        if node_events is not None:
-            node_events[q].append((t, "arr", uid))
-        if node.stack:
-            top = node.stack[-1]
-            top[1] -= t - node.service_start
+        if logs is not None:
+            logs[q].append((t, "arr", uid))
+        if stack:
+            top = stack[-1]
+            top[1] -= t - started[q]
             if top[1] < -1e-9:
-                raise InternalConsistencyError(f"preempted flow {top[0]} overserved at {q}")
-        node.stack.append([uid, service[ti]])
-        node.service_start = t
-        node.token += 1
-        queue.push(t + service[ti], ("done", uid, q, node.token), priority=_COMPLETION)
+                raise InternalConsistencyError(
+                    f"preempted flow {top[0]} overserved at {queues[q]}"
+                )
+        stack.append([uid, service[ti], ti, hop])
+        started[q] = t
+        tokens[q] += 1
+        heappush(heap, (t + service[ti], seq, q, tokens[q], uid))
+        seq += 1
 
-    while queue:
-        t, payload = queue.pop()
-        if payload[0] == "arr":
-            arrive(t, payload[1])
-            continue
-        _, uid, q, token = payload
-        node = nodes[q]
-        if token != node.token:
-            continue  # superseded by a preemption
-        done_uid, remaining = node.stack.pop()
-        if done_uid != uid or abs(remaining - (t - node.service_start)) > 1e-6:
-            raise InternalConsistencyError(f"completion bookkeeping broken at {q}")
-        deltas[uid].append(t)
-        if node_events is not None:
-            node_events[q].append((t, "dep", uid))
-        node.token += 1
-        if node.stack:
-            node.service_start = t
-            queue.push(t + node.stack[-1][1], ("done", node.stack[-1][0], q, node.token),
-                       priority=_COMPLETION)
-        hop_of[uid] += 1
-        if hop_of[uid] < len(paths[type_of[uid]]):
-            arrive(t, uid)
-
+    node_events = dict(zip(queues, logs)) if logs is not None else None
     return CtResult(taus=taus, deltas=deltas, node_events=node_events)
 
 

@@ -9,6 +9,16 @@ uid.  Packets of a flow only become transmittable once the whole flow is
 present, and a packet sent during slot k is available at the next queue
 when the slot ends.
 
+The engine is event driven.  Between events the head of a queue's LCFS
+heap sends one packet per slot, so a head that starts sending in slot k
+with r packets left sends its last packet in slot k + r - 1 unless a new
+flow preempts it first.  The engine therefore visits only activations (a
+flow reaching its schedule slot at a queue) and last-packet slots, in
+slot order; at one slot every activation is handled before any
+completion.  Each queue keeps its LCFS heap, the slot its head started
+sending and a token that invalidates the completion a preemption
+superseded.
+
 Two sample-path invariants are asserted for every flow at every queue,
 as exact integer slot comparisons:
 
@@ -25,41 +35,22 @@ import heapq
 import json
 from dataclasses import dataclass
 
-from .ct_network import CtResult, EpsilonConfig, slot_ceil
+from .ct_network import CtResult, EpsilonConfig, queue_paths, slot_ceil
 from .errors import EmulationInfeasibilityError, InternalConsistencyError
 from .flow_gen import FlowType
-from .topology import LoadProfile, QueueNode, Route
-
-
-@dataclass(frozen=True)
-class Packet:
-    """One slot-sized piece of a flow; the last piece may be logically
-    short but still occupies a full slot."""
-
-    flow_uid: int
-    index: int
-    size: float
-
-
-def packetize(size: float, eps: EpsilonConfig, flow_uid: int = 0) -> list[Packet]:
-    if size <= 0:
-        raise ValueError("flow size must be positive")
-    count = eps.n_slots.get(size, slot_ceil(size, eps.epsilon))
-    packets = []
-    for i in range(1, count + 1):
-        last = size - (count - 1) * eps.epsilon
-        packets.append(Packet(flow_uid, i, eps.epsilon if i < count else last))
-    return packets
+from .topology import LoadProfile, Route
 
 
 class _DtFlow:
-    __slots__ = ("uid", "ti", "hop", "remaining", "s_slots", "a_times", "delta_slots")
+    __slots__ = ("uid", "ti", "path", "hop", "sent", "s_slots", "a_times", "delta_slots")
 
-    def __init__(self, uid: int, ti: int, s_slots: list[int], t_inject: float):
+    def __init__(self, uid: int, ti: int, path: tuple[int, ...], s_slots: list[int],
+                 t_inject: float):
         self.uid = uid
         self.ti = ti
+        self.path = path
         self.hop = 0
-        self.remaining = 0
+        self.sent = 0       # packets sent at the current hop
         self.s_slots = s_slots
         self.a_times: list[float] = [t_inject]
         self.delta_slots: list[int] = []
@@ -94,142 +85,42 @@ class DelayLedger:
     epsilon: float
     rows: list[FlowDelayRecord]
 
-    def real_rows(self) -> list[FlowDelayRecord]:
-        return [r for r in self.rows if not r.dummy]
-
 
 @dataclass
 class DtRunResult:
+    """`n_slots_processed` counts slots in which at least one queue sends
+    a packet; `flow_hops_checked` counts flow-hops that passed both
+    sample-path checks."""
+
     ledger: DelayLedger
     n_slots_processed: int
     n_transmissions: int
-    transmissions: list[tuple[int, QueueNode, int, int]] | None  # (slot, queue, uid, pkt index)
+    flow_hops_checked: int
 
 
-def run_dt(
-    ct: CtResult,
-    injections: list[tuple[float, int, int]],
-    routes: list[Route],
-    types: tuple[FlowType, ...],
-    eps: EpsilonConfig,
-    arrive_times: dict[int, float] | None = None,
-    node_order: list[QueueNode] | None = None,
-    record_transmissions: bool = False,
-) -> DtRunResult:
-    """Run the slot engine against a finished reference run.
+def _schedule_slots(ct: CtResult, t_inject: float, uid: int, eps: float) -> list[int]:
+    """A flow's schedule slot at every hop, after checking that it is
+    injected by its first schedule time."""
+    slots = [slot_ceil(tau, eps) for tau in ct.taus[uid]]
+    if t_inject > slots[0] * eps + 1e-9 * max(1.0, abs(t_inject)):
+        raise EmulationInfeasibilityError(f"flow {uid} injected after its first schedule time")
+    return slots
 
-    `injections` lists (t_inject, type_index, uid); `arrive_times` maps a
-    flow back to its external arrival (defaults to its injection time).
-    `node_order` only fixes the per-slot iteration order over queues; any
-    order yields the identical ledger because a slot's decisions depend
-    only on state at the slot boundary.
-    """
-    epsv = eps.epsilon
-    by_id = {r.id: r for r in routes}
-    paths = [tuple(by_id[t.route].queue_path) for t in types]
-    pkts = [eps.n_slots[t.size] for t in types]
 
-    queues: list[QueueNode] = []
-    for path in paths:
-        for q in path:
-            if q not in queues:
-                queues.append(q)
-    if node_order is not None:
-        if sorted(map(str, node_order)) != sorted(map(str, queues)):
-            raise ValueError("node_order must be a permutation of the queues in use")
-        queues = list(node_order)
-    qidx = {q: i for i, q in enumerate(queues)}
-
-    eligible: list[list[tuple[int, float, int, _DtFlow]]] = [[] for _ in queues]
-    activations: list[tuple[int, int, int, _DtFlow]] = []  # (slot, qi, uid-as-tiebreak, flow)
-
-    flows: dict[int, _DtFlow] = {}
-    for t_inject, ti, uid in injections:
-        s_slots = [slot_ceil(tau, epsv) for tau in ct.taus[uid]]
-        fl = _DtFlow(uid, ti, s_slots, t_inject)
-        fl.remaining = pkts[ti]
-        flows[uid] = fl
-        if t_inject > s_slots[0] * epsv + 1e-9 * max(1.0, abs(t_inject)):
-            raise EmulationInfeasibilityError(
-                f"flow {uid} injected after its first schedule time"
-            )
-        heapq.heappush(activations, (s_slots[0], qidx[paths[ti][0]], uid, fl))
-
-    done: list[_DtFlow] = []
-    trans_log: list[tuple[int, QueueNode, int, int]] | None = [] if record_transmissions else None
-    n_trans = 0
-    n_slots_processed = 0
-    k = -1
-    any_eligible = False
-
-    while True:
-        if any_eligible:
-            k += 1
-            if activations and activations[0][0] < k:
-                raise InternalConsistencyError("activation slipped behind the slot clock")
-        elif activations:
-            k = activations[0][0]
-        else:
-            break
-        while activations and activations[0][0] <= k:
-            s, qi, _, fl = heapq.heappop(activations)
-            tau = ct.taus[fl.uid][fl.hop]
-            heapq.heappush(eligible[qi], (-s, -tau, -fl.uid, fl))
-        n_slots_processed += 1
-
-        for qi in range(len(queues)):
-            heap = eligible[qi]
-            if not heap:
-                continue
-            entry = heap[0]
-            fl = entry[3]
-            fl.remaining -= 1
-            n_trans += 1
-            if trans_log is not None:
-                trans_log.append((k, queues[qi], fl.uid, pkts[fl.ti] - fl.remaining))
-            if fl.remaining:
-                continue
-            heapq.heappop(heap)
-            hop = fl.hop
-            delta_slot = k + 1
-            limit = slot_ceil(ct.deltas[fl.uid][hop], epsv)
-            if delta_slot > limit:
-                raise EmulationInfeasibilityError(
-                    f"flow {fl.uid} left {queues[qi]} in slot {delta_slot}, "
-                    f"reference bound is {limit}"
-                )
-            fl.delta_slots.append(delta_slot)
-            fl.hop += 1
-            if fl.hop < len(paths[fl.ti]):
-                a_slot = k + 1
-                s_next = fl.s_slots[fl.hop]
-                if a_slot > s_next:
-                    raise EmulationInfeasibilityError(
-                        f"flow {fl.uid} reached {paths[fl.ti][fl.hop]} in slot {a_slot}, "
-                        f"after its schedule slot {s_next}"
-                    )
-                fl.a_times.append(a_slot * epsv)
-                fl.remaining = pkts[fl.ti]
-                heapq.heappush(activations, (s_next, qidx[paths[fl.ti][fl.hop]], fl.uid, fl))
-            else:
-                done.append(fl)
-        any_eligible = any(eligible)
-
-    if len(done) != len(flows):
-        raise InternalConsistencyError("some flows never drained from the slot engine")
-
+def _ledger(ct: CtResult, injections: list[tuple[float, int, int]],
+            types: tuple[FlowType, ...], eps: float, flows: list,
+            arrive_times: dict[int, float] | None) -> DelayLedger:
+    """Ledger rows sorted by (t_arrive, uid).  `flows[i]` carries a slot
+    engine's per-hop `a_times`, `s_slots` and `delta_slots` for the i-th
+    injection."""
     rows = []
-    for t_inject, ti, uid in injections:
-        fl = flows[uid]
-        if len(fl.delta_slots) != len(paths[ti]):
+    for (t_inject, ti, uid), fl in zip(injections, flows):
+        delta_slots = fl.delta_slots
+        if len(delta_slots) != len(ct.taus[uid]):
             raise InternalConsistencyError(f"flow {uid} is missing hop records")
         t_arr = arrive_times.get(uid, t_inject) if arrive_times else t_inject
         d_w = t_inject - t_arr
-        d_s = fl.delta_slots[-1] * epsv - t_inject
-        hops = tuple(
-            (ct.taus[uid][h], ct.deltas[uid][h], fl.a_times[h], fl.s_slots[h], fl.delta_slots[h])
-            for h in range(len(paths[ti]))
-        )
+        d_s = delta_slots[-1] * eps - t_inject
         rows.append(
             FlowDelayRecord(
                 uid=uid,
@@ -240,16 +131,135 @@ def run_dt(
                 d_w=d_w,
                 d_s=d_s,
                 d=d_w + d_s,
-                hops=hops,
+                hops=tuple(zip(ct.taus[uid], ct.deltas[uid], fl.a_times, fl.s_slots,
+                               delta_slots)),
             )
         )
     rows.sort(key=lambda r: (r.t_arrive, r.uid))
-    ledger = DelayLedger(epsilon=epsv, rows=rows)
+    return DelayLedger(epsilon=eps, rows=rows)
+
+
+def run_dt(
+    ct: CtResult,
+    injections: list[tuple[float, int, int]],
+    routes: list[Route],
+    types: tuple[FlowType, ...],
+    eps: EpsilonConfig,
+    arrive_times: dict[int, float] | None = None,
+) -> DtRunResult:
+    """Run the slot engine against a finished reference run.
+
+    `injections` lists (t_inject, type_index, uid); `arrive_times` maps a
+    flow back to its external arrival (defaults to its injection time).
+    """
+    epsv = eps.epsilon
+    queues, paths = queue_paths(routes, types)
+    pkts = [eps.n_slots[t.size] for t in types]
+    taus, deltas = ct.taus, ct.deltas
+
+    flows = [_DtFlow(uid, ti, paths[ti], _schedule_slots(ct, t_inject, uid, epsv), t_inject)
+             for t_inject, ti, uid in injections]
+    # Events: (slot, 0, uid, flow) makes a flow transmittable at its
+    # current queue; (slot, 1, queue, token) is the slot in which a head
+    # sends its last packet.  Activations sort before completions.  First
+    # hops are read in slot order from `first`, later ones go on the heap.
+    first = sorted(((fl.s_slots[0], 0, fl.uid, fl) for fl in flows), key=lambda e: e[0])
+    events: list[tuple] = []
+    heaps: list[list[tuple[int, float, int, _DtFlow]]] = [[] for _ in queues]  # LCFS
+    started = [0] * len(queues)   # slot in which the current head started sending
+    tokens = [0] * len(queues)
+    heappush, heappop = heapq.heappush, heapq.heappop
+
+    n_trans = n_checked = n_done = 0
+    n_slots = busy = busy_since = 0  # union of busy intervals over queues
+    k = 0
+    i, n_first = 0, len(first)
+    while True:
+        if i < n_first and (not events or first[i][0] <= events[0][0]):
+            ev = first[i]
+            i += 1
+        elif events:
+            ev = heappop(events)
+        else:
+            break
+        s, kind, a, b = ev
+        if s < k:
+            raise InternalConsistencyError("event slipped behind the slot clock")
+        k = s
+
+        if kind == 0:
+            fl = b
+            q = fl.path[fl.hop]
+            heap = heaps[q]
+            entry = (-k, -taus[a][fl.hop], -a, fl)
+            if heap and heap[0] < entry:
+                heappush(heap, entry)  # waits behind the current head
+                continue
+            if heap:
+                heap[0][3].sent += k - started[q]  # the head is preempted
+            else:
+                if not busy:
+                    busy_since = k
+                busy += 1
+            heappush(heap, entry)
+            started[q] = k
+            tokens[q] += 1
+            heappush(events, (k + pkts[fl.ti] - 1, 1, q, tokens[q]))
+            continue
+
+        q = a
+        if b != tokens[q]:
+            continue  # superseded by a preemption
+        heap = heaps[q]
+        fl = heappop(heap)[3]
+        fl.sent += k + 1 - started[q]
+        ti, hop = fl.ti, fl.hop
+        if fl.sent != pkts[ti]:
+            raise InternalConsistencyError(
+                f"flow {fl.uid} sent {fl.sent} of {pkts[ti]} packets at {queues[q]}"
+            )
+        n_trans += fl.sent
+        delta_slot = k + 1
+        limit = slot_ceil(deltas[fl.uid][hop], epsv)
+        if delta_slot > limit:
+            raise EmulationInfeasibilityError(
+                f"flow {fl.uid} left {queues[q]} in slot {delta_slot}, "
+                f"reference bound is {limit}"
+            )
+        fl.delta_slots.append(delta_slot)
+        n_checked += 1
+        hop += 1
+        if hop < len(fl.path):
+            s_next = fl.s_slots[hop]
+            if delta_slot > s_next:
+                raise EmulationInfeasibilityError(
+                    f"flow {fl.uid} reached {queues[fl.path[hop]]} in slot {delta_slot}, "
+                    f"after its schedule slot {s_next}"
+                )
+            fl.hop = hop
+            fl.sent = 0
+            fl.a_times.append(delta_slot * epsv)
+            heappush(events, (s_next, 0, fl.uid, fl))
+        else:
+            n_done += 1
+        if heap:
+            # the next head sends from the following slot on
+            nxt = heap[0][3]
+            started[q] = delta_slot
+            tokens[q] += 1
+            heappush(events, (k + pkts[nxt.ti] - nxt.sent, 1, q, tokens[q]))
+        else:
+            busy -= 1
+            if not busy:
+                n_slots += delta_slot - busy_since
+
+    if n_done != len(flows):
+        raise InternalConsistencyError("some flows never drained from the slot engine")
     return DtRunResult(
-        ledger=ledger,
-        n_slots_processed=n_slots_processed,
+        ledger=_ledger(ct, injections, types, epsv, flows, arrive_times),
+        n_slots_processed=n_slots,
         n_transmissions=n_trans,
-        transmissions=trans_log,
+        flow_hops_checked=n_checked,
     )
 
 

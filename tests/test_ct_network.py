@@ -103,6 +103,28 @@ def test_preemption_resume(chain_dag):
     assert ct.deltas[0][0] == pytest.approx(2.0)  # 0.6 + 1.0 + 0.4
 
 
+def test_simultaneous_events_order(star_dag):
+    # a completion at an instant comes before an arrival at it: flow 1
+    # lands as flow 0 leaves and does not preempt it
+    routes = [make_route(star_dag, "a", "r", route_id=0)]
+    types = (FlowType(0, 1.0, 0.1),)
+    eps = choose_epsilon(compute_loads(routes, {(0, 1.0): 0.1}), 2.0, override=0.5)
+    ct = run_ct([(0.0, 0, 0), (1.0, 0, 1)], routes, types, eps)
+    assert ct.deltas == {0: [1.0], 1: [2.0]}
+
+    # simultaneous completions go in the order they were scheduled: both
+    # flows leave their first queue at 1.0 and meet at r/down; flow 0's
+    # completion was scheduled first, so it arrives first and flow 1
+    # preempts it there
+    routes = [make_route(star_dag, "a", "b", route_id=0), make_route(star_dag, "b", "a", route_id=1)]
+    types = (FlowType(0, 1.0, 0.1), FlowType(1, 1.0, 0.1))
+    profile = compute_loads(routes, {(0, 1.0): 0.1, (1, 1.0): 0.1})
+    eps = choose_epsilon(profile, 2.0, override=0.5)
+    ct = run_ct([(0.0, 1, 1), (0.0, 0, 0)], routes, types, eps)
+    assert ct.taus == {0: [0.0, 1.0, 3.0], 1: [0.0, 1.0, 2.0]}
+    assert ct.deltas == {0: [1.0, 3.0, 4.0], 1: [1.0, 2.0, 3.0]}
+
+
 def test_lcfs_pr_sample_path(two_hop_route):
     types = (FlowType(0, 1.0, 0.6),)
     profile = compute_loads([two_hop_route], {(0, 1.0): 0.6})

@@ -1,14 +1,15 @@
+import dataclasses
+
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from dcflow.ct_network import choose_epsilon, run_ct, slot_ceil
-from dcflow.dt_network import (
-    dt_delay_bound,
-    packetize,
-    run_dt,
-    write_ledger_csv,
-)
+from dcflow.dt_network import dt_delay_bound, run_dt, write_ledger_csv
+from dcflow.errors import DcflowError
 from dcflow.flow_gen import FlowType, gen_poisson
-from dcflow.topology import compute_loads, make_route
+from dcflow.topology import TreeSpec, build_dag, compute_loads, make_route
+from slot_oracle import run_dt_per_slot
 
 
 def pipeline(routes, types, injections, c0=2.0, override=None, **kwargs):
@@ -18,20 +19,6 @@ def pipeline(routes, types, injections, c0=2.0, override=None, **kwargs):
     ct = run_ct(injections, routes, types, eps)
     dt = run_dt(ct, injections, routes, types, eps, **kwargs)
     return profile, eps, ct, dt
-
-
-def test_packetize_counts(chain_dag):
-    route = make_route(chain_dag, "a", "r", route_id=0)
-    profile = compute_loads([route], {(0, 1.0): 0.5})
-    eps05 = choose_epsilon(profile, 2.0, override=0.5)
-    assert len(packetize(1.0, eps05)) == 2
-    eps04 = choose_epsilon(profile, 2.0, override=0.4)
-    pkts = packetize(1.0, eps04)
-    assert len(pkts) == 3
-    assert pkts[0].size == pytest.approx(0.4)
-    assert pkts[-1].size == pytest.approx(0.2)  # short last packet
-    assert [p.index for p in pkts] == [1, 2, 3]
-    assert len(packetize(0.5, eps05)) == 1
 
 
 def test_lone_flow_single_node_base_case(chain_dag):
@@ -79,24 +66,28 @@ def test_random_run_invariants_and_capacity(star_dag):
     profile = compute_loads([r0, r1], lam)
     eps = choose_epsilon(profile, 2.0)
     ct = run_ct(list(stream.events), [r0, r1], types, eps)
-    dt = run_dt(ct, list(stream.events), [r0, r1], types, eps,
-                record_transmissions=True)
+    dt = run_dt(ct, list(stream.events), [r0, r1], types, eps)
+    oracle, transmissions = run_dt_per_slot(ct, list(stream.events), [r0, r1], types, eps)
+    assert dt == oracle
 
     # slot capacity: one packet per queue per slot
     seen = set()
-    for slot, q, uid, idx in dt.transmissions:
+    for slot, q, uid, idx in transmissions:
         assert (slot, q) not in seen
         seen.add((slot, q))
+    assert dt.n_slots_processed == len({slot for slot, _, _, _ in transmissions})
 
     # flow conservation: every hop moved exactly ceil(x/eps) packets
     per_flow_hop: dict[tuple[int, str], int] = {}
-    for slot, q, uid, idx in dt.transmissions:
+    for slot, q, uid, idx in transmissions:
         key = (uid, str(q))
         per_flow_hop[key] = per_flow_hop.get(key, 0) + 1
     by_id = {r.id: r for r in [r0, r1]}
     for row in dt.ledger.rows:
         for q in by_id[row.route].queue_path:
             assert per_flow_hop[(row.uid, str(q))] == eps.n_slots[row.size]
+    assert dt.n_transmissions == len(transmissions)
+    assert dt.flow_hops_checked == len(per_flow_hop)
 
     # ledger invariants, exact in slot units
     for row in dt.ledger.rows:
@@ -120,9 +111,11 @@ def test_node_iteration_order_is_immaterial(star_dag):
         for q in route.queue_path:
             if q not in queues:
                 queues.append(q)
-    dt_fwd = run_dt(ct, list(stream.events), [r0, r1], types, eps, node_order=queues)
-    dt_rev = run_dt(ct, list(stream.events), [r0, r1], types, eps, node_order=queues[::-1])
-    assert dt_fwd.ledger.rows == dt_rev.ledger.rows
+    fwd, _ = run_dt_per_slot(ct, list(stream.events), [r0, r1], types, eps, node_order=queues)
+    rev, _ = run_dt_per_slot(ct, list(stream.events), [r0, r1], types, eps,
+                             node_order=queues[::-1])
+    assert fwd == rev
+    assert run_dt(ct, list(stream.events), [r0, r1], types, eps) == fwd
 
 
 def test_rerun_is_deterministic(two_hop_route):
@@ -182,3 +175,74 @@ def test_ledger_csv_format(two_hop_route, tmp_path):
     assert len(lines) == 2 + len(dt.ledger.rows)
     first = lines[2].split(",")
     assert int(first[0]) == dt.ledger.rows[0].uid
+
+
+STAR = TreeSpec(nodes=("r", "a", "b"), root="r", parent={"a": "r", "b": "r"})
+TREE = TreeSpec(nodes=("r", "a1", "a2", "h1", "h2", "h3", "h4"), root="r",
+                parent={"a1": "r", "a2": "r", "h1": "a1", "h2": "a1", "h3": "a2", "h4": "a2"})
+NETWORKS = {
+    "star": (STAR, (("a", "b"), ("b", "a"), ("r", "a"), ("b", "r"))),
+    "tree": (TREE, (("h1", "h3"), ("h2", "h4"), ("h1", "h2"), ("h3", "r"), ("r", "h2"))),
+}
+
+
+def _outcome(engine):
+    try:
+        return engine(), None
+    except DcflowError as exc:
+        return None, type(exc)
+
+
+@st.composite
+def slot_runs(draw):
+    """A random network, flow types, injections and slot length, and
+    optionally a tampered reference run that breaks an invariant."""
+    tree, pairs = NETWORKS[draw(st.sampled_from(sorted(NETWORKS)))]
+    dag = build_dag(tree)
+    n_routes = draw(st.integers(1, len(pairs)))
+    routes = [make_route(dag, s, d, route_id=i) for i, (s, d) in enumerate(pairs[:n_routes])]
+    sizes = draw(st.lists(st.sampled_from((0.3, 0.5, 1.0, 1.7, 2.0)), min_size=1, max_size=3,
+                          unique=True))
+    types = tuple(FlowType(draw(st.integers(0, n_routes - 1)), x, 0.01) for x in sizes)
+    types = tuple({(t.route, t.size): t for t in types}.values())
+    # instants on a coarse grid, so injections often coincide
+    n = draw(st.integers(1, 25))
+    times = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    uids = draw(st.lists(st.integers(-30, 60), min_size=n, max_size=n, unique=True))
+    tis = draw(st.lists(st.integers(0, len(types) - 1), min_size=n, max_size=n))
+    injections = [(0.25 * t, ti, uid) for t, ti, uid in zip(times, tis, uids)]
+    injections = draw(st.permutations(injections))
+    override = draw(st.sampled_from((None, 0.1, 0.25, 0.4, 0.5, 1.0)))
+    profile = compute_loads(routes, {(t.route, t.size): t.rate for t in types})
+    eps = choose_epsilon(profile, 2.0, override=override)
+    ct = run_ct(injections, routes, types, eps)
+    if draw(st.booleans()):
+        # pull some reference instants earlier: a flow then reaches a
+        # queue after its schedule slot, or leaves it after its bound
+        taus = {uid: list(v) for uid, v in ct.taus.items()}
+        deltas = {uid: list(v) for uid, v in ct.deltas.items()}
+        for _ in range(draw(st.integers(1, 3))):
+            _, _, uid = draw(st.sampled_from(injections))
+            table = draw(st.sampled_from((taus, deltas)))
+            hop = draw(st.integers(0, len(table[uid]) - 1))
+            table[uid][hop] -= draw(st.sampled_from((0.05, 0.5, 2.0)))
+        ct = dataclasses.replace(ct, taus=taus, deltas=deltas)
+    return ct, injections, routes, types, eps
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(slot_runs())
+def test_event_engine_matches_per_slot_oracle(run):
+    ct, injections, routes, types, eps = run
+    arrive = {uid: t - 0.1 for t, _, uid in injections}
+    got, got_exc = _outcome(lambda: run_dt(ct, injections, routes, types, eps, arrive))
+    want, want_exc = _outcome(
+        lambda: run_dt_per_slot(ct, injections, routes, types, eps, arrive)[0]
+    )
+    event(f"outcome: {want_exc.__name__ if want_exc else 'ledger'}")
+    assert got_exc == want_exc
+    if want is not None:
+        assert got.ledger.rows == want.ledger.rows
+        assert got.n_slots_processed == want.n_slots_processed
+        assert got.n_transmissions == want.n_transmissions
+        assert got.flow_hops_checked == want.flow_hops_checked

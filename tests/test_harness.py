@@ -1,8 +1,11 @@
+import dataclasses
+import hashlib
 import json
 import os
 
 import pytest
 
+from dcflow import harness
 from dcflow.cli import main as cli_main
 from dcflow.errors import ConfigError
 from dcflow.harness import (
@@ -10,9 +13,12 @@ from dcflow.harness import (
     load_config,
     parse_config,
     run_experiment,
+    run_point,
     serialize_config,
     validate_config,
 )
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SMOKE = ExperimentConfig(
     name="smoke",
@@ -127,6 +133,54 @@ def test_parallel_sweep_matches_serial(tmp_path):
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
 
 
+def test_verdict_counts_checked_flow_hops(monkeypatch):
+    result = run_experiment(SMOKE)
+    (check,) = [c for c in result.verdict["checks"] if c["name"] == "emulation_invariants"]
+    hops = sum(p.flow_hops_checked for p in result.points)
+    assert hops == 2 * result.points[0].n_flows  # every flow crosses two queues
+    assert check["detail"].startswith(f"{hops} of {hops} flow-hops")
+
+    # a slot engine that skipped one flow-hop's checks fails the verdict
+    real_run_dt = harness.run_dt
+
+    def skipping_run_dt(*args, **kwargs):
+        dt = real_run_dt(*args, **kwargs)
+        return dataclasses.replace(dt, flow_hops_checked=dt.flow_hops_checked - 1)
+
+    monkeypatch.setattr(harness, "run_dt", skipping_run_dt)
+    result = run_experiment(SMOKE)
+    assert not result.passed
+    (check,) = [c for c in result.verdict["checks"] if c["name"] == "emulation_invariants"]
+    assert not check["pass"]
+    assert check["detail"].startswith(f"{hops - 1} of {hops} flow-hops")
+
+
+def test_regularized_star_keeps_wait_identity():
+    # the wait is computed as one difference of instants and checked
+    # against the sum of two others; these seeds once differed by an ulp
+    config = ExperimentConfig(
+        name="regularized-star",
+        topology_nodes=("r", "a", "b"),
+        topology_root="r",
+        topology_parent={"a": "r", "b": "r"},
+        routes=(("r", "a"), ("r", "b")),
+        types=((0, 1.0, 0.2), (1, 1.0, 0.2)),
+        horizon=300.0,
+        regularizer=(0.3, 0.3),
+    )
+    for seed in (2, 4):
+        point = run_point(config, 1.0, seed=seed)
+        assert point.flow_hops_checked == point.flow_hops_expected > 0
+
+
+def test_smoke_ledger_is_pinned(tmp_path):
+    # any engine rewrite that keeps the arithmetic must keep this digest
+    smoke = load_config(os.path.join(HERE, "configs", "smoke.json"))
+    run_experiment(smoke, out_dir=str(tmp_path), seed=17)
+    digest = hashlib.sha256((tmp_path / "ledger.csv").read_bytes()).hexdigest()
+    assert digest == "6e94d99cad2918f410c2110ff59c5435015f7bf39ac4b07ab269b9c06f4c4b89"
+
+
 def test_regularized_run_completes(tmp_path):
     # the waiting bound is equality-tight here, so leave statistical
     # headroom; tight-tolerance checks live in the acceptance suite
@@ -194,10 +248,9 @@ def test_load_config_file(tmp_path):
 def test_shipped_configs(tmp_path):
     import time
 
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    smoke = load_config(os.path.join(here, "configs", "smoke.json"))
+    smoke = load_config(os.path.join(HERE, "configs", "smoke.json"))
     t0 = time.monotonic()
     result = run_experiment(smoke, out_dir=str(tmp_path / "shipped"))
     assert time.monotonic() - t0 < 5.0
     assert result.passed
-    validate_config(load_config(os.path.join(here, "configs", "sweep.json")))
+    validate_config(load_config(os.path.join(HERE, "configs", "sweep.json")))
