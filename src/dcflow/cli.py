@@ -5,7 +5,8 @@ Subcommands:
   run       execute the experiment and write artifacts
   sweep     like run, but requires a sweep section (kept as its own verb
             so scripts fail loudly when a sweep is missing)
-  oracle    print the closed-form predictions only, no simulation
+  oracle    print the closed-form oracles and bounds, regularizer stage
+            included, without simulating
   selftest  run the brute-force oracle suite
 """
 
@@ -15,28 +16,10 @@ import argparse
 import json
 import sys
 
-from .ct_network import choose_epsilon, ct_delay_oracle
-from .dt_network import dt_delay_bound
 from .errors import ConfigError, DcflowError
-from .harness import (
-    ExperimentConfig,
-    _effective_profile,
-    _build_network,
-    _point_rates,
-    load_config,
-    run_experiment,
-    validate_config,
-)
-from .metrics import format_report
+from .harness import ExperimentConfig, load_config, plan_point, run_experiment, validate_config
+from .metrics import format_report, oracle_table
 from .selftest import run_selftest
-from .sfa_core import expected_flow_delay
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", required=True, help="path to the JSON experiment config")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +29,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("validate", "run", "sweep", "oracle"):
         p = sub.add_parser(name)
-        _add_common(p)
+        p.add_argument("--config", required=True, help="path to the JSON experiment config")
+        if name in ("run", "sweep"):
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+            p.add_argument("--out", default=None, help="output directory")
+            p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
 
     p = sub.add_parser("selftest")
     p.add_argument("--fast", action="store_true", help="reduced problem sizes")
@@ -67,33 +54,24 @@ def _cmd_validate(config: ExperimentConfig) -> int:
 
 def _cmd_oracle(config: ExperimentConfig) -> int:
     validate_config(config)
-    _, routes = _build_network(config)
     for mult in config.sweep:
-        types, reg = _point_rates(config, mult)
-        profile = _effective_profile(routes, types, reg)
-        eps = choose_epsilon(profile, config.c0, config.epsilon_override)
-        wait = expected_flow_delay(profile)
-        sched = ct_delay_oracle(eps, profile)
-        bound = dt_delay_bound(eps, profile)
-        print(f"sweep x{mult}: epsilon={eps.epsilon!r}")
-        for (j, x) in sorted(profile.lam):
-            d = profile.routes[j].hop_count
-            rho = profile.rho[j]
-            b_w = x * d / (1.0 - rho)
+        plan = plan_point(config, mult)
+        profile = plan.profile
+        print(f"sweep x{mult}: epsilon={plan.eps.epsilon!r}")
+        for (j, x), o in oracle_table(profile, plan.eps, plan.extra_wait).items():
             print(
-                f"  route {j} size {x}: hops={d} rho={rho:.4f} "
-                f"wait={wait[(j, x)]:.4f} sched={sched[(j, x)]:.4f} "
-                f"bound_wait={b_w:.4f} bound_sched={bound[(j, x)]:.4f} "
-                f"bound_total={b_w + bound[(j, x)]:.4f}"
+                f"  route {j} size {x}: hops={profile.routes[j].hop_count} "
+                f"rho={profile.rho[j]:.4f} wait={o.oracle_dw:.4f} sched={o.oracle_ds:.4f} "
+                f"bound_wait={o.bound_dw:.4f} bound_sched={o.bound_ds:.4f} "
+                f"bound_total={o.bound_d:.4f}"
             )
     return 0
 
 
-def _cmd_run(config: ExperimentConfig, out: str | None, seed: int | None, jobs: int,
-             require_sweep: bool) -> int:
+def _cmd_run(config: ExperimentConfig, out: str | None, jobs: int, require_sweep: bool) -> int:
     if require_sweep and len(config.sweep) < 2:
         raise ConfigError("sweep command needs a config with at least two sweep points")
-    result = run_experiment(config, out_dir=out, seed=seed, jobs=jobs)
+    result = run_experiment(config, out_dir=out, jobs=jobs)
     print(format_report([(p.mult, p.stats) for p in result.points],
                         slack=config.bound_slack))
     print(json.dumps(result.verdict, indent=2, sort_keys=True))
@@ -113,13 +91,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "selftest":
             return _cmd_selftest(args.fast)
         config = load_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
         if args.command == "validate":
             return _cmd_validate(config)
         if args.command == "oracle":
             return _cmd_oracle(config)
-        return _cmd_run(config, args.out, None, args.jobs, require_sweep=args.command == "sweep")
+        if args.seed is not None:
+            config.seed = args.seed
+        return _cmd_run(config, args.out, args.jobs, require_sweep=args.command == "sweep")
     except DcflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -121,7 +121,6 @@ class CtResult:
 
     taus: dict[int, list[float]]
     deltas: dict[int, list[float]]
-    node_events: dict[QueueNode, list[tuple[float, str, int]]] | None = None
 
     def sojourn(self, uid: int) -> float:
         return self.deltas[uid][-1] - self.taus[uid][0]
@@ -147,7 +146,6 @@ def run_ct(
     routes: list[Route],
     types: tuple[FlowType, ...],
     eps: EpsilonConfig,
-    record_events: bool = False,
 ) -> CtResult:
     """Simulate the reference network for (time, type_index, uid) injections.
 
@@ -168,9 +166,6 @@ def run_ct(
     stacks: list[list[list]] = [[] for _ in queues]
     started = [0.0] * len(queues)
     tokens = [0] * len(queues)
-    logs: list[list[tuple[float, str, int]]] | None = (
-        [[] for _ in queues] if record_events else None
-    )
 
     arrivals = sorted(injections, key=lambda e: (e[0], e[2]))
     taus: dict[int, list[float]] = {uid: [] for _, _, uid in arrivals}
@@ -190,8 +185,6 @@ def run_ct(
             if done_uid != uid or abs(remaining - (t - started[q])) > 1e-6:
                 raise InternalConsistencyError(f"completion bookkeeping broken at {queues[q]}")
             deltas[uid].append(t)
-            if logs is not None:
-                logs[q].append((t, "dep", uid))
             tokens[q] += 1
             if stack:
                 started[q] = t
@@ -212,8 +205,6 @@ def run_ct(
         q = paths[ti][hop]
         stack = stacks[q]
         taus[uid].append(t)
-        if logs is not None:
-            logs[q].append((t, "arr", uid))
         if stack:
             top = stack[-1]
             top[1] -= t - started[q]
@@ -227,8 +218,7 @@ def run_ct(
         heappush(heap, (t + service[ti], seq, q, tokens[q], uid))
         seq += 1
 
-    node_events = dict(zip(queues, logs)) if logs is not None else None
-    return CtResult(taus=taus, deltas=deltas, node_events=node_events)
+    return CtResult(taus=taus, deltas=deltas)
 
 
 def write_ct_table(result: CtResult, types: tuple[FlowType, ...], routes: list[Route],

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from .ct_network import CtResult, EpsilonConfig, queue_paths, slot_ceil
 from .errors import EmulationInfeasibilityError, InternalConsistencyError
 from .flow_gen import FlowType
-from .topology import LoadProfile, Route
+from .topology import Route
 
 
 class _DtFlow:
@@ -261,17 +261,6 @@ def run_dt(
         n_transmissions=n_trans,
         flow_hops_checked=n_checked,
     )
-
-
-def dt_delay_bound(eps: EpsilonConfig, profile: LoadProfile) -> dict[tuple[int, float], float]:
-    """Scheduling-delay bound per type:
-    (C0 / (C0 - 1)) * (x * d / (1 - rho) + d)."""
-    scale = eps.c0 / (eps.c0 - 1.0)
-    out = {}
-    for (j, x) in profile.lam:
-        d = profile.routes[j].hop_count
-        out[(j, x)] = scale * (x * d / (1.0 - profile.rho[j]) + d)
-    return out
 
 
 LEDGER_VERSION = "# dcflow ledger v1"

@@ -37,9 +37,9 @@ class ArrivalStream:
     """Time-ordered exogenous arrivals over a finite horizon.
 
     events: list of (time, type_index, uid).  Times are nondecreasing and
-    ties are broken by uid, which increases in emission order.  For a
-    regularized stream, `external_times` maps a real flow's uid to its
-    original arrival instant (emission time otherwise).
+    ties are broken by type index.  For a regularized stream,
+    `external_times` maps a real flow's uid to its original arrival
+    instant (emission time otherwise).
     """
 
     horizon: float
@@ -50,11 +50,6 @@ class ArrivalStream:
 
     def arrival_time(self, uid: int, emit_time: float) -> float:
         return self.external_times.get(uid, emit_time)
-
-    def count(self, type_index: int | None = None) -> int:
-        if type_index is None:
-            return len(self.events)
-        return sum(1 for _, ti, _ in self.events if ti == type_index)
 
 
 def _float_bits(x: float) -> int:
@@ -161,28 +156,3 @@ def regularize(stream: ArrivalStream, reg_rates: dict[int, float] | list[float])
         events=out,
         external_times=external,
     )
-
-
-def dump_stream(stream: ArrivalStream, path: str) -> None:
-    """One event per line: time,route,size,uid."""
-    with open(path, "w") as fh:
-        for t, ti, uid in stream.events:
-            ftype = stream.types[ti]
-            fh.write(f"{t!r},{ftype.route},{ftype.size!r},{uid}\n")
-
-
-def load_stream(path: str, types: list[FlowType], horizon: float, seed: int = 0) -> ArrivalStream:
-    """Rebuild a stream dumped by dump_stream; types supply the rates."""
-    index = {(t.route, t.size): i for i, t in enumerate(types)}
-    events = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            t_s, route_s, size_s, uid_s = line.split(",")
-            key = (int(route_s), float(size_s))
-            if key not in index:
-                raise ValueError(f"no flow type for route={key[0]} size={key[1]}")
-            events.append((float(t_s), index[key], int(uid_s)))
-    return ArrivalStream(horizon=horizon, rng_seed=seed, types=tuple(types), events=events)

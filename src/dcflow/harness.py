@@ -18,12 +18,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
-from .ct_network import choose_epsilon, run_ct, write_ct_table
+from .ct_network import EpsilonConfig, choose_epsilon, run_ct, write_ct_table
 from .dt_network import run_dt, write_hop_table_jsonl, write_ledger_csv
 from .errors import ConfigError, MalformedTreeError, StabilityViolationError
 from .flow_gen import FlowType, gen_poisson, regularize
 from .metrics import TypeStats, format_report, summarize, write_summary_csv
-from .topology import TreeSpec, build_dag, compute_loads, is_admissible, make_route
+from .topology import (
+    LoadProfile,
+    Route,
+    TreeSpec,
+    build_dag,
+    compute_loads,
+    is_admissible,
+    make_route,
+)
 from .virtual_bandwidth_net import run_emulation, write_injection_trace
 
 
@@ -113,35 +121,68 @@ def load_config(path: str) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def _build_network(config: ExperimentConfig):
+def _build_routes(config: ExperimentConfig) -> list[Route]:
     tree = TreeSpec(
         nodes=config.topology_nodes,
         root=config.topology_root,
         parent=config.topology_parent,
     )
     dag = build_dag(tree)
-    routes = [make_route(dag, s, d, route_id=i) for i, (s, d) in enumerate(config.routes)]
-    return dag, routes
+    return [make_route(dag, s, d, route_id=i) for i, (s, d) in enumerate(config.routes)]
 
 
-def _point_rates(config: ExperimentConfig, mult: float):
-    """Scaled per-type rates and, if regularized, scaled emission rates."""
+@dataclass
+class PointPlan:
+    """Everything one sweep point decides before any flow is simulated.
+
+    `reg` holds the scaled regularizer emission rates (None when the
+    config has no regularizer); `profile` is the load the internal
+    networks actually see: emission rates when a regularizer is present
+    (dummies consume bandwidth), arrival rates otherwise.  `extra_wait`
+    is the regularizer stage's exact expected sojourn per type,
+    1 / (emission rate - arrival rate): its queue empties at Poisson
+    epochs, and measured waits start at the external arrival.
+    """
+
+    routes: list[Route]
+    types: tuple[FlowType, ...]
+    reg: tuple[float, ...] | None
+    profile: LoadProfile
+    eps: EpsilonConfig
+    extra_wait: dict[tuple[int, float], float] | None
+
+
+def plan_point(config: ExperimentConfig, mult: float) -> PointPlan:
+    """Routes, scaled rates, effective load, slot length and regularizer
+    wait of the sweep point at multiplier `mult`.
+
+    Raises ConfigError naming the sweep point when the regularizer is too
+    weak, the load is inadmissible or no slot length keeps it feasible.
+    """
+    routes = _build_routes(config)
     types = tuple(FlowType(j, x, r * mult) for j, x, r in config.types)
-    reg = None
-    if config.regularizer is not None:
-        reg = tuple(r * mult for r in config.regularizer)
-    return types, reg
-
-
-def _effective_profile(routes, types, reg):
-    """Loads the internal networks actually see: emission rates when a
-    regularizer is present (dummies consume bandwidth), arrival rates
-    otherwise."""
-    if reg is None:
+    reg = extra_wait = None
+    if config.regularizer is None:
         lam = {(t.route, t.size): t.rate for t in types}
     else:
+        reg = tuple(r * mult for r in config.regularizer)
+        weak = [
+            f"regularizer[{i}] at sweep {mult}: emission rate must exceed arrival rate {t.rate}"
+            for i, t in enumerate(types) if reg[i] <= t.rate
+        ]
+        if weak:
+            raise ConfigError("; ".join(weak))
         lam = {(t.route, t.size): reg[i] for i, t in enumerate(types)}
-    return compute_loads(routes, lam)
+        extra_wait = {(t.route, t.size): 1.0 / (reg[i] - t.rate) for i, t in enumerate(types)}
+    profile = compute_loads(routes, lam)
+    if not is_admissible(profile):
+        offenders = sorted(str(q) for q, fv in profile.f.items() if fv >= 1.0)
+        raise ConfigError(f"load at sweep {mult}: inadmissible (f >= 1 at {offenders})")
+    try:
+        eps = choose_epsilon(profile, config.c0, config.epsilon_override)
+    except StabilityViolationError as exc:
+        raise ConfigError(f"epsilon at sweep {mult}: {exc}") from exc
+    return PointPlan(routes, types, reg, profile, eps, extra_wait)
 
 
 def validate_config(config: ExperimentConfig) -> dict:
@@ -165,9 +206,9 @@ def validate_config(config: ExperimentConfig) -> dict:
     if not config.types:
         errors.append("types: at least one flow type required")
 
-    dag = routes = None
+    routes = None
     try:
-        dag, routes = _build_network(config)
+        routes = _build_routes(config)
     except (MalformedTreeError, ValueError) as exc:
         errors.append(f"topology/routes: {exc}")
 
@@ -188,28 +229,14 @@ def validate_config(config: ExperimentConfig) -> dict:
             errors.append("regularizer: need exactly one emission rate per type")
 
     echo: dict = {"name": config.name, "points": {}}
-    if not errors and routes is not None:
+    if not errors:
         for mult in config.sweep:
-            types, reg = _point_rates(config, mult)
-            if reg is not None:
-                for i, t in enumerate(types):
-                    if reg[i] <= t.rate:
-                        errors.append(
-                            f"regularizer[{i}] at sweep {mult}: emission rate must exceed "
-                            f"arrival rate {t.rate}"
-                        )
-            if errors:
-                break
-            profile = _effective_profile(routes, types, reg)
-            if not is_admissible(profile):
-                offenders = sorted(str(q) for q, fv in profile.f.items() if fv >= 1.0)
-                errors.append(f"load at sweep {mult}: inadmissible (f >= 1 at {offenders})")
-                continue
             try:
-                eps = choose_epsilon(profile, config.c0, config.epsilon_override)
-            except StabilityViolationError as exc:
-                errors.append(f"epsilon at sweep {mult}: {exc}")
-                continue
+                plan = plan_point(config, mult)
+            except ConfigError as exc:
+                errors.append(str(exc))  # report the first failing point only
+                break
+            profile, eps = plan.profile, plan.eps
             echo["points"][mult] = {
                 "epsilon": eps.epsilon,
                 "f": {str(q): fv for q, fv in sorted(profile.f.items(), key=lambda kv: str(kv[0]))},
@@ -239,34 +266,26 @@ class PointResult:
 def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
               seed: int | None = None) -> PointResult:
     """Execute one sweep point end to end; optionally write its artifacts."""
-    dag, routes = _build_network(config)
-    types, reg = _point_rates(config, mult)
+    plan = plan_point(config, mult)
+    routes, types = plan.routes, plan.types
     seed = config.seed if seed is None else seed
 
     stream = gen_poisson(types, config.horizon, seed)
-    if reg is not None:
-        stream = regularize(stream, list(reg))
-    profile = _effective_profile(routes, types, reg)
+    if plan.reg is not None:
+        stream = regularize(stream, list(plan.reg))
 
     nb = run_emulation(
-        stream, routes, occupancy_cap=config.occupancy_cap, profile=profile, record_states=False
+        stream, routes, occupancy_cap=config.occupancy_cap, profile=plan.profile,
+        record_states=False,
     )
     injections = sorted(
         ((t, nb.type_of[uid], uid) for uid, t in nb.injections.items()),
         key=lambda e: (e[0], e[2]),
     )
-    eps = choose_epsilon(profile, config.c0, config.epsilon_override)
-    ct = run_ct(injections, routes, types, eps)
-    dt = run_dt(ct, injections, routes, types, eps, arrive_times=nb.arrive_times)
-    extra_wait = None
-    if reg is not None:
-        # measured waits include the regularizer stage; its queue empties
-        # at Poisson epochs, so the stage's expected sojourn is exact
-        extra_wait = {
-            (t.route, t.size): 1.0 / (reg[i] - t.rate) for i, t in enumerate(types)
-        }
-    stats = summarize(dt.ledger, config.burn_in * config.horizon, profile, eps,
-                      extra_wait=extra_wait)
+    ct = run_ct(injections, routes, types, plan.eps)
+    dt = run_dt(ct, injections, routes, types, plan.eps, arrive_times=nb.arrive_times)
+    stats = summarize(dt.ledger, config.burn_in * config.horizon, plan.profile, plan.eps,
+                      extra_wait=plan.extra_wait)
 
     artifacts = {}
     if out_dir is not None:
@@ -316,7 +335,6 @@ class ExperimentResult:
 
 def _build_verdict(config: ExperimentConfig, points: list[PointResult]) -> dict:
     checks = []
-    ok_all = True
 
     checked = sum(p.flow_hops_checked for p in points)
     expected = sum(p.flow_hops_expected for p in points)
@@ -361,13 +379,12 @@ def _build_verdict(config: ExperimentConfig, points: list[PointResult]) -> dict:
             }
         )
 
-    ok_all = all(c["pass"] for c in checks)
     return {
         "format": "dcflow-verdict",
         "version": 1,
         "dcflow_version": __version__,
         "experiment": config.name,
-        "pass": ok_all,
+        "pass": all(c["pass"] for c in checks),
         "checks": checks,
     }
 

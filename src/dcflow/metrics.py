@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .ct_network import EpsilonConfig, ct_delay_oracle
-from .dt_network import DelayLedger, dt_delay_bound
-from .sfa_core import StationaryLaw, expected_flow_delay
+from .dt_network import DelayLedger
+from .sfa_core import StationaryLaw, expected_flow_delay, occupancies_within
 from .topology import LoadProfile
 
 
@@ -41,6 +41,49 @@ class TypeStats:
         )
 
 
+@dataclass(frozen=True)
+class TypeOracle:
+    """Closed-form predictions and proven bounds for one (route, size) type."""
+
+    oracle_dw: float
+    oracle_ds: float
+    bound_dw: float
+    bound_ds: float
+    bound_d: float
+
+
+def oracle_table(
+    profile: LoadProfile,
+    eps: EpsilonConfig,
+    extra_wait: dict[tuple[int, float], float] | None = None,
+) -> dict[tuple[int, float], TypeOracle]:
+    """Oracles and bounds per type, in (route, size) order.
+
+    The waiting oracle is the virtual network's mean sojourn and the
+    scheduling oracle the reference network's; the waiting bound is
+    x * d / (1 - rho) for a d-hop route, and the scheduling bound
+    (C0 / (C0 - 1)) * (x * d / (1 - rho) + d).  `extra_wait` adds a
+    per-type constant to the waiting oracle and bound: a regularized run
+    passes the regularizer stage's exact expected sojourn here, since
+    measured waits then start at the external arrival rather than at the
+    emission.
+    """
+    oracle_w = expected_flow_delay(profile)
+    oracle_s = ct_delay_oracle(eps, profile)
+    scale = eps.c0 / (eps.c0 - 1.0)
+    extra_wait = extra_wait or {}
+    table = {}
+    for (j, x) in sorted(profile.lam):
+        d = profile.routes[j].hop_count
+        w = x * d / (1.0 - profile.rho[j])
+        extra = extra_wait.get((j, x), 0.0)
+        b_w = w + extra
+        b_s = scale * (w + d)
+        table[(j, x)] = TypeOracle(oracle_w[(j, x)] + extra, oracle_s[(j, x)], b_w, b_s,
+                                   b_w + b_s)
+    return table
+
+
 def summarize(
     ledger: DelayLedger,
     burn_in: float,
@@ -48,19 +91,8 @@ def summarize(
     eps: EpsilonConfig,
     extra_wait: dict[tuple[int, float], float] | None = None,
 ) -> list[TypeStats]:
-    """Per-type means over real flows arriving at or after `burn_in`.
-
-    `extra_wait` adds a per-type constant to the waiting oracle and bound;
-    a regularized run passes the regularizer stage's exact expected
-    sojourn 1 / (emission rate - arrival rate) here, since measured waits
-    then start at the external arrival rather than at the emission.
-    """
-    oracle_w = expected_flow_delay(profile)
-    oracle_s = ct_delay_oracle(eps, profile)
-    bound_s = dt_delay_bound(eps, profile)
-    if extra_wait:
-        oracle_w = {k: v + extra_wait.get(k, 0.0) for k, v in oracle_w.items()}
-
+    """Per-type means over real flows arriving at or after `burn_in`, next
+    to the `oracle_table` entries of their type."""
     # exactly-rounded sums keep the result independent of row order
     samples: dict[tuple[int, float], list[list[float]]] = {}
     for r in ledger.rows:
@@ -72,35 +104,11 @@ def summarize(
         buckets[2].append(r.d)
 
     stats = []
-    for (j, x) in sorted(profile.lam):
-        d = profile.routes[j].hop_count
-        b_w = x * d / (1.0 - profile.rho[j])
-        if extra_wait:
-            b_w += extra_wait.get((j, x), 0.0)
-        b_s = bound_s[(j, x)]
+    for (j, x), o in oracle_table(profile, eps, extra_wait).items():
         buckets = samples.get((j, x))
-        if not buckets or not buckets[0]:
-            stats.append(
-                TypeStats(j, x, 0, None, None, None, oracle_w[(j, x)], oracle_s[(j, x)],
-                          b_w, b_s, b_w + b_s)
-            )
-            continue
-        n = len(buckets[0])
-        stats.append(
-            TypeStats(
-                route=j,
-                size=x,
-                count=n,
-                mean_dw=math.fsum(buckets[0]) / n,
-                mean_ds=math.fsum(buckets[1]) / n,
-                mean_d=math.fsum(buckets[2]) / n,
-                oracle_dw=oracle_w[(j, x)],
-                oracle_ds=oracle_s[(j, x)],
-                bound_dw=b_w,
-                bound_ds=b_s,
-                bound_d=b_w + b_s,
-            )
-        )
+        n = len(buckets[0]) if buckets else 0
+        means = [math.fsum(b) / n for b in buckets] if n else [None, None, None]
+        stats.append(TypeStats(j, x, n, *means, **asdict(o)))
     return stats
 
 
@@ -179,7 +187,7 @@ def compare_distribution(
     analytic mass.
     """
     n_routes = law.spec.n_routes
-    states = [s for s in _states_within(n_routes, support_cap)]
+    states = list(occupancies_within(n_routes, support_cap))
     analytic = np.array([law.pi(s) for s in states])
     analytic_mass = float(analytic.sum())
 
@@ -197,15 +205,6 @@ def compare_distribution(
         empirical_mass=emp_mass,
         truncation_warning=analytic_mass < 0.8,
     )
-
-
-def _states_within(dims: int, cap: int):
-    if dims == 0:
-        yield ()
-        return
-    for head in range(cap + 1):
-        for rest in _states_within(dims - 1, cap - head):
-            yield (head,) + rest
 
 
 SUMMARY_VERSION = "# dcflow summary v1"

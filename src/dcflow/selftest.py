@@ -17,6 +17,7 @@ import numpy as np
 from .ct_network import choose_epsilon
 from .sfa_core import (
     BandwidthNetworkSpec,
+    occupancies_within,
     phi_big,
     phi_big_bruteforce,
     phi_rate,
@@ -51,15 +52,6 @@ def random_spec(rng: np.random.Generator, max_resources: int = 4,
         route_resources=tuple(routes),
         consumption=tuple(consumption),
     )
-
-
-def occupancies_within(n_routes: int, cap: int):
-    if n_routes == 0:
-        yield ()
-        return
-    for head in range(cap + 1):
-        for rest in occupancies_within(n_routes - 1, cap - head):
-            yield (head,) + rest
 
 
 def check_normalizer_oracle(n_specs: int = 200, occupancy_cap: int = 6,

@@ -206,15 +206,6 @@ def _evaluator(spec: BandwidthNetworkSpec, exact: bool) -> _PhiEvaluator:
     return ev
 
 
-def clear_cache(spec: BandwidthNetworkSpec | None = None) -> None:
-    """Drop memoized normalizer tables (all specs, or one)."""
-    if spec is None:
-        _EVALUATORS.clear()
-    else:
-        _EVALUATORS.pop((spec, True), None)
-        _EVALUATORS.pop((spec, False), None)
-
-
 def phi_big(spec: BandwidthNetworkSpec, n: tuple[int, ...], exact: bool = False) -> Number:
     """Normalizer Phi(n); 0 if any component of n is negative, 1 at n = 0."""
     if len(n) != spec.n_routes:
@@ -229,6 +220,17 @@ def _compositions(total: int, parts: int):
         return
     for head in range(total + 1):
         for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def occupancies_within(n_routes: int, cap: int):
+    """Every occupancy vector of `n_routes` nonnegative entries summing to
+    at most `cap`, in lexicographic order."""
+    if n_routes == 0:
+        yield ()
+        return
+    for head in range(cap + 1):
+        for rest in occupancies_within(n_routes - 1, cap - head):
             yield (head,) + rest
 
 
@@ -317,10 +319,6 @@ class StationaryLaw:
         for a, c in zip(self.alpha, n):
             weight *= a**c
         return float(phi_big(self.spec, tuple(n))) * weight / self.normalizer
-
-    def log_pi(self, n: tuple[int, ...]) -> float:
-        p = self.pi(n)
-        return math.log(p) if p > 0 else -math.inf
 
 
 def stationary_pi(spec: BandwidthNetworkSpec, alpha) -> StationaryLaw:

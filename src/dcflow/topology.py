@@ -82,12 +82,6 @@ class Dag:
     def __post_init__(self) -> None:
         self.position = {q: i for i, q in enumerate(self.topo_order)}
 
-    def up(self, node: str) -> QueueNode:
-        return QueueNode(node, UP)
-
-    def down(self, node: str) -> QueueNode:
-        return QueueNode(node, DOWN)
-
 
 def build_dag(spec: TreeSpec) -> Dag:
     """Expand a tree into its up/down queue DAG.
@@ -163,26 +157,6 @@ def make_route(dag: Dag, src: str, dst: str, route_id: int = 0) -> Route:
     if dst != lca:
         path.extend(QueueNode(v, DOWN) for v in descend)
     return Route(id=route_id, src=src, dst=dst, queue_path=tuple(path))
-
-
-@dataclass
-class RoutingMatrix:
-    """0/1 queue-by-route incidence."""
-
-    queues: list[QueueNode]
-    routes: list[Route]
-    entries: dict[tuple[QueueNode, int], int]
-
-    def __getitem__(self, key: tuple[QueueNode, int]) -> int:
-        return self.entries.get(key, 0)
-
-
-def routing_matrix(dag: Dag, routes: list[Route]) -> RoutingMatrix:
-    entries = {}
-    for route in routes:
-        for q in route.queue_path:
-            entries[(q, route.id)] = 1
-    return RoutingMatrix(queues=list(dag.topo_order), routes=list(routes), entries=entries)
 
 
 @dataclass

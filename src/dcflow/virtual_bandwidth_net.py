@@ -17,7 +17,6 @@ asserts that identity for every flow.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, StabilityViolationError, StarvationError
@@ -53,7 +52,6 @@ class NbState:
         spec: BandwidthNetworkSpec,
         sizes: list[float],
         record_states: bool = True,
-        record_events: bool = False,
     ):
         if len(sizes) != spec.n_routes:
             raise ValueError("need one flow size per class")
@@ -66,7 +64,6 @@ class NbState:
         self.phi: list[float] = [0.0] * spec.n_routes
         self.occ_integral = [0.0] * spec.n_routes
         self.state_time: dict[tuple[int, ...], float] = {} if record_states else None
-        self.event_log: list[tuple] | None = [] if record_events else None
         self.n_events = 0
         self._ev = _evaluator(spec, exact=False)
         self._feas_cap = [float(c) + 1e-9 for c in spec.capacities]
@@ -130,8 +127,6 @@ class NbState:
         self.n[class_idx] += 1
         self._recompute()
         self.n_events += 1
-        if self.event_log is not None:
-            self.event_log.append((t, "arrival", class_idx, uid, tuple(self.n), tuple(self.phi)))
 
     def next_departure(self) -> tuple[float, int, int] | None:
         """Earliest completion under the current rates: (time, class, uid).
@@ -161,24 +156,6 @@ class NbState:
         self.n[class_idx] -= 1
         self._recompute()
         self.n_events += 1
-        if self.event_log is not None:
-            self.event_log.append((t, "departure", class_idx, uid, tuple(self.n), tuple(self.phi)))
-
-
-def next_departure(state: NbState):
-    return state.next_departure()
-
-
-def step_nb(state: NbState, event: tuple) -> NbState:
-    """Apply one ('arrival'|'departure', time, class, uid) event."""
-    kind, t, class_idx, uid = event
-    if kind == "arrival":
-        state.apply_arrival(t, class_idx, uid)
-    elif kind == "departure":
-        state.apply_departure(t, class_idx, uid)
-    else:
-        raise ValueError(f"unknown event kind {kind!r}")
-    return state
 
 
 @dataclass
@@ -194,7 +171,6 @@ class NbRunResult:
     departures_by_type: list[list[tuple[float, int]]]
     occupancy_time_avg: tuple[float, ...]
     state_time: dict[tuple[int, ...], float] | None
-    event_log: list[tuple] | None
     n_events: int
     end_clock: float
 
@@ -209,7 +185,6 @@ def run_emulation(
     occupancy_cap: int = 64,
     profile: LoadProfile | None = None,
     record_states: bool = True,
-    record_events: bool = False,
 ) -> NbRunResult:
     """Drive the virtual network with a stream; injection time = departure.
 
@@ -223,8 +198,7 @@ def run_emulation(
         raise StabilityViolationError("arrival rates are outside the admissible region")
 
     spec = bandwidth_spec_for(routes, types, occupancy_cap)
-    state = NbState(spec, [t.size for t in types], record_states=record_states,
-                    record_events=record_events)
+    state = NbState(spec, [t.size for t in types], record_states=record_states)
 
     injections: dict[int, float] = {}
     enter: dict[int, float] = {}
@@ -267,7 +241,6 @@ def run_emulation(
         departures_by_type=departures,
         occupancy_time_avg=occ_avg,
         state_time=state.state_time,
-        event_log=state.event_log,
         n_events=state.n_events,
         end_clock=end_clock,
     )
@@ -300,20 +273,3 @@ def write_injection_trace(result: NbRunResult, path: str) -> None:
         fh.write("uid,t_arrive,t_inject\n")
         for uid in sorted(result.injections):
             fh.write(f"{uid},{result.arrive_times[uid]!r},{result.injections[uid]!r}\n")
-
-
-def write_nb_event_log(result: NbRunResult, path: str) -> None:
-    """Debug trace of the run's events as JSON lines; requires the run to
-    have been made with record_events=True."""
-    if result.event_log is None:
-        raise ValueError("run was not recorded; pass record_events=True")
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"format": "dcflow-nb-events", "version": 1}) + "\n")
-        for t, kind, class_idx, uid, n, phi in result.event_log:
-            fh.write(
-                json.dumps(
-                    {"t": t, "event": kind, "class": class_idx, "uid": uid,
-                     "n": list(n), "phi": list(phi)}
-                )
-                + "\n"
-            )

@@ -125,16 +125,27 @@ def test_simultaneous_events_order(star_dag):
     assert ct.deltas == {0: [1.0, 3.0, 4.0], 1: [1.0, 2.0, 3.0]}
 
 
+def queue_logs(ct, route):
+    """Each queue's (t, "arr" | "dep", uid) events, rebuilt from the
+    per-hop instants; at one instant departures come first, as in run_ct."""
+    logs = {q: [] for q in route.queue_path}
+    for uid in ct.taus:
+        for q, tau, delta in zip(route.queue_path, ct.taus[uid], ct.deltas[uid]):
+            logs[q] += [(tau, 1, uid), (delta, 0, uid)]
+    return {q: [(t, "arr" if k else "dep", uid) for t, k, uid in sorted(log)]
+            for q, log in logs.items()}
+
+
 def test_lcfs_pr_sample_path(two_hop_route):
     types = (FlowType(0, 1.0, 0.6),)
     profile = compute_loads([two_hop_route], {(0, 1.0): 0.6})
     eps = choose_epsilon(profile, 2.0)
     stream = gen_poisson(types, 2_000.0, seed=31)
     inj = list(stream.events)
-    ct = run_ct(inj, [two_hop_route], types, eps, record_events=True)
+    ct = run_ct(inj, [two_hop_route], types, eps)
     # replay each queue's log as a pure stack: every departure must pop
     # the most recent arrival among still-present flows
-    for q, log in ct.node_events.items():
+    for q, log in queue_logs(ct, two_hop_route).items():
         stack = []
         for t, kind, uid in log:
             if kind == "arr":
@@ -152,9 +163,9 @@ def test_busy_cycle_identity(two_hop_route):
     profile = compute_loads([two_hop_route], {(0, 1.0): 0.6})
     eps = choose_epsilon(profile, 2.0)
     stream = gen_poisson(types, 3_000.0, seed=32)
-    ct = run_ct(list(stream.events), [two_hop_route], types, eps, record_events=True)
+    ct = run_ct(list(stream.events), [two_hop_route], types, eps)
     xe = eps.x_eps[1.0]
-    for q, log in ct.node_events.items():
+    for q, log in queue_logs(ct, two_hop_route).items():
         depth = 0
         opener = None
         count = 0

@@ -5,9 +5,10 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from dcflow.ct_network import choose_epsilon, run_ct, slot_ceil
-from dcflow.dt_network import dt_delay_bound, run_dt, write_ledger_csv
+from dcflow.dt_network import run_dt, write_ledger_csv
 from dcflow.errors import DcflowError
 from dcflow.flow_gen import FlowType, gen_poisson
+from dcflow.metrics import oracle_table
 from dcflow.topology import TreeSpec, build_dag, compute_loads, make_route
 from slot_oracle import run_dt_per_slot
 
@@ -150,12 +151,12 @@ def test_delay_decomposition_rows(two_hop_route):
 def test_dt_delay_bound_values(two_hop_route):
     profile_half = compute_loads([two_hop_route], {(0, 1.0): 0.5})
     eps = choose_epsilon(profile_half, 2.0)
-    bound = dt_delay_bound(eps, profile_half)
-    assert bound[(0, 1.0)] == pytest.approx(2 * (1 * 2 / 0.5 + 2))  # 12
+    bound = oracle_table(profile_half, eps)[(0, 1.0)].bound_ds
+    assert bound == pytest.approx(2 * (1 * 2 / 0.5 + 2))  # 12
 
     light = compute_loads([two_hop_route], {(0, 1.0): 1e-9})
     eps_l = choose_epsilon(light, 2.0, override=0.25)
-    b = dt_delay_bound(eps_l, light)[(0, 1.0)]
+    b = oracle_table(light, eps_l)[(0, 1.0)].bound_ds
     assert b == pytest.approx(2 * (1 * 2 + 2), rel=1e-6)
 
 

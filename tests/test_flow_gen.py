@@ -7,9 +7,7 @@ from dcflow.errors import UnstableRegularizerError
 from dcflow.flow_gen import (
     ArrivalStream,
     FlowType,
-    dump_stream,
     gen_poisson,
-    load_stream,
     regularize,
 )
 
@@ -123,11 +121,3 @@ def test_regularized_output_is_poisson_for_periodic_input():
     ks = max(np.abs(emp_hi - cdf).max(), np.abs(emp_lo - cdf).max())
     assert ks * math.sqrt(n) < 1.95  # ~alpha 0.001
 
-
-def test_dump_load_roundtrip(tmp_path):
-    types = [FlowType(0, 1.0, 0.5), FlowType(1, 0.5, 0.25)]
-    stream = gen_poisson(types, 200.0, seed=3)
-    path = tmp_path / "stream.txt"
-    dump_stream(stream, str(path))
-    back = load_stream(str(path), types, horizon=200.0, seed=3)
-    assert back.events == stream.events

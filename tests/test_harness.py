@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -211,6 +212,76 @@ def test_cli_validate_and_oracle(tmp_path, capsys):
     assert cli_main(["oracle", "--config", path]) == 0
     out = capsys.readouterr().out
     assert "bound_total" in out
+
+
+@pytest.fixture(scope="module")
+def regularized_cli_runs(tmp_path_factory):
+    """Two `dcflow run`s of the shipped smoke config with a regularizer and
+    hop tables on.  Returns the config path, both output directories and
+    the ledger the first run wrote its hop table from."""
+    tmp = tmp_path_factory.mktemp("regularized")
+    smoke = load_config(os.path.join(HERE, "configs", "smoke.json"))
+    config = dataclasses.replace(smoke, regularizer=(0.45,), horizon=3_000.0,
+                                 bound_slack=0.25, emit_hop_tables=True)
+    path = write_config(tmp, config)
+    ledgers = []
+    real_writer = harness.write_hop_table_jsonl
+
+    def capturing_writer(ledger, routes, out):
+        ledgers.append(ledger)
+        real_writer(ledger, routes, out)
+
+    outs = (tmp / "a", tmp / "b")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "write_hop_table_jsonl", capturing_writer)
+        for out in outs:
+            assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
+    return path, outs, ledgers[0]
+
+
+def test_cli_oracle_matches_regularized_summary(regularized_cli_runs, capsys):
+    # the oracle command and the run's summary read one oracle table, so
+    # both include the regularizer stage's expected sojourn
+    path, (out, _), _ = regularized_cli_runs
+    capsys.readouterr()
+    assert cli_main(["oracle", "--config", path]) == 0
+    printed = dict(re.findall(r"(\w+)=([-\d.]+)", capsys.readouterr().out.splitlines()[1]))
+    header, row = (out / "summary.csv").read_text().splitlines()[1:3]
+    summary = dict(zip(header.split(","), row.split(",")))
+    for oracle_key, summary_key in (("wait", "oracle_DW"), ("bound_wait", "bound_DW"),
+                                    ("bound_total", "bound_D")):
+        assert printed[oracle_key] == f"{float(summary[summary_key]):.4f}", oracle_key
+    assert printed["wait"] == f"{1 / 0.15 + 2 / 0.55:.4f}"
+
+
+def test_cli_regularized_run_writes_hop_tables(regularized_cli_runs):
+    _, (a, b), ledger = regularized_cli_runs
+    ledger_uids = [int(line.split(",")[0])
+                   for line in (a / "ledger.csv").read_text().splitlines()[2:]]
+    assert ledger_uids == [r.uid for r in ledger.rows]
+    assert min(ledger_uids) < 0 < max(ledger_uids)  # dummies and real flows
+
+    # ct_table.csv: one row per flow-hop, dummies included
+    ct_rows = [line.split(",") for line in (a / "ct_table.csv").read_text().splitlines()[2:]]
+    assert len(ct_rows) == sum(len(r.hops) for r in ledger.rows) == 2 * len(ledger_uids)
+    ct = {(int(uid), node): (float(tau), float(delta)) for uid, node, tau, delta in ct_rows}
+
+    # hops.jsonl: one record per flow-hop in ledger order, matching the
+    # ledger's hop entries and the reference instants in ct_table.csv
+    lines = (a / "hops.jsonl").read_text().splitlines()
+    assert json.loads(lines[0]) == {"format": "dcflow-hops", "version": 1}
+    records = [json.loads(line) for line in lines[1:]]
+    hop_entries = [(r.uid, hop) for r in ledger.rows for hop in r.hops]
+    assert len(records) == len(hop_entries)
+    for rec, (uid, (tau, delta, _, s_slot, d_slot)) in zip(records, hop_entries):
+        assert rec["uid"] == uid
+        assert rec["delta_slot"] == d_slot
+        assert rec["S"] == s_slot * ledger.epsilon
+        assert ct[(uid, rec["node"])] == (rec["tau"], rec["delta"]) == (tau, delta)
+
+    assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+    for name in os.listdir(a):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_cli_run_and_artifacts(tmp_path, capsys):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from dcflow.errors import EnumerationLimitError, StabilityViolationError
-from dcflow.selftest import occupancies_within, random_spec
+from dcflow.selftest import random_spec
 from dcflow.sfa_core import (
     BandwidthNetworkSpec,
     expected_flow_delay,
     expected_occupancy,
+    occupancies_within,
     phi_big,
     phi_big_bruteforce,
     phi_rate,

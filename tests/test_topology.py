@@ -9,7 +9,6 @@ from dcflow.topology import (
     compute_loads,
     is_admissible,
     make_route,
-    routing_matrix,
 )
 
 
@@ -95,17 +94,6 @@ def test_dominance_property(star_dag, chain_dag):
                 for i, q1 in enumerate(path):
                     for q2 in path[i + 1 :]:
                         assert dag.position[q1] < dag.position[q2]
-
-
-def test_routing_matrix_consistency(star_dag):
-    routes = [
-        make_route(star_dag, "a", "b", route_id=0),
-        make_route(star_dag, "r", "a", route_id=1),
-    ]
-    mat = routing_matrix(star_dag, routes)
-    for route in routes:
-        for q in star_dag.queues:
-            assert mat[(q, route.id)] == (1 if q in route.queue_path else 0)
 
 
 def test_compute_loads_single_route(chain_dag):

@@ -10,9 +10,7 @@ from dcflow.virtual_bandwidth_net import (
     NbState,
     bandwidth_spec_for,
     departure_process,
-    next_departure,
     run_emulation,
-    step_nb,
 )
 
 
@@ -62,9 +60,9 @@ def test_next_departure_closed_form():
     # one class over four unit resources: allocated rate 1/4
     spec = BandwidthNetworkSpec.unit(4, [(0, 1, 2, 3)])
     state = NbState(spec, [1.0])
-    step_nb(state, ("arrival", 0.0, 0, 0))
+    state.apply_arrival(0.0, 0, 0)
     state.advance(2.0)  # served 0.5 at rate 1/4
-    t, j, uid = next_departure(state)
+    t, j, uid = state.next_departure()
     assert t == pytest.approx(4.0)  # clock + remaining 0.5 / 0.25
 
 
@@ -72,10 +70,10 @@ def test_next_departure_equal_sharing_within_class():
     # one class, one unit resource: phi = 1 shared between two flows
     spec = BandwidthNetworkSpec.unit(1, [(0,)])
     state = NbState(spec, [2.0])
-    step_nb(state, ("arrival", 0.0, 0, 0))
-    state.advance(1.0)                      # flow 0 has remaining 1
-    step_nb(state, ("arrival", 1.0, 0, 1))  # flow 1 remaining 2
-    t, j, uid = next_departure(state)
+    state.apply_arrival(0.0, 0, 0)
+    state.advance(1.0)               # flow 0 has remaining 1
+    state.apply_arrival(1.0, 0, 1)   # flow 1 remaining 2
+    t, j, uid = state.next_departure()
     assert uid == 0
     assert t == pytest.approx(3.0)  # remaining 1 at per-flow rate 1/2
 
@@ -83,9 +81,9 @@ def test_next_departure_equal_sharing_within_class():
 def test_next_departure_tie_breaks_by_uid():
     spec = BandwidthNetworkSpec.unit(1, [(0,)])
     state = NbState(spec, [1.0])
-    step_nb(state, ("arrival", 0.0, 0, 5))
-    step_nb(state, ("arrival", 0.0, 0, 3))
-    t, j, uid = next_departure(state)
+    state.apply_arrival(0.0, 0, 5)
+    state.apply_arrival(0.0, 0, 3)
+    t, j, uid = state.next_departure()
     assert uid == 3
     assert t == pytest.approx(2.0)
 
@@ -93,7 +91,7 @@ def test_next_departure_tie_breaks_by_uid():
 def test_arrival_only_increments_occupancy():
     spec = BandwidthNetworkSpec.unit(1, [(0,)])
     state = NbState(spec, [1.0])
-    step_nb(state, ("arrival", 0.5, 0, 0))
+    state.apply_arrival(0.5, 0, 0)
     assert state.n == [1]
     assert state.phi[0] == pytest.approx(1.0)
 
@@ -101,23 +99,34 @@ def test_arrival_only_increments_occupancy():
 def test_work_conservation_from_event_log(two_hop_route):
     types = (FlowType(0, 1.0, 0.4),)
     stream = gen_poisson(types, 500.0, seed=21)
-    nb = run_emulation(stream, [two_hop_route], record_events=True)
-    # integrate the per-flow rate over each flow's residence from the log
-    log = nb.event_log
-    served: dict[int, float] = {}
+    spec = bandwidth_spec_for([two_hop_route], types)
+    state = NbState(spec, [1.0], record_states=False)
+    # step the state through the run's events, logging each flow set and
+    # per-flow rate, then integrate the rate over each flow's residence
+    log: list[tuple[float, frozenset[int], float]] = []
     active: set[int] = set()
-    for i, (t, kind, cls, uid, n, phi) in enumerate(log):
-        if kind == "arrival":
+    arrivals = list(stream.events)
+    while True:
+        nd = state.next_departure()
+        if arrivals and (nd is None or arrivals[0][0] < nd[0]):
+            t, ti, uid = arrivals.pop(0)
+            state.apply_arrival(t, ti, uid)
             active.add(uid)
-        else:
+        elif nd is not None:
+            t, j, uid = nd
+            state.apply_departure(t, j, uid)
             active.remove(uid)
-        if i + 1 < len(log) and n[0] > 0:
-            dt = log[i + 1][0] - t
-            rate = phi[0] / n[0]
-            for u in active:
-                served[u] = served.get(u, 0.0) + rate * dt
-    for uid in nb.injections:
-        assert served[uid] == pytest.approx(1.0, rel=1e-6)
+        else:
+            break
+        rate = state.phi[0] / state.n[0] if state.n[0] else 0.0
+        log.append((t, frozenset(active), rate))
+    served: dict[int, float] = {}
+    for (t, flows, rate), (t_next, _, _) in zip(log, log[1:]):
+        for u in flows:
+            served[u] = served.get(u, 0.0) + rate * (t_next - t)
+    assert len(served) == len(stream.events) > 0
+    for uid, work in served.items():
+        assert work == pytest.approx(1.0, rel=1e-6)
 
 
 def test_occupancy_matches_closed_form(two_hop_route):
