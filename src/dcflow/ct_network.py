@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, InternalConsistencyError, StabilityViolationError
-from .topology import LoadProfile, QueueNode, Route
+from .topology import LoadProfile, QueueNode, Route, queue_paths
 from .flow_gen import FlowType
 
 _GUARD = 1e-9
@@ -126,21 +126,6 @@ class CtResult:
         return self.deltas[uid][-1] - self.taus[uid][0]
 
 
-def queue_paths(routes: list[Route],
-                types: tuple[FlowType, ...]) -> tuple[list[QueueNode], list[tuple[int, ...]]]:
-    """Number the queues the types use, in order of first use; return the
-    queues and each type's route as a tuple of queue indices."""
-    by_id = {r.id: r for r in routes}
-    index: dict[QueueNode, int] = {}
-    paths = []
-    for t in types:
-        path = by_id[t.route].queue_path
-        for q in path:
-            index.setdefault(q, len(index))
-        paths.append(tuple(index[q] for q in path))
-    return list(index), paths
-
-
 def run_ct(
     injections: list[tuple[float, int, int]],
     routes: list[Route],
@@ -161,7 +146,8 @@ def run_ct(
     the instant the top's current service stint began, and a token that
     invalidates a completion scheduled before a preemption.
     """
-    queues, paths = queue_paths(routes, types)
+    queues, route_paths = queue_paths(routes)
+    paths = [route_paths[t.route] for t in types]
     service = [eps.x_eps[t.size] for t in types]
     stacks: list[list[list]] = [[] for _ in queues]
     started = [0.0] * len(queues)

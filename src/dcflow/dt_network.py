@@ -35,10 +35,10 @@ import heapq
 import json
 from dataclasses import dataclass
 
-from .ct_network import CtResult, EpsilonConfig, queue_paths, slot_ceil
+from .ct_network import CtResult, EpsilonConfig, slot_ceil
 from .errors import EmulationInfeasibilityError, InternalConsistencyError
 from .flow_gen import FlowType
-from .topology import Route
+from .topology import Route, queue_paths
 
 
 class _DtFlow:
@@ -153,11 +153,12 @@ def run_dt(
     flow back to its external arrival (defaults to its injection time).
     """
     epsv = eps.epsilon
-    queues, paths = queue_paths(routes, types)
+    queues, paths = queue_paths(routes)
     pkts = [eps.n_slots[t.size] for t in types]
     taus, deltas = ct.taus, ct.deltas
 
-    flows = [_DtFlow(uid, ti, paths[ti], _schedule_slots(ct, t_inject, uid, epsv), t_inject)
+    flows = [_DtFlow(uid, ti, paths[types[ti].route],
+                     _schedule_slots(ct, t_inject, uid, epsv), t_inject)
              for t_inject, ti, uid in injections]
     # Events: (slot, 0, uid, flow) makes a flow transmittable at its
     # current queue; (slot, 1, queue, token) is the slot in which a head

@@ -256,8 +256,6 @@ class PointResult:
     mult: float
     stats: list[TypeStats]
     n_flows: int
-    n_events_nb: int
-    n_transmissions: int
     flow_hops_checked: int     # flow-hops that passed both sample-path checks
     flow_hops_expected: int    # route hop counts summed over the ledger rows
     artifacts: dict[str, str] = field(default_factory=dict)
@@ -308,17 +306,10 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
         mult=mult,
         stats=stats,
         n_flows=len(nb.injections),
-        n_events_nb=nb.n_events,
-        n_transmissions=dt.n_transmissions,
         flow_hops_checked=dt.flow_hops_checked,
         flow_hops_expected=sum(routes[row.route].hop_count for row in dt.ledger.rows),
         artifacts=artifacts,
     )
-
-
-def _run_point_task(config_dict: dict, mult: float, out_dir: str, seed: int | None):
-    config = ExperimentConfig.from_dict(config_dict)
-    return run_point(config, mult, out_dir, seed)
 
 
 @dataclass
@@ -406,7 +397,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
     if jobs > 1 and len(multipliers) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_run_point_task, config.to_dict(), mult, point_dir(i, mult), seed)
+                pool.submit(run_point, config, mult, point_dir(i, mult), seed)
                 for i, mult in enumerate(multipliers)
             ]
             points = [f.result() for f in futures]

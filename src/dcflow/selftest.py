@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ct_network import choose_epsilon
+from .errors import DcflowError
 from .sfa_core import (
     BandwidthNetworkSpec,
     occupancies_within,
@@ -138,11 +139,16 @@ def random_admissible_network(rng: np.random.Generator):
 
 def check_epsilon_rule(n_configs: int = 100, seed: int = 77) -> CheckResult:
     """Slot rule keeps every rounded load strictly feasible and within the
-    (C0-1)/C0 inflation floor, as exact inequalities."""
+    (C0-1)/C0 inflation floor on random admissible networks.  A raise from
+    `choose_epsilon`'s own guard and a returned load that breaks either
+    inequality both report FAIL."""
     rng = np.random.Generator(np.random.PCG64(seed))
     for i in range(n_configs):
         profile, c0 = random_admissible_network(rng)
-        eps = choose_epsilon(profile, c0)
+        try:
+            eps = choose_epsilon(profile, c0)
+        except DcflowError as exc:
+            return CheckResult("epsilon_rule", False, f"config {i}: {exc}")
         for q, fe in eps.f_eps.items():
             if not fe < 1.0:
                 return CheckResult(

@@ -193,6 +193,19 @@ class _PhiEvaluator:
                 stack.extend(missing)
         return memo[n]
 
+    def rates(self, n: tuple[int, ...]) -> list[Number]:
+        """phi_j(n) = Phi(n - e_j) / Phi(n) per route; 0 for an empty route."""
+        denom = self.phi(n)
+        out = []
+        for j, nj in enumerate(n):
+            if nj == 0:
+                out.append(self._zero_val)
+                continue
+            m = list(n)
+            m[j] -= 1
+            out.append(self.phi(tuple(m)) / denom)
+        return out
+
 
 _EVALUATORS: dict[tuple[BandwidthNetworkSpec, bool], _PhiEvaluator] = {}
 
@@ -270,16 +283,9 @@ def phi_big_bruteforce(spec: BandwidthNetworkSpec, n: tuple[int, ...], exact: bo
 def phi_rate(spec: BandwidthNetworkSpec, n: tuple[int, ...], exact: bool = False) -> RateAllocation:
     """Allocated rate per route: phi_j(n) = Phi(n - e_j) / Phi(n)."""
     n = tuple(n)
-    denom = phi_big(spec, n, exact)
-    rates = []
-    for j in range(spec.n_routes):
-        if n[j] == 0:
-            rates.append(Fraction(0) if exact else 0.0)
-            continue
-        m = list(n)
-        m[j] -= 1
-        rates.append(phi_big(spec, tuple(m), exact) / denom)
-    return RateAllocation(phi=tuple(rates), n=n)
+    if len(n) != spec.n_routes:
+        raise ValueError("occupancy dimension does not match route count")
+    return RateAllocation(phi=tuple(_evaluator(spec, exact).rates(n)), n=n)
 
 
 def _resource_loads(spec: BandwidthNetworkSpec, alpha) -> list[float]:

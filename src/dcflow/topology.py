@@ -159,6 +159,26 @@ def make_route(dag: Dag, src: str, dst: str, route_id: int = 0) -> Route:
     return Route(id=route_id, src=src, dst=dst, queue_path=tuple(path))
 
 
+def queue_paths(routes: list[Route]) -> tuple[list[QueueNode], list[tuple[int, ...]]]:
+    """Number the routes' queues in order of first use, walking the routes
+    by id; return the queues and, at index r, route r's queue indices.
+
+    Route ids must be 0 .. len(routes) - 1: engines index per-route
+    tables by route id.
+    """
+    by_id = {r.id: r for r in routes}
+    if sorted(by_id) != list(range(len(routes))):
+        raise ValueError("route ids must be 0 .. len(routes) - 1")
+    index: dict[QueueNode, int] = {}
+    paths = []
+    for j in range(len(routes)):
+        path = by_id[j].queue_path
+        for q in path:
+            index.setdefault(q, len(index))
+        paths.append(tuple(index[q] for q in path))
+    return list(index), paths
+
+
 @dataclass
 class LoadProfile:
     """Per-queue work rates and per-route effective loads for a rate vector."""

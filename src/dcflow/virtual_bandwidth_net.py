@@ -1,12 +1,14 @@
 """Event-driven simulation of the virtual bandwidth-sharing network.
 
-Each flow type is its own allocation class (its route's queues are the
-resources it consumes, with deterministic size).  Between events the rate
-vector is constant, so flow completions are computed in closed form: a
-class tracks the cumulative service V granted to each of its flows, a
-flow arriving when the class had accumulated V departs once the class
-reaches V + size, and the allocation is re-evaluated only when the
-occupancy vector changes.
+Each route is one allocation class whose resources are its queues.  The
+allocation is insensitive to flow sizes: it depends only on how many
+flows each route holds, and the flows of every size on a route share the
+route's rate equally.  Between events the rate vector is constant, so
+flow completions are computed in closed form: a route tracks the
+cumulative service V granted to each of its flows, a flow of size x
+arriving when the route had accumulated V departs once the route reaches
+V + x, and the allocation is re-evaluated only when the occupancy vector
+changes.
 
 The congestion-control rule is: a flow becomes eligible for the internal
 network exactly when it departs this virtual network.  Its external wait
@@ -22,41 +24,26 @@ from dataclasses import dataclass
 from .errors import InternalConsistencyError, StabilityViolationError, StarvationError
 from .flow_gen import ArrivalStream, FlowType
 from .sfa_core import BandwidthNetworkSpec, _evaluator
-from .topology import LoadProfile, Route, compute_loads, is_admissible
+from .topology import LoadProfile, Route, compute_loads, is_admissible, queue_paths
 
 
-def bandwidth_spec_for(
-    routes: list[Route], types: tuple[FlowType, ...], occupancy_cap: int = 64
-) -> BandwidthNetworkSpec:
-    """Map queue-level routes to an allocation spec with one class per type."""
-    by_id = {r.id: r for r in routes}
-    queue_index: dict = {}
-    for route in sorted(by_id.values(), key=lambda r: r.id):
-        for q in route.queue_path:
-            if q not in queue_index:
-                queue_index[q] = len(queue_index)
-    class_resources = []
-    for ftype in types:
-        path = by_id[ftype.route].queue_path
-        class_resources.append(tuple(sorted(queue_index[q] for q in path)))
+def bandwidth_spec_for(routes: list[Route], occupancy_cap: int = 64) -> BandwidthNetworkSpec:
+    """Map queue-level routes to an allocation spec; class r is route r."""
+    queues, paths = queue_paths(routes)
     return BandwidthNetworkSpec.unit(
-        len(queue_index), class_resources, max_total_occupancy=occupancy_cap
+        len(queues), [tuple(sorted(p)) for p in paths], max_total_occupancy=occupancy_cap
     )
 
 
 class NbState:
-    """Mutable simulation state: clock, per-class flow sets, current rates."""
+    """Mutable simulation state: clock, per-class flow sets, current rates.
 
-    def __init__(
-        self,
-        spec: BandwidthNetworkSpec,
-        sizes: list[float],
-        record_states: bool = True,
-    ):
-        if len(sizes) != spec.n_routes:
-            raise ValueError("need one flow size per class")
+    A flow joins a class with its own size, so one class may hold flows
+    of several sizes.
+    """
+
+    def __init__(self, spec: BandwidthNetworkSpec, record_states: bool = True):
         self.spec = spec
-        self.sizes = [float(x) for x in sizes]
         self.clock = 0.0
         self.n = [0] * spec.n_routes
         self.v = [0.0] * spec.n_routes            # cumulative per-flow service
@@ -94,21 +81,12 @@ class NbState:
             self.clock = t
 
     def _recompute(self) -> None:
-        ev = self._ev
-        n = tuple(self.n)
-        denom = ev.phi(n)
-        phi = self.phi
-        for j, nj in enumerate(self.n):
-            if nj == 0:
-                phi[j] = 0.0
-                continue
-            m = list(n)
-            m[j] -= 1
-            phi[j] = ev.phi(tuple(m)) / denom
-            if not phi[j] > 0.0:
-                raise StarvationError(f"class {j} active but allocated zero rate at {n}")
-        # capacity feasibility at the new allocation
         n_now = self.n
+        self.phi = phi = self._ev.rates(tuple(n_now))
+        for j, nj in enumerate(n_now):
+            if nj and not phi[j] > 0.0:
+                raise StarvationError(f"class {j} active but allocated zero rate at {n_now}")
+        # capacity feasibility at the new allocation
         for l, row in enumerate(self._users):
             used = 0.0
             for j, b in row:
@@ -121,9 +99,9 @@ class NbState:
 
     # -- transitions -------------------------------------------------------
 
-    def apply_arrival(self, t: float, class_idx: int, uid: int) -> None:
+    def apply_arrival(self, t: float, class_idx: int, uid: int, size: float) -> None:
         self.advance(t)
-        heapq.heappush(self.heaps[class_idx], (self.v[class_idx] + self.sizes[class_idx], uid))
+        heapq.heappush(self.heaps[class_idx], (self.v[class_idx] + size, uid))
         self.n[class_idx] += 1
         self._recompute()
         self.n_events += 1
@@ -160,7 +138,7 @@ class NbState:
 
 @dataclass
 class NbRunResult:
-    """Outcome of one virtual-network run."""
+    """Outcome of one virtual-network run.  Occupancies are per route."""
 
     types: tuple[FlowType, ...]
     spec: BandwidthNetworkSpec
@@ -172,7 +150,6 @@ class NbRunResult:
     occupancy_time_avg: tuple[float, ...]
     state_time: dict[tuple[int, ...], float] | None
     n_events: int
-    end_clock: float
 
     def waiting_delay(self, uid: int) -> float:
         return self.injections[uid] - self.arrive_times[uid]
@@ -197,8 +174,8 @@ def run_emulation(
     if not is_admissible(profile):
         raise StabilityViolationError("arrival rates are outside the admissible region")
 
-    spec = bandwidth_spec_for(routes, types, occupancy_cap)
-    state = NbState(spec, [t.size for t in types], record_states=record_states)
+    spec = bandwidth_spec_for(routes, occupancy_cap)
+    state = NbState(spec, record_states=record_states)
 
     injections: dict[int, float] = {}
     enter: dict[int, float] = {}
@@ -215,7 +192,7 @@ def run_emulation(
             if nd is None or ta < nd[0]:
                 t, ti, uid = events[i]
                 i += 1
-                state.apply_arrival(t, ti, uid)
+                state.apply_arrival(t, types[ti].route, uid, types[ti].size)
                 enter[uid] = t
                 arrive[uid] = stream.arrival_time(uid, t)
                 type_of[uid] = ti
@@ -225,7 +202,7 @@ def run_emulation(
         t, j, uid = nd
         state.apply_departure(t, j, uid)
         injections[uid] = t
-        departures[j].append((t, uid))
+        departures[type_of[uid]].append((t, uid))
 
     end_clock = state.clock
     occ_avg = tuple(
@@ -242,7 +219,6 @@ def run_emulation(
         occupancy_time_avg=occ_avg,
         state_time=state.state_time,
         n_events=state.n_events,
-        end_clock=end_clock,
     )
     _assert_wait_identity(result)
     return result

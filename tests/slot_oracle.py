@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import heapq
 
-from dcflow.ct_network import queue_paths, slot_ceil
+from dcflow.ct_network import slot_ceil
 from dcflow.dt_network import DtRunResult, _ledger, _schedule_slots
 from dcflow.errors import EmulationInfeasibilityError, InternalConsistencyError
+from dcflow.topology import queue_paths
 
 
 class _Flow:
@@ -32,16 +33,16 @@ class _Flow:
 
 def run_dt_per_slot(ct, injections, routes, types, eps, arrive_times=None, node_order=None):
     """Same arguments and result as `run_dt`, plus `node_order` (a
-    permutation of the queues in use, fixing the per-slot iteration order).
+    permutation of the routes' queues, fixing the per-slot iteration order).
     Returns (result, log) with one (slot, queue, uid, packet index) entry
     per transmission."""
     epsv = eps.epsilon
-    queues, paths = queue_paths(routes, types)
-    paths = [tuple(queues[q] for q in path) for path in paths]
+    queues, route_paths = queue_paths(routes)
+    paths = [tuple(queues[q] for q in route_paths[t.route]) for t in types]
     pkts = [eps.n_slots[t.size] for t in types]
     if node_order is not None:
         if sorted(map(str, node_order)) != sorted(map(str, queues)):
-            raise ValueError("node_order must be a permutation of the queues in use")
+            raise ValueError("node_order must be a permutation of the routes' queues")
         queues = list(node_order)
     qidx = {q: i for i, q in enumerate(queues)}
 

@@ -138,7 +138,7 @@ def test_criterion_03_product_form_match(product_form_run):
     assert nb.n_events >= 1_000_000
     assert run["elapsed"] < 120.0, f"simulation took {run['elapsed']:.1f}s"
 
-    spec = bandwidth_spec_for(run["routes"], run["types"], 512)
+    spec = bandwidth_spec_for(run["routes"], 512)
     law = stationary_pi(spec, (0.3, 0.3))
     cmp = compare_distribution(nb.state_time, law, support_cap=20)
     assert not cmp.truncation_warning

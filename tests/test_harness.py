@@ -6,9 +6,9 @@ import re
 
 import pytest
 
-from dcflow import harness
+from dcflow import harness, selftest
 from dcflow.cli import main as cli_main
-from dcflow.errors import ConfigError
+from dcflow.errors import ConfigError, InternalConsistencyError
 from dcflow.harness import (
     ExperimentConfig,
     load_config,
@@ -309,6 +309,39 @@ def test_cli_seed_override_changes_output(tmp_path):
 
 def test_cli_selftest_fast():
     assert cli_main(["selftest", "--fast"]) == 0
+
+
+def test_selftest_reports_a_broken_slot_rule(monkeypatch, capsys):
+    def broken(profile, c0, override=None):
+        raise InternalConsistencyError("slot rule failed its load-inflation guarantee")
+
+    monkeypatch.setattr(selftest, "choose_epsilon", broken)
+    result = selftest.check_epsilon_rule(n_configs=3)
+    assert result.passed is False
+    assert result.detail.startswith("config 0: slot rule failed")
+    assert cli_main(["selftest", "--fast"]) == 1
+    assert "FAIL  epsilon_rule: config 0:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gap, detail", [
+    (0.0, "reaches 1"),          # a rounded load at capacity
+    (0.5, "inflation floor"),    # half the (C0-1)/C0 headroom
+])
+def test_selftest_checks_the_returned_loads(monkeypatch, gap, detail):
+    # a loosened guard in choose_epsilon returns a bad load without raising
+    choose = selftest.choose_epsilon
+
+    def loosened(profile, c0, override=None):
+        eps = choose(profile, c0, override)
+        q = next(iter(eps.f_eps))
+        f_eps = dict(eps.f_eps)
+        f_eps[q] = 1.0 - gap * (c0 - 1.0) / c0 * (1.0 - profile.f[q])
+        return dataclasses.replace(eps, f_eps=f_eps)
+
+    monkeypatch.setattr(selftest, "choose_epsilon", loosened)
+    result = selftest.check_epsilon_rule(n_configs=3)
+    assert result.passed is False
+    assert result.detail.startswith("config 0:") and detail in result.detail
 
 
 def test_load_config_file(tmp_path):

@@ -4,8 +4,14 @@ import pytest
 
 from dcflow.errors import StabilityViolationError
 from dcflow.flow_gen import ArrivalStream, FlowType, gen_poisson
-from dcflow.sfa_core import BandwidthNetworkSpec, expected_occupancy
-from dcflow.topology import make_route
+from dcflow.sfa_core import (
+    BandwidthNetworkSpec,
+    _evaluator,
+    expected_occupancy,
+    occupancies_within,
+    phi_rate,
+)
+from dcflow.topology import TreeSpec, build_dag, make_route
 from dcflow.virtual_bandwidth_net import (
     NbState,
     bandwidth_spec_for,
@@ -59,8 +65,8 @@ def test_zero_size_limit(two_hop_route):
 def test_next_departure_closed_form():
     # one class over four unit resources: allocated rate 1/4
     spec = BandwidthNetworkSpec.unit(4, [(0, 1, 2, 3)])
-    state = NbState(spec, [1.0])
-    state.apply_arrival(0.0, 0, 0)
+    state = NbState(spec)
+    state.apply_arrival(0.0, 0, 0, 1.0)
     state.advance(2.0)  # served 0.5 at rate 1/4
     t, j, uid = state.next_departure()
     assert t == pytest.approx(4.0)  # clock + remaining 0.5 / 0.25
@@ -69,10 +75,10 @@ def test_next_departure_closed_form():
 def test_next_departure_equal_sharing_within_class():
     # one class, one unit resource: phi = 1 shared between two flows
     spec = BandwidthNetworkSpec.unit(1, [(0,)])
-    state = NbState(spec, [2.0])
-    state.apply_arrival(0.0, 0, 0)
-    state.advance(1.0)               # flow 0 has remaining 1
-    state.apply_arrival(1.0, 0, 1)   # flow 1 remaining 2
+    state = NbState(spec)
+    state.apply_arrival(0.0, 0, 0, 2.0)
+    state.advance(1.0)                    # flow 0 has remaining 1
+    state.apply_arrival(1.0, 0, 1, 2.0)   # flow 1 remaining 2
     t, j, uid = state.next_departure()
     assert uid == 0
     assert t == pytest.approx(3.0)  # remaining 1 at per-flow rate 1/2
@@ -80,9 +86,9 @@ def test_next_departure_equal_sharing_within_class():
 
 def test_next_departure_tie_breaks_by_uid():
     spec = BandwidthNetworkSpec.unit(1, [(0,)])
-    state = NbState(spec, [1.0])
-    state.apply_arrival(0.0, 0, 5)
-    state.apply_arrival(0.0, 0, 3)
+    state = NbState(spec)
+    state.apply_arrival(0.0, 0, 5, 1.0)
+    state.apply_arrival(0.0, 0, 3, 1.0)
     t, j, uid = state.next_departure()
     assert uid == 3
     assert t == pytest.approx(2.0)
@@ -90,8 +96,8 @@ def test_next_departure_tie_breaks_by_uid():
 
 def test_arrival_only_increments_occupancy():
     spec = BandwidthNetworkSpec.unit(1, [(0,)])
-    state = NbState(spec, [1.0])
-    state.apply_arrival(0.5, 0, 0)
+    state = NbState(spec)
+    state.apply_arrival(0.5, 0, 0, 1.0)
     assert state.n == [1]
     assert state.phi[0] == pytest.approx(1.0)
 
@@ -99,8 +105,8 @@ def test_arrival_only_increments_occupancy():
 def test_work_conservation_from_event_log(two_hop_route):
     types = (FlowType(0, 1.0, 0.4),)
     stream = gen_poisson(types, 500.0, seed=21)
-    spec = bandwidth_spec_for([two_hop_route], types)
-    state = NbState(spec, [1.0], record_states=False)
+    spec = bandwidth_spec_for([two_hop_route])
+    state = NbState(spec, record_states=False)
     # step the state through the run's events, logging each flow set and
     # per-flow rate, then integrate the rate over each flow's residence
     log: list[tuple[float, frozenset[int], float]] = []
@@ -110,7 +116,7 @@ def test_work_conservation_from_event_log(two_hop_route):
         nd = state.next_departure()
         if arrivals and (nd is None or arrivals[0][0] < nd[0]):
             t, ti, uid = arrivals.pop(0)
-            state.apply_arrival(t, ti, uid)
+            state.apply_arrival(t, ti, uid, 1.0)
             active.add(uid)
         elif nd is not None:
             t, j, uid = nd
@@ -181,9 +187,97 @@ def test_inadmissible_load_refused(two_hop_route):
 def test_bandwidth_spec_mapping(star_dag):
     r0 = make_route(star_dag, "a", "b", route_id=0)   # 3 queues
     r1 = make_route(star_dag, "r", "b", route_id=1)   # 2 queues, both shared with r0
-    types = (FlowType(0, 1.0, 0.1), FlowType(1, 2.0, 0.1), FlowType(0, 2.0, 0.1))
-    spec = bandwidth_spec_for([r0, r1], types)
-    assert spec.n_routes == 3
+    spec = bandwidth_spec_for([r1, r0])
+    assert spec.n_routes == 2     # one class per route, indexed by route id
     assert spec.n_resources == 3  # a/up, r/down, b/down
-    assert spec.route_resources[0] == spec.route_resources[2]
-    assert set(spec.route_resources[1]).issubset(set(spec.route_resources[0]))
+    assert len(spec.route_resources[0]) == 3
+    assert set(spec.route_resources[1]) < set(spec.route_resources[0])
+    with pytest.raises(ValueError):
+        bandwidth_spec_for([r1])  # ids must be 0 .. n-1
+
+
+def per_type_spec(routes, types, cap):
+    """One class per type, each consuming its route's queues."""
+    by_route = bandwidth_spec_for(routes, cap)
+    return BandwidthNetworkSpec.unit(
+        by_route.n_resources, [by_route.route_resources[t.route] for t in types], cap
+    )
+
+
+STAR = TreeSpec(nodes=("r", "a", "b"), root="r", parent={"a": "r", "b": "r"})
+TREE = TreeSpec(nodes=("r", "a1", "a2", "h1", "h2", "h3", "h4"), root="r",
+                parent={"a1": "r", "a2": "r", "h1": "a1", "h2": "a1", "h3": "a2", "h4": "a2"})
+LUMPING_CASES = {
+    # two routes sharing r/down, sizes {1, 2} on each
+    "star": (STAR, (("r", "a"), ("r", "b")), ((0, 1.0), (0, 2.0), (1, 1.0), (1, 2.0)), 8),
+    # routes 0 and 1 share three queues, routes 0 and 2 share h1/up
+    "tree": (TREE, (("h1", "h3"), ("h2", "h4"), ("h1", "h2")),
+             ((0, 1.0), (0, 2.0), (1, 1.0), (2, 0.5), (2, 2.0)), 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LUMPING_CASES))
+def test_route_classes_lump_type_classes_exactly(case):
+    # classes with identical resources lump: a type-j flow on route r gets
+    # phi_j(n) / n_j = Phi_r(N - e_r) / (N_r Phi_r(N)) at every occupancy
+    tree, pairs, sizes, cap = LUMPING_CASES[case]
+    dag = build_dag(tree)
+    routes = [make_route(dag, s, d, route_id=i) for i, (s, d) in enumerate(pairs)]
+    types = tuple(FlowType(j, x, 0.1) for j, x in sizes)
+    by_route = bandwidth_spec_for(routes, cap)
+    by_type = per_type_spec(routes, types, cap)
+    checked = 0
+    for n in occupancies_within(len(types), cap):
+        totals = [0] * len(routes)
+        for t, nj in zip(types, n):
+            totals[t.route] += nj
+        per_type = phi_rate(by_type, n, exact=True).phi
+        per_route = phi_rate(by_route, tuple(totals), exact=True).phi
+        for t, nj, phi_j in zip(types, n, per_type):
+            if nj:
+                assert phi_j / nj == per_route[t.route] / totals[t.route], (n, t)
+                checked += 1
+    assert checked > 1000
+
+
+def test_route_classes_drive_mixed_sizes_like_type_classes(star_dag):
+    routes = [make_route(star_dag, "r", "a", route_id=0),
+              make_route(star_dag, "r", "b", route_id=1)]
+    types = (FlowType(0, 1.0, 0.15), FlowType(0, 2.0, 0.075),
+             FlowType(1, 1.0, 0.15), FlowType(1, 2.0, 0.075))
+    stream = gen_poisson(types, 3_000.0, seed=27)
+
+    def departures(spec, class_of):
+        state = NbState(spec, record_states=False)
+        arrivals = list(stream.events)
+        out, i = [], 0
+        while True:
+            nd = state.next_departure()
+            if i < len(arrivals) and (nd is None or arrivals[i][0] < nd[0]):
+                t, ti, uid = arrivals[i]
+                i += 1
+                state.apply_arrival(t, class_of[ti], uid, types[ti].size)
+            elif nd is not None:
+                t, j, uid = nd
+                state.apply_departure(t, j, uid)
+                out.append((uid, t))
+            else:
+                return out
+
+    want = departures(per_type_spec(routes, types, 256), list(range(len(types))))
+    got = departures(bandwidth_spec_for(routes, 256), [t.route for t in types])
+    assert len(got) == len(stream.events) > 1000
+    assert [uid for uid, _ in got] == [uid for uid, _ in want]
+    for (_, t_got), (_, t_want) in zip(got, want):
+        assert abs(t_got - t_want) <= 1e-9 * t_want
+    # run_emulation uses the route classes and still reports per type
+    nb = run_emulation(stream, routes, occupancy_cap=256, record_states=False)
+    assert nb.injections == dict(got)
+    type_of = {uid: ti for _, ti, uid in stream.events}
+    assert nb.type_of == type_of
+    assert [[uid for _, uid in deps] for deps in nb.departures_by_type] == [
+        [uid for uid, _ in got if type_of[uid] == ti] for ti in range(len(types))
+    ]
+    # four types on two routes: the normalizer memo is 2-D, one axis per route
+    memo = _evaluator(bandwidth_spec_for(routes, 256), exact=False)._memo
+    assert memo and {len(n) for n in memo} == {len(routes)}
