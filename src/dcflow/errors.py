@@ -14,15 +14,11 @@ class StabilityViolationError(DcflowError):
 
 
 class EnumerationLimitError(DcflowError):
-    """Occupancy exceeded the configured enumeration budget for the normalizer."""
+    """An occupancy needs more normalizer memo entries than the budget allows."""
 
 
 class UnstableRegularizerError(DcflowError):
     """Regularizer emission rate does not exceed the arrival rate it serves."""
-
-
-class StarvationError(DcflowError):
-    """An active route received zero bandwidth; cannot happen in a consistent state."""
 
 
 class InternalConsistencyError(DcflowError):

@@ -48,7 +48,6 @@ class ExperimentConfig:
     c0: float = 2.0
     burn_in: float = 0.2
     epsilon_override: float | None = None
-    occupancy_cap: int = 64
     sweep: tuple[float, ...] = (1.0,)
     regularizer: tuple[float, ...] | None = None   # emission rate per type
     bound_slack: float = 0.05
@@ -62,7 +61,6 @@ class ExperimentConfig:
             "burn_in": self.burn_in,
             "c0": self.c0,
             "epsilon_override": self.epsilon_override,
-            "occupancy_cap": self.occupancy_cap,
             "bound_slack": self.bound_slack,
             "emit_hop_tables": self.emit_hop_tables,
             "topology": {
@@ -96,7 +94,6 @@ class ExperimentConfig:
                 epsilon_override=(
                     None if raw.get("epsilon_override") is None else float(raw["epsilon_override"])
                 ),
-                occupancy_cap=int(raw.get("occupancy_cap", 64)),
                 sweep=tuple(float(m) for m in (raw.get("sweep") or [1.0])),
                 regularizer=(
                     tuple(float(r) for r in raw["regularizer"]) if raw.get("regularizer") else None
@@ -195,8 +192,6 @@ def validate_config(config: ExperimentConfig) -> dict:
         errors.append("burn_in: must lie in [0, 1)")
     if config.c0 <= 1.0:
         errors.append("c0: C0 must exceed 1")
-    if config.occupancy_cap < 1:
-        errors.append("occupancy_cap: must be at least 1")
     if config.bound_slack < 0:
         errors.append("bound_slack: must be nonnegative")
     if config.epsilon_override is not None and config.epsilon_override <= 0:
@@ -272,10 +267,7 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
     if plan.reg is not None:
         stream = regularize(stream, list(plan.reg))
 
-    nb = run_emulation(
-        stream, routes, occupancy_cap=config.occupancy_cap, profile=plan.profile,
-        record_states=False,
-    )
+    nb = run_emulation(stream, routes, profile=plan.profile, record_states=False)
     injections = sorted(
         ((t, nb.type_of[uid], uid) for uid, t in nb.injections.items()),
         key=lambda e: (e[0], e[2]),

@@ -1,10 +1,10 @@
 """Brute-force oracle suite, runnable from the CLI and from tests.
 
 Three families of checks, each against an implementation-independent
-reference: the normalizer recurrence versus direct enumeration of the
-splitting set, processor-sharing recovery in exact arithmetic, and the
-slot-granularity rule's load-inflation guarantee on random admissible
-networks.
+reference: the normalizer by Mean Value Analysis versus direct
+enumeration of the splitting set, processor-sharing recovery in exact
+arithmetic, and the slot-granularity rule's load-inflation guarantee on
+random admissible networks.
 """
 
 from __future__ import annotations
@@ -55,15 +55,16 @@ def random_spec(rng: np.random.Generator, max_resources: int = 4,
     )
 
 
-def check_normalizer_oracle(n_specs: int = 200, occupancy_cap: int = 6,
+def check_normalizer_oracle(n_specs: int = 200, max_total: int = 6,
                             seed: int = 2024) -> CheckResult:
-    """Recurrence equals brute-force enumeration: exact in rational mode,
-    1e-12 relative in float mode."""
+    """Phi by Mean Value Analysis equals brute-force enumeration at every
+    occupancy of total at most `max_total`: exact in rational mode, 1e-12
+    relative in float mode."""
     rng = np.random.Generator(np.random.PCG64(seed))
     checked = 0
     for _ in range(n_specs):
         spec = random_spec(rng)
-        for n in occupancies_within(spec.n_routes, occupancy_cap):
+        for n in occupancies_within(spec.n_routes, max_total):
             want_exact = phi_big_bruteforce(spec, n, exact=True)
             got_exact = phi_big(spec, n, exact=True)
             if got_exact != want_exact:
@@ -85,12 +86,12 @@ def check_normalizer_oracle(n_specs: int = 200, occupancy_cap: int = 6,
     )
 
 
-def check_processor_sharing(occupancy_cap: int = 30) -> CheckResult:
+def check_processor_sharing(max_total: int = 30) -> CheckResult:
     """Two routes on one shared unit resource: rate of route 1 must be
     exactly n1 / (n1 + n2)."""
     spec = BandwidthNetworkSpec.unit(1, [(0,), (0,)])
-    for n1 in range(occupancy_cap + 1):
-        for n2 in range(occupancy_cap + 1 - n1):
+    for n1 in range(max_total + 1):
+        for n2 in range(max_total + 1 - n1):
             if n1 + n2 == 0:
                 continue
             alloc = phi_rate(spec, (n1, n2), exact=True)
@@ -102,7 +103,7 @@ def check_processor_sharing(occupancy_cap: int = 30) -> CheckResult:
                 )
     return CheckResult(
         "processor_sharing", True,
-        f"exact n1/(n1+n2) recovery for all occupancies up to {occupancy_cap}",
+        f"exact n1/(n1+n2) recovery for all occupancies up to {max_total}",
     )
 
 
@@ -166,8 +167,8 @@ def check_epsilon_rule(n_configs: int = 100, seed: int = 77) -> CheckResult:
 def run_selftest(fast: bool = False) -> list[CheckResult]:
     if fast:
         return [
-            check_normalizer_oracle(n_specs=40, occupancy_cap=4),
-            check_processor_sharing(occupancy_cap=12),
+            check_normalizer_oracle(n_specs=40, max_total=4),
+            check_processor_sharing(max_total=12),
             check_epsilon_rule(n_configs=25),
         ]
     return [

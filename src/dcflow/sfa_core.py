@@ -5,20 +5,18 @@ where the normalizer Phi sums, over every way of splitting the n_j flows
 of each route among the resources that route uses, the product over
 resources of a multinomial coefficient and per-unit consumption weights.
 
-Phi is evaluated here through a linear recurrence rather than term
-enumeration.  The generating function of Phi is the product over resources
-of 1 / (1 - sum_j w_lj z_j) with w_lj = B_lj / C_l, so multiplying through
-by the denominator polynomial gives
+Phi is the normalizing constant of a closed multiclass network of
+processor-sharing stations, so phi_j(n) is that network's class-j
+throughput, and exact Mean Value Analysis (Reiser & Lavenberg 1980)
+evaluates it from positive terms only; see `_PhiEvaluator`.  Results are
+memoized per specification, up to `MAX_MEMO_ENTRIES` occupancies.  A
+direct enumerator over the splitting set is provided as an independent
+oracle.
 
-    Phi(n) = - sum_{d != 0} c_d Phi(n - d),      Phi(0) = 1,
-
-with (c_d, d) the nonconstant monomials of prod_l (1 - sum_j w_lj z_j).
-Results are memoized per specification.  A direct enumerator over the
-splitting set is provided as an independent oracle.
-
-Substituting z_j = alpha_j into the generating function yields the closed
-form of the stationary normalizer, which is how the product-form law and
-the expected-occupancy formulas below hang together.
+Substituting z_j = alpha_j into the generating function of Phi,
+prod_l 1 / (1 - sum_j B_lj z_j / C_l), yields the closed form of the
+stationary normalizer, which is how the product-form law and the
+expected-occupancy formulas below hang together.
 """
 
 from __future__ import annotations
@@ -29,14 +27,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import (
-    EnumerationLimitError,
-    InternalConsistencyError,
-    StabilityViolationError,
-)
+from .errors import EnumerationLimitError, StabilityViolationError
 from .topology import LoadProfile
 
 Number = Union[float, Fraction]
+
+# Occupancies one normalizer memo may hold.  A float entry costs about
+# 400 bytes over 2 routes and 490 over 3 (tracemalloc, CPython 3.11), so
+# the budget caps one memo near 0.4-0.5 GB.
+MAX_MEMO_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class BandwidthNetworkSpec:
     capacities: tuple[Number, ...]
     route_resources: tuple[tuple[int, ...], ...]
     consumption: tuple[tuple[Number, ...], ...] = ()
-    max_total_occupancy: int = 64
 
     def __post_init__(self) -> None:
         if not self.consumption:
@@ -74,12 +72,11 @@ class BandwidthNetworkSpec:
                 raise ValueError(f"route {j} references an unknown resource")
 
     @classmethod
-    def unit(cls, n_resources: int, routes: list[tuple[int, ...]], max_total_occupancy: int = 64):
+    def unit(cls, n_resources: int, routes: list[tuple[int, ...]]):
         """All capacities 1, all consumptions 1."""
         return cls(
             capacities=tuple(1 for _ in range(n_resources)),
             route_resources=tuple(tuple(r) for r in routes),
-            max_total_occupancy=max_total_occupancy,
         )
 
     @property
@@ -111,100 +108,110 @@ class RateAllocation:
 
 
 class _PhiEvaluator:
-    """Memoized recurrence evaluation of the normalizer for one spec.
+    """Memoized exact Mean Value Analysis for one spec.
 
-    The memo only ever stores values of a pure function, so concurrent
-    readers see identical results regardless of interleaving; writes are
+    Resource l is a processor-sharing station where a class-j customer
+    demands D_lj = B_lj / C_l, and phi_j(n) is class j's throughput X_j(n)
+    at population n:
+
+        R_lj(n) = D_lj (1 + Q_l(n - e_j)),
+        X_j(n)  = n_j / sum_l R_lj(n),
+        Q_l(n)  = sum_j X_j(n) R_lj(n).
+
+    Stations with equal demand columns hold equal queues at every
+    population, so each group of them is solved as one station of
+    multiplicity k_s, and Q keeps one queue length per group.  `_memo`
+    maps an occupancy n to (X(n), Q(n)), and every n - e_j is inserted
+    before n, so replaying its keys in order computes one entry per key.
+    The memo only ever stores values of a pure function, so writes are
     idempotent.
     """
 
     def __init__(self, spec: BandwidthNetworkSpec, exact: bool):
         self.spec = spec
         self.exact = exact
-        one: Number = Fraction(1) if exact else 1.0
-        zero = tuple(0 for _ in range(spec.n_routes))
-
-        poly: dict[tuple[int, ...], Number] = {zero: one}
+        columns: dict[tuple[Number, ...], int] = {}
         for l in range(spec.n_resources):
-            users = spec.routes_using(l)
-            if not users:
+            col = tuple(spec.weight(l, j, exact) if l in res else 0
+                        for j, res in enumerate(spec.route_resources))
+            columns[col] = columns.get(col, 0) + 1
+        # per route: (station group s, D_sj, k_s D_sj) for each group it uses
+        self._stations = [
+            [(s, col[j], k * col[j]) for s, (col, k) in enumerate(columns.items()) if col[j]]
+            for j in range(spec.n_routes)
+        ]
+        zero: Number = Fraction(0) if exact else 0.0
+        self._zero_val = zero
+        self._q_zero = (zero,) * len(columns)
+        self._memo: dict[tuple[int, ...], tuple[tuple[Number, ...], ...]] = {
+            (0,) * spec.n_routes: ((zero,) * spec.n_routes, self._q_zero)
+        }
+
+    def _solve(self, n: tuple[int, ...], below: list) -> tuple[tuple[Number, ...], ...]:
+        """One MVA step: (X(n), Q(n)) from the memoized Q(n - e_j), where
+        `below[j]` is n - e_j, or None for an empty route."""
+        memo = self._memo
+        x = [self._zero_val] * len(n)
+        q = list(self._q_zero)
+        for j, m in enumerate(below):
+            if m is None:
                 continue
-            factor: dict[tuple[int, ...], Number] = {zero: one}
-            for j in users:
-                e = list(zero)
-                e[j] = 1
-                factor[tuple(e)] = -spec.weight(l, j, exact)
-            merged: dict[tuple[int, ...], Number] = {}
-            for da, ca in poly.items():
-                for db, cb in factor.items():
-                    d = tuple(a + b for a, b in zip(da, db))
-                    merged[d] = merged.get(d, 0) + ca * cb
-            poly = {d: c for d, c in merged.items() if c != 0}
+            q_prev = memo[m][1]
+            total = 0
+            for s, _, kd in self._stations[j]:
+                total += kd * (1 + q_prev[s])
+            x[j] = xj = n[j] / total
+            for s, d, _ in self._stations[j]:
+                q[s] += xj * d * (1 + q_prev[s])
+        return tuple(x), tuple(q)
 
-        self._terms = [(d, c) for d, c in poly.items() if d != zero]
-        self._memo: dict[tuple[int, ...], Number] = {zero: one}
-        self._zero_val: Number = Fraction(0) if exact else 0.0
-
-    def phi(self, n: tuple[int, ...]) -> Number:
-        if any(c < 0 for c in n):
-            return self._zero_val
+    def _entry(self, n: tuple[int, ...]) -> tuple[tuple[Number, ...], ...]:
         memo = self._memo
         got = memo.get(n)
         if got is not None:
             return got
-        if sum(n) > self.spec.max_total_occupancy:
-            raise EnumerationLimitError(
-                f"total occupancy {sum(n)} exceeds budget {self.spec.max_total_occupancy}"
-            )
-        terms = self._terms
         stack = [n]
         while stack:
             cur = stack[-1]
             if cur in memo:
                 stack.pop()
                 continue
-            acc = self._zero_val
-            missing = None
-            for delta, coeff in terms:
-                m = tuple(a - b for a, b in zip(cur, delta))
-                ok = True
-                for c in m:
-                    if c < 0:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                val = memo.get(m)
-                if val is None:
-                    if missing is None:
-                        missing = [m]
-                    else:
-                        missing.append(m)
-                elif missing is None:
-                    acc = acc - coeff * val
-            if missing is None:
-                if not self.exact and not acc > 0:
-                    raise InternalConsistencyError(
-                        f"normalizer lost positivity at occupancy {cur}: {acc}"
-                    )
-                memo[cur] = acc
-                stack.pop()
-            else:
+            below = [cur[:j] + (c - 1,) + cur[j + 1:] if c else None for j, c in enumerate(cur)]
+            missing = [m for m in below if m is not None and m not in memo]
+            if missing:
                 stack.extend(missing)
+                continue
+            if len(memo) >= MAX_MEMO_ENTRIES:
+                raise EnumerationLimitError(
+                    f"normalizer memo over {len(n)} routes would exceed its budget of "
+                    f"{MAX_MEMO_ENTRIES} entries at occupancy {n}"
+                )
+            memo[cur] = self._solve(cur, below)
+            stack.pop()
         return memo[n]
 
-    def rates(self, n: tuple[int, ...]) -> list[Number]:
-        """phi_j(n) = Phi(n - e_j) / Phi(n) per route; 0 for an empty route."""
-        denom = self.phi(n)
-        out = []
-        for j, nj in enumerate(n):
-            if nj == 0:
-                out.append(self._zero_val)
-                continue
-            m = list(n)
+    def rates(self, n: tuple[int, ...]) -> tuple[Number, ...]:
+        """phi_j(n) = X_j(n) per route; 0 for an empty route."""
+        return self._entry(n)[0]
+
+    def path(self, n: tuple[int, ...]):
+        """Steps (m, j) from n down to 0, each leaving a largest m_j, so
+        products along the path stay balanced across routes."""
+        m = list(n)
+        for _ in range(sum(n)):
+            j = m.index(max(m))
+            yield tuple(m), j
             m[j] -= 1
-            out.append(self.phi(tuple(m)) / denom)
-        return out
+
+    def phi(self, n: tuple[int, ...]) -> Number:
+        """Phi(n) = Phi(n - e_j) / X_j(n), unrolled along `path`."""
+        if any(c < 0 for c in n):
+            return self._zero_val
+        self._entry(n)
+        acc: Number = Fraction(1) if self.exact else 1.0
+        for m, j in self.path(n):
+            acc /= self._memo[m][0][j]
+        return acc
 
 
 _EVALUATORS: dict[tuple[BandwidthNetworkSpec, bool], _PhiEvaluator] = {}
@@ -285,7 +292,7 @@ def phi_rate(spec: BandwidthNetworkSpec, n: tuple[int, ...], exact: bool = False
     n = tuple(n)
     if len(n) != spec.n_routes:
         raise ValueError("occupancy dimension does not match route count")
-    return RateAllocation(phi=tuple(_evaluator(spec, exact).rates(n)), n=n)
+    return RateAllocation(phi=_evaluator(spec, exact).rates(n), n=n)
 
 
 def _resource_loads(spec: BandwidthNetworkSpec, alpha) -> list[float]:
@@ -321,10 +328,14 @@ class StationaryLaw:
     g: tuple[float, ...]            # per-resource load
 
     def pi(self, n: tuple[int, ...]) -> float:
-        weight = 1.0
-        for a, c in zip(self.alpha, n):
-            weight *= a**c
-        return float(phi_big(self.spec, tuple(n))) * weight / self.normalizer
+        """Phi(n) prod_j alpha_j^n_j / normalizer, as a product of
+        alpha_j / X_j(m) along a path from n to 0: Phi itself overflows
+        long before pi(n) underflows."""
+        ev = _evaluator(self.spec, exact=False)
+        p = 1.0 / self.normalizer
+        for m, j in ev.path(tuple(n)):
+            p *= self.alpha[j] / ev.rates(m)[j]
+        return p
 
 
 def stationary_pi(spec: BandwidthNetworkSpec, alpha) -> StationaryLaw:

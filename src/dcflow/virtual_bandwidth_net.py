@@ -21,18 +21,16 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import InternalConsistencyError, StabilityViolationError, StarvationError
+from .errors import InternalConsistencyError, StabilityViolationError
 from .flow_gen import ArrivalStream, FlowType
 from .sfa_core import BandwidthNetworkSpec, _evaluator
 from .topology import LoadProfile, Route, compute_loads, is_admissible, queue_paths
 
 
-def bandwidth_spec_for(routes: list[Route], occupancy_cap: int = 64) -> BandwidthNetworkSpec:
+def bandwidth_spec_for(routes: list[Route]) -> BandwidthNetworkSpec:
     """Map queue-level routes to an allocation spec; class r is route r."""
     queues, paths = queue_paths(routes)
-    return BandwidthNetworkSpec.unit(
-        len(queues), [tuple(sorted(p)) for p in paths], max_total_occupancy=occupancy_cap
-    )
+    return BandwidthNetworkSpec.unit(len(queues), [tuple(sorted(p)) for p in paths])
 
 
 class NbState:
@@ -48,7 +46,7 @@ class NbState:
         self.n = [0] * spec.n_routes
         self.v = [0.0] * spec.n_routes            # cumulative per-flow service
         self.heaps: list[list[tuple[float, int]]] = [[] for _ in range(spec.n_routes)]
-        self.phi: list[float] = [0.0] * spec.n_routes
+        self.phi: tuple[float, ...] = (0.0,) * spec.n_routes
         self.occ_integral = [0.0] * spec.n_routes
         self.state_time: dict[tuple[int, ...], float] = {} if record_states else None
         self.n_events = 0
@@ -83,9 +81,6 @@ class NbState:
     def _recompute(self) -> None:
         n_now = self.n
         self.phi = phi = self._ev.rates(tuple(n_now))
-        for j, nj in enumerate(n_now):
-            if nj and not phi[j] > 0.0:
-                raise StarvationError(f"class {j} active but allocated zero rate at {n_now}")
         # capacity feasibility at the new allocation
         for l, row in enumerate(self._users):
             used = 0.0
@@ -159,7 +154,6 @@ def run_emulation(
     stream: ArrivalStream,
     routes: list[Route],
     *,
-    occupancy_cap: int = 64,
     profile: LoadProfile | None = None,
     record_states: bool = True,
 ) -> NbRunResult:
@@ -174,7 +168,7 @@ def run_emulation(
     if not is_admissible(profile):
         raise StabilityViolationError("arrival rates are outside the admissible region")
 
-    spec = bandwidth_spec_for(routes, occupancy_cap)
+    spec = bandwidth_spec_for(routes)
     state = NbState(spec, record_states=record_states)
 
     injections: dict[int, float] = {}

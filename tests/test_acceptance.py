@@ -62,7 +62,7 @@ def product_form_run():
     horizon = 1_000_000 / 1.2  # two events per flow
     t0 = time.monotonic()
     stream = gen_poisson(types, horizon, seed=11)
-    nb = run_emulation(stream, routes, occupancy_cap=512)
+    nb = run_emulation(stream, routes)
     elapsed = time.monotonic() - t0
     return {
         "routes": routes,
@@ -95,7 +95,7 @@ def sweep_runs():
         profile = compute_loads(routes, lam)
         horizon = 150_000.0
         stream = gen_poisson(types, horizon, seed=5)
-        nb = run_emulation(stream, routes, occupancy_cap=8192, record_states=False)
+        nb = run_emulation(stream, routes, record_states=False)
         eps = choose_epsilon(profile, 2.0)
         injections = sorted(
             ((t, nb.type_of[u], u) for u, t in nb.injections.items()),
@@ -119,7 +119,7 @@ def sweep_runs():
 
 def test_criterion_01_normalizer_oracle_equivalence():
     t0 = time.monotonic()
-    result = check_normalizer_oracle(n_specs=200, occupancy_cap=6)
+    result = check_normalizer_oracle(n_specs=200, max_total=6)
     elapsed = time.monotonic() - t0
     assert result.passed, result.detail
     assert elapsed < 60.0, f"oracle sweep took {elapsed:.1f}s"
@@ -127,7 +127,7 @@ def test_criterion_01_normalizer_oracle_equivalence():
 
 
 def test_criterion_02_processor_sharing_recovery():
-    result = check_processor_sharing(occupancy_cap=30)
+    result = check_processor_sharing(max_total=30)
     assert result.passed, result.detail
     report(2, result.detail)
 
@@ -138,7 +138,7 @@ def test_criterion_03_product_form_match(product_form_run):
     assert nb.n_events >= 1_000_000
     assert run["elapsed"] < 120.0, f"simulation took {run['elapsed']:.1f}s"
 
-    spec = bandwidth_spec_for(run["routes"], 512)
+    spec = bandwidth_spec_for(run["routes"])
     law = stationary_pi(spec, (0.3, 0.3))
     cmp = compare_distribution(nb.state_time, law, support_cap=20)
     assert not cmp.truncation_warning
@@ -192,7 +192,7 @@ def test_criterion_05_waiting_delay_law_and_bound():
             n_target = 30_000 if rho < 0.8 else 60_000
             horizon = n_target / lam_
             stream = gen_poisson(types, horizon, seed=map_seed(rho, x))
-            nb = run_emulation(stream, [route], occupancy_cap=4096, record_states=False)
+            nb = run_emulation(stream, [route], record_states=False)
             burn = 0.2 * horizon
             waits = [
                 nb.waiting_delay(u)
@@ -325,7 +325,6 @@ def test_criterion_10_determinism(tmp_path):
         horizon=5_000.0,
         seed=29,
         sweep=(0.5, 0.8, 0.9),
-        occupancy_cap=8192,
     )
     a, b = tmp_path / "first", tmp_path / "second"
     run_experiment(config, out_dir=str(a))

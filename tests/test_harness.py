@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from dcflow import harness, selftest
+from dcflow import harness, selftest, sfa_core
 from dcflow.cli import main as cli_main
 from dcflow.errors import ConfigError, InternalConsistencyError
 from dcflow.harness import (
@@ -44,7 +44,6 @@ def sweep_config(horizon=1_500.0):
         horizon=horizon,
         seed=23,
         sweep=(0.5, 0.8),
-        occupancy_cap=4096,
     )
 
 
@@ -180,6 +179,43 @@ def test_smoke_ledger_is_pinned(tmp_path):
     run_experiment(smoke, out_dir=str(tmp_path), seed=17)
     digest = hashlib.sha256((tmp_path / "ledger.csv").read_bytes()).hexdigest()
     assert digest == "6e94d99cad2918f410c2110ff59c5435015f7bf39ac4b07ab269b9c06f4c4b89"
+
+
+def test_config_with_retired_occupancy_cap_loads_and_runs(tmp_path):
+    # configs written before the normalizer lost its occupancy budget
+    # still carry the key; it is ignored, even at a value that budget refused
+    with open(os.path.join(HERE, "configs", "smoke.json")) as fh:
+        raw = json.load(fh)
+    assert "occupancy_cap" not in raw
+    config = parse_config(json.dumps({**raw, "occupancy_cap": 1}))
+    assert config == load_config(os.path.join(HERE, "configs", "smoke.json"))
+    assert run_experiment(config, out_dir=str(tmp_path)).passed
+
+
+def test_tree_five_hop_at_high_load_needs_no_occupancy_budget():
+    # two 5-queue routes sharing three queues at load 0.9; its peak total
+    # occupancy passes 64, the default budget the normalizer once had
+    config = ExperimentConfig(
+        name="tree5hop-0.9",
+        topology_nodes=("r", "a1", "a2", "h1", "h2", "h3", "h4"),
+        topology_root="r",
+        topology_parent={"a1": "r", "a2": "r", "h1": "a1", "h2": "a1", "h3": "a2", "h4": "a2"},
+        routes=(("h1", "h3"), ("h2", "h4")),
+        types=((0, 1.0, 0.45), (1, 1.0, 0.45)),
+        horizon=20_000.0,
+    )
+    result = run_experiment(config)
+    assert result.passed, result.verdict
+
+
+def test_cli_run_reports_the_memo_budget(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sfa_core, "_EVALUATORS", {})
+    monkeypatch.setattr(sfa_core, "MAX_MEMO_ENTRIES", 2)
+    path = write_config(tmp_path, SMOKE)
+    assert cli_main(["run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: normalizer memo over 1 routes would exceed its budget of "
+                          "2 entries at occupancy (2,)")
 
 
 def test_regularized_run_completes(tmp_path):

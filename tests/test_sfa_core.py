@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dcflow import sfa_core
 from dcflow.errors import EnumerationLimitError, StabilityViolationError
 from dcflow.selftest import random_spec
 from dcflow.sfa_core import (
@@ -79,10 +80,12 @@ def test_phi_matches_bruteforce_on_random_specs():
 
 def test_allocation_respects_capacities():
     rng = np.random.Generator(np.random.PCG64(3))
-    for _ in range(20):
+    for _ in range(60):
         spec = random_spec(rng)
-        for n in occupancies_within(spec.n_routes, 4):
+        for n in occupancies_within(spec.n_routes, 6):
             alloc = phi_rate(spec, n)
+            # every active route gets bandwidth, every empty one none
+            assert [phi > 0.0 for phi in alloc.phi] == [nj > 0 for nj in n], (spec, n)
             for l in range(spec.n_resources):
                 used = 0.0
                 for j in spec.routes_using(l):
@@ -114,10 +117,12 @@ def test_normalizer_monotone_on_unit_specs():
                 assert phi_big(spec, n) >= phi_big(spec, tuple(m)) - 1e-12
 
 
-def test_enumeration_budget_error():
-    spec = BandwidthNetworkSpec.unit(1, [(0,)], max_total_occupancy=5)
-    with pytest.raises(EnumerationLimitError):
-        phi_big(spec, (6,))
+def test_enumeration_budget_error(monkeypatch):
+    monkeypatch.setattr(sfa_core, "_EVALUATORS", {})
+    monkeypatch.setattr(sfa_core, "MAX_MEMO_ENTRIES", 5)
+    assert phi_big(MM1, (4,)) == 1.0  # five entries: 0 .. 4
+    with pytest.raises(EnumerationLimitError, match=r"1 routes .* 5 entries at occupancy \(6,\)"):
+        phi_big(MM1, (6,))
 
 
 def test_stationary_pi_mm1():
@@ -144,6 +149,17 @@ def test_stationary_pi_two_routes_shared():
     for n1, n2 in [(0, 0), (1, 0), (2, 1), (3, 3)]:
         want = 0.5 * math.comb(n1 + n2, n1) * 0.25 ** (n1 + n2)
         assert law.pi((n1, n2)) == pytest.approx(want)
+
+
+def test_stationary_pi_far_tail_matches_log_closed_form(monkeypatch):
+    # Phi(600, 600) = C(1200, 600) ~ 1e360 overflows a float, pi does not
+    monkeypatch.setattr(sfa_core, "_EVALUATORS", {})
+    law = stationary_pi(SHARED, (0.45, 0.45))
+    log_want = (math.lgamma(1201) - 2 * math.lgamma(601) + 1200 * math.log(0.45)
+                + math.log(0.1))
+    got = law.pi((600, 600))
+    assert got > 0.0
+    assert math.log(got) == pytest.approx(log_want, abs=1e-9)
 
 
 def test_stationary_pi_rejects_overload():

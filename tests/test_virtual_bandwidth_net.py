@@ -1,5 +1,6 @@
 import statistics
 
+import numpy as np
 import pytest
 
 from dcflow.errors import StabilityViolationError
@@ -7,6 +8,7 @@ from dcflow.flow_gen import ArrivalStream, FlowType, gen_poisson
 from dcflow.sfa_core import (
     BandwidthNetworkSpec,
     _evaluator,
+    _PhiEvaluator,
     expected_occupancy,
     occupancies_within,
     phi_rate,
@@ -196,11 +198,11 @@ def test_bandwidth_spec_mapping(star_dag):
         bandwidth_spec_for([r1])  # ids must be 0 .. n-1
 
 
-def per_type_spec(routes, types, cap):
+def per_type_spec(routes, types):
     """One class per type, each consuming its route's queues."""
-    by_route = bandwidth_spec_for(routes, cap)
+    by_route = bandwidth_spec_for(routes)
     return BandwidthNetworkSpec.unit(
-        by_route.n_resources, [by_route.route_resources[t.route] for t in types], cap
+        by_route.n_resources, [by_route.route_resources[t.route] for t in types]
     )
 
 
@@ -224,8 +226,8 @@ def test_route_classes_lump_type_classes_exactly(case):
     dag = build_dag(tree)
     routes = [make_route(dag, s, d, route_id=i) for i, (s, d) in enumerate(pairs)]
     types = tuple(FlowType(j, x, 0.1) for j, x in sizes)
-    by_route = bandwidth_spec_for(routes, cap)
-    by_type = per_type_spec(routes, types, cap)
+    by_route = bandwidth_spec_for(routes)
+    by_type = per_type_spec(routes, types)
     checked = 0
     for n in occupancies_within(len(types), cap):
         totals = [0] * len(routes)
@@ -264,14 +266,14 @@ def test_route_classes_drive_mixed_sizes_like_type_classes(star_dag):
             else:
                 return out
 
-    want = departures(per_type_spec(routes, types, 256), list(range(len(types))))
-    got = departures(bandwidth_spec_for(routes, 256), [t.route for t in types])
+    want = departures(per_type_spec(routes, types), list(range(len(types))))
+    got = departures(bandwidth_spec_for(routes), [t.route for t in types])
     assert len(got) == len(stream.events) > 1000
     assert [uid for uid, _ in got] == [uid for uid, _ in want]
     for (_, t_got), (_, t_want) in zip(got, want):
         assert abs(t_got - t_want) <= 1e-9 * t_want
     # run_emulation uses the route classes and still reports per type
-    nb = run_emulation(stream, routes, occupancy_cap=256, record_states=False)
+    nb = run_emulation(stream, routes, record_states=False)
     assert nb.injections == dict(got)
     type_of = {uid: ti for _, ti, uid in stream.events}
     assert nb.type_of == type_of
@@ -279,5 +281,35 @@ def test_route_classes_drive_mixed_sizes_like_type_classes(star_dag):
         [uid for uid, _ in got if type_of[uid] == ti] for ti in range(len(types))
     ]
     # four types on two routes: the normalizer memo is 2-D, one axis per route
-    memo = _evaluator(bandwidth_spec_for(routes, 256), exact=False)._memo
+    memo = _evaluator(bandwidth_spec_for(routes), exact=False)._memo
     assert memo and {len(n) for n in memo} == {len(routes)}
+
+
+@pytest.fixture(scope="module")
+def tree5hop_far():
+    """Evaluator of the two 5-queue tree routes filled up to (600, 600),
+    past where a float Phi overflows.  It is private, so its 361k-entry
+    memo goes with the module."""
+    dag = build_dag(TREE)
+    routes = [make_route(dag, "h1", "h3", route_id=0), make_route(dag, "h2", "h4", route_id=1)]
+    ev = _PhiEvaluator(bandwidth_spec_for(routes), exact=False)
+    ev.rates((600, 600))
+    return ev
+
+
+def test_far_occupancy_rates_stay_symmetric(tree5hop_far):
+    x = tree5hop_far.rates((600, 600))
+    assert 0.49 < x[0] < 0.5
+    assert x[0] == pytest.approx(x[1], rel=1e-15, abs=0.0)
+
+
+def test_far_occupancy_rates_positive_and_feasible(tree5hop_far):
+    spec = tree5hop_far.spec
+    memo = tree5hop_far._memo
+    n = np.array(list(memo))
+    x = np.array([rates for rates, _ in memo.values()])
+    assert len(n) == 601 * 601
+    # every active route gets bandwidth, every empty one none
+    assert np.array_equal(x > 0.0, n > 0)
+    uses = np.array([[l in res for res in spec.route_resources] for l in range(spec.n_resources)])
+    assert (x @ uses.T).max() <= 1.0 + 1e-12
