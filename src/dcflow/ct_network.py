@@ -10,14 +10,20 @@ emulation and its invariant checks.
 `run_ct` is one loop over integer queue indices that merges the sorted
 injections with a heap of pending completions.  Completions sharing an
 instant pop in the order they were pushed; that order decides which flow
-reaches a shared next queue first, so it is part of the result.
+reaches a shared next queue first, so it is part of the result.  The
+instants are stored flat, one float array each for arrivals and
+departures indexed by flow-hop offset; `CtResult.taus` and `deltas`
+hand them out per flow, as lists built when read.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import ConfigError, InternalConsistencyError, StabilityViolationError
 from .topology import LoadProfile, QueueNode, Route, queue_paths
@@ -115,15 +121,51 @@ def ct_delay_oracle(eps: EpsilonConfig, profile: LoadProfile) -> dict[tuple[int,
     return out
 
 
+class _PerHop(Mapping):
+    """uid -> one per-hop column of a `CtResult`, as a list built when read."""
+
+    __slots__ = ("_ct", "_col")
+
+    def __init__(self, ct: "CtResult", col: array):
+        self._ct = ct
+        self._col = col
+
+    def __getitem__(self, uid: int) -> list[float]:
+        f = self._ct.index[uid]
+        return self._col[self._ct.offsets[f]:self._ct.offsets[f + 1]].tolist()
+
+    def __iter__(self):
+        return iter(self._ct.index)
+
+    def __len__(self) -> int:
+        return len(self._ct.index)
+
+
 @dataclass
 class CtResult:
-    """Per-flow, per-hop arrival/departure instants along each route."""
+    """Per-flow, per-hop arrival/departure instants along each route.
 
-    taus: dict[int, list[float]]
-    deltas: dict[int, list[float]]
+    Flows are numbered in arrival order, (t, uid); `index` maps a uid to
+    its number f.  Flow f's instants at the hop-th queue of its route are
+    `tau[offsets[f] + hop]` and `delta[offsets[f] + hop]`.
+    """
+
+    index: dict[int, int]
+    offsets: array   # 'q', one entry per flow plus the total flow-hop count
+    tau: array       # 'd'
+    delta: array     # 'd'
+
+    @property
+    def taus(self) -> Mapping[int, list[float]]:
+        return _PerHop(self, self.tau)
+
+    @property
+    def deltas(self) -> Mapping[int, list[float]]:
+        return _PerHop(self, self.delta)
 
     def sojourn(self, uid: int) -> float:
-        return self.deltas[uid][-1] - self.taus[uid][0]
+        f = self.index[uid]
+        return self.delta[self.offsets[f + 1] - 1] - self.tau[self.offsets[f]]
 
 
 def run_ct(
@@ -142,9 +184,9 @@ def run_ct(
 
     External arrivals are read from the sorted injection list; only
     completions go through the heap, keyed (t, seq).  Each queue keeps a
-    stack of [uid, remaining, type, hop] entries whose top is in service,
-    the instant the top's current service stint began, and a token that
-    invalidates a completion scheduled before a preemption.
+    stack of [flow, remaining, type, hop] entries whose top is in
+    service, the instant the top's current service stint began, and a
+    token that invalidates a completion scheduled before a preemption.
     """
     queues, route_paths = queue_paths(routes)
     paths = [route_paths[t.route] for t in types]
@@ -154,23 +196,25 @@ def run_ct(
     tokens = [0] * len(queues)
 
     arrivals = sorted(injections, key=lambda e: (e[0], e[2]))
-    taus: dict[int, list[float]] = {uid: [] for _, _, uid in arrivals}
-    deltas: dict[int, list[float]] = {uid: [] for _, _, uid in arrivals}
-    heap: list[tuple[float, int, int, int, int]] = []  # (t, seq, queue, token, uid)
+    index = {uid: f for f, (_, _, uid) in enumerate(arrivals)}
+    offsets = array("q", accumulate((len(paths[ti]) for _, ti, _ in arrivals), initial=0))
+    taus = array("d", [0.0]) * offsets[-1]
+    deltas = array("d", [0.0]) * offsets[-1]
+    heap: list[tuple[float, int, int, int, int]] = []  # (t, seq, queue, token, flow)
     seq = 0
     i, n_arrivals = 0, len(arrivals)
     heappush, heappop = heapq.heappush, heapq.heappop
 
     while True:
         if heap and (i == n_arrivals or heap[0][0] <= arrivals[i][0]):
-            t, _, q, token, uid = heappop(heap)
+            t, _, q, token, f = heappop(heap)
             if token != tokens[q]:
                 continue  # superseded by a preemption
             stack = stacks[q]
-            done_uid, remaining, ti, hop = stack.pop()
-            if done_uid != uid or abs(remaining - (t - started[q])) > 1e-6:
+            done_f, remaining, ti, hop = stack.pop()
+            if done_f != f or abs(remaining - (t - started[q])) > 1e-6:
                 raise InternalConsistencyError(f"completion bookkeeping broken at {queues[q]}")
-            deltas[uid].append(t)
+            deltas[offsets[f] + hop] = t
             tokens[q] += 1
             if stack:
                 started[q] = t
@@ -181,40 +225,43 @@ def run_ct(
             if hop == len(paths[ti]):
                 continue
         elif i < n_arrivals:
-            t, ti, uid = arrivals[i]
+            t, ti, _ = arrivals[i]
+            f = i
             i += 1
             hop = 0
         else:
             break
 
-        # flow `uid` arrives at the hop-th queue of its route at t
+        # flow f arrives at the hop-th queue of its route at t
         q = paths[ti][hop]
         stack = stacks[q]
-        taus[uid].append(t)
+        taus[offsets[f] + hop] = t
         if stack:
             top = stack[-1]
             top[1] -= t - started[q]
             if top[1] < -1e-9:
                 raise InternalConsistencyError(
-                    f"preempted flow {top[0]} overserved at {queues[q]}"
+                    f"preempted flow {arrivals[top[0]][2]} overserved at {queues[q]}"
                 )
-        stack.append([uid, service[ti], ti, hop])
+        stack.append([f, service[ti], ti, hop])
         started[q] = t
         tokens[q] += 1
-        heappush(heap, (t + service[ti], seq, q, tokens[q], uid))
+        heappush(heap, (t + service[ti], seq, q, tokens[q], f))
         seq += 1
 
-    return CtResult(taus=taus, deltas=deltas)
+    return CtResult(index=index, offsets=offsets, tau=taus, delta=deltas)
 
 
 def write_ct_table(result: CtResult, types: tuple[FlowType, ...], routes: list[Route],
                    type_of: dict[int, int], path: str) -> None:
     """CSV table `uid,node,tau,delta`, one row per flow per hop."""
     by_id = {r.id: r for r in routes}
+    index, offsets, taus, deltas = result.index, result.offsets, result.tau, result.delta
     with open(path, "w") as fh:
         fh.write("# dcflow ct-table v1\n")
         fh.write("uid,node,tau,delta\n")
-        for uid in sorted(result.taus):
+        for uid in sorted(index):
             qpath = by_id[types[type_of[uid]].route].queue_path
-            for q, tau, delta in zip(qpath, result.taus[uid], result.deltas[uid]):
-                fh.write(f"{uid},{q},{tau!r},{delta!r}\n")
+            o = offsets[index[uid]]
+            for hop, q in enumerate(qpath):
+                fh.write(f"{uid},{q},{taus[o + hop]!r},{deltas[o + hop]!r}\n")

@@ -17,7 +17,10 @@ flow reaching its schedule slot at a queue) and last-packet slots, in
 slot order; at one slot every activation is handled before any
 completion.  Each queue keeps its LCFS heap, the slot its head started
 sending and a token that invalidates the completion a preemption
-superseded.
+superseded.  Per-flow state is kept in lists indexed by the reference
+run's flow number, and departure slots in one integer array at its
+flow-hop offsets; a ledger row builds its per-queue trail from these
+shared records when it is read.
 
 Two sample-path invariants are asserted for every flow at every queue,
 as exact integer slot comparisons:
@@ -33,7 +36,8 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 
 from .ct_network import CtResult, EpsilonConfig, slot_ceil
 from .errors import EmulationInfeasibilityError, InternalConsistencyError
@@ -41,28 +45,36 @@ from .flow_gen import FlowType
 from .topology import Route, queue_paths
 
 
-class _DtFlow:
-    __slots__ = ("uid", "ti", "path", "hop", "sent", "s_slots", "a_times", "delta_slots")
+@dataclass(eq=False, slots=True)
+class _HopTrail:
+    """The per-hop records every row of one ledger reads its `hops` from:
+    the reference run's instants and the slot engine's departure slots,
+    both indexed by the reference run's flow-hop offsets."""
 
-    def __init__(self, uid: int, ti: int, path: tuple[int, ...], s_slots: list[int],
-                 t_inject: float):
-        self.uid = uid
-        self.ti = ti
-        self.path = path
-        self.hop = 0
-        self.sent = 0       # packets sent at the current hop
-        self.s_slots = s_slots
-        self.a_times: list[float] = [t_inject]
-        self.delta_slots: list[int] = []
+    ct: CtResult
+    delta_slots: array
+    eps: float
+
+    def hops(self, uid: int, t_inject: float) -> tuple[tuple[float, float, float, int, int], ...]:
+        ct, eps = self.ct, self.eps
+        f = ct.index[uid]
+        o, e = ct.offsets[f], ct.offsets[f + 1]
+        taus = ct.tau[o:e]
+        d_slots = self.delta_slots[o:e]
+        # a flow is fully present at its next queue when its last packet's slot ends
+        a_times = [t_inject] + [d * eps for d in d_slots[:-1]]
+        s_slots = [slot_ceil(tau, eps) for tau in taus]
+        return tuple(zip(taus, ct.delta[o:e], a_times, s_slots, d_slots))
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class FlowDelayRecord:
     """Per-flow delay decomposition plus the per-queue timestamp trail.
 
     hops[i] = (tau, delta, a, s_slot, delta_slot) at the i-th queue of the
     route; continuous instants from the reference run, slot indices from
-    the discrete run.
+    the discrete run.  `hops` is built from the ledger's shared per-hop
+    records each time it is read.
     """
 
     uid: int
@@ -73,11 +85,24 @@ class FlowDelayRecord:
     d_w: float
     d_s: float
     d: float
-    hops: tuple[tuple[float, float, float, int, int], ...]
+    _trail: _HopTrail = field(repr=False)
+
+    @property
+    def hops(self) -> tuple[tuple[float, float, float, int, int], ...]:
+        return self._trail.hops(self.uid, self.t_inject)
 
     @property
     def dummy(self) -> bool:
         return self.uid < 0
+
+    def _key(self) -> tuple:
+        return (self.uid, self.route, self.size, self.t_arrive, self.t_inject,
+                self.d_w, self.d_s, self.d, self.hops)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FlowDelayRecord):
+            return NotImplemented
+        return self._key() == other._key()
 
 
 @dataclass
@@ -98,43 +123,21 @@ class DtRunResult:
     flow_hops_checked: int
 
 
-def _schedule_slots(ct: CtResult, t_inject: float, uid: int, eps: float) -> list[int]:
-    """A flow's schedule slot at every hop, after checking that it is
-    injected by its first schedule time."""
-    slots = [slot_ceil(tau, eps) for tau in ct.taus[uid]]
-    if t_inject > slots[0] * eps + 1e-9 * max(1.0, abs(t_inject)):
-        raise EmulationInfeasibilityError(f"flow {uid} injected after its first schedule time")
-    return slots
-
-
 def _ledger(ct: CtResult, injections: list[tuple[float, int, int]],
-            types: tuple[FlowType, ...], eps: float, flows: list,
+            types: tuple[FlowType, ...], eps: float, delta_slots: array,
             arrive_times: dict[int, float] | None) -> DelayLedger:
-    """Ledger rows sorted by (t_arrive, uid).  `flows[i]` carries a slot
-    engine's per-hop `a_times`, `s_slots` and `delta_slots` for the i-th
-    injection."""
+    """Ledger rows sorted by (t_arrive, uid).  `delta_slots` holds a slot
+    engine's departure slot at every flow-hop, at the reference run's
+    flow-hop offsets."""
+    trail = _HopTrail(ct, delta_slots, eps)
+    index, offsets = ct.index, ct.offsets
     rows = []
-    for (t_inject, ti, uid), fl in zip(injections, flows):
-        delta_slots = fl.delta_slots
-        if len(delta_slots) != len(ct.taus[uid]):
-            raise InternalConsistencyError(f"flow {uid} is missing hop records")
+    for t_inject, ti, uid in injections:
         t_arr = arrive_times.get(uid, t_inject) if arrive_times else t_inject
         d_w = t_inject - t_arr
-        d_s = delta_slots[-1] * eps - t_inject
-        rows.append(
-            FlowDelayRecord(
-                uid=uid,
-                route=types[ti].route,
-                size=types[ti].size,
-                t_arrive=t_arr,
-                t_inject=t_inject,
-                d_w=d_w,
-                d_s=d_s,
-                d=d_w + d_s,
-                hops=tuple(zip(ct.taus[uid], ct.deltas[uid], fl.a_times, fl.s_slots,
-                               delta_slots)),
-            )
-        )
+        d_s = delta_slots[offsets[index[uid] + 1] - 1] * eps - t_inject
+        rows.append(FlowDelayRecord(uid, types[ti].route, types[ti].size, t_arr, t_inject,
+                                    d_w, d_s, d_w + d_s, trail))
     rows.sort(key=lambda r: (r.t_arrive, r.uid))
     return DelayLedger(epsilon=eps, rows=rows)
 
@@ -151,22 +154,37 @@ def run_dt(
 
     `injections` lists (t_inject, type_index, uid); `arrive_times` maps a
     flow back to its external arrival (defaults to its injection time).
+    Per-flow state is indexed by the reference run's flow number, and a
+    flow's schedule slot at a queue is computed when it reaches that queue.
     """
     epsv = eps.epsilon
-    queues, paths = queue_paths(routes)
+    queues, route_paths = queue_paths(routes)
+    paths = [route_paths[t.route] for t in types]
     pkts = [eps.n_slots[t.size] for t in types]
-    taus, deltas = ct.taus, ct.deltas
+    index, offsets, taus, deltas = ct.index, ct.offsets, ct.tau, ct.delta
+    uid_of = list(index)
+    type_of = [0] * len(uid_of)
+    hop_of = [0] * len(uid_of)
+    sent = [0] * len(uid_of)   # packets sent at the current hop
+    delta_slots = array("q", [0]) * offsets[-1]
 
-    flows = [_DtFlow(uid, ti, paths[types[ti].route],
-                     _schedule_slots(ct, t_inject, uid, epsv), t_inject)
-             for t_inject, ti, uid in injections]
     # Events: (slot, 0, uid, flow) makes a flow transmittable at its
     # current queue; (slot, 1, queue, token) is the slot in which a head
     # sends its last packet.  Activations sort before completions.  First
     # hops are read in slot order from `first`, later ones go on the heap.
-    first = sorted(((fl.s_slots[0], 0, fl.uid, fl) for fl in flows), key=lambda e: e[0])
-    events: list[tuple] = []
-    heaps: list[list[tuple[int, float, int, _DtFlow]]] = [[] for _ in queues]  # LCFS
+    first = []
+    for t_inject, ti, uid in injections:
+        f = index[uid]
+        if offsets[f + 1] - offsets[f] != len(paths[ti]):
+            raise InternalConsistencyError(f"flow {uid} is missing hop records")
+        s = slot_ceil(taus[offsets[f]], epsv)
+        if t_inject > s * epsv + 1e-9 * max(1.0, abs(t_inject)):
+            raise EmulationInfeasibilityError(f"flow {uid} injected after its first schedule time")
+        type_of[f] = ti
+        first.append((s, 0, uid, f))
+    first.sort(key=lambda e: e[0])
+    events: list[tuple[int, int, int, int]] = []
+    heaps: list[list[tuple[int, float, int, int]]] = [[] for _ in queues]  # LCFS
     started = [0] * len(queues)   # slot in which the current head started sending
     tokens = [0] * len(queues)
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -189,15 +207,16 @@ def run_dt(
         k = s
 
         if kind == 0:
-            fl = b
-            q = fl.path[fl.hop]
+            f = b
+            hop = hop_of[f]
+            q = paths[type_of[f]][hop]
             heap = heaps[q]
-            entry = (-k, -taus[a][fl.hop], -a, fl)
+            entry = (-k, -taus[offsets[f] + hop], -a, f)
             if heap and heap[0] < entry:
                 heappush(heap, entry)  # waits behind the current head
                 continue
             if heap:
-                heap[0][3].sent += k - started[q]  # the head is preempted
+                sent[heap[0][3]] += k - started[q]  # the head is preempted
             else:
                 if not busy:
                     busy_since = k
@@ -205,42 +224,42 @@ def run_dt(
             heappush(heap, entry)
             started[q] = k
             tokens[q] += 1
-            heappush(events, (k + pkts[fl.ti] - 1, 1, q, tokens[q]))
+            heappush(events, (k + pkts[type_of[f]] - 1, 1, q, tokens[q]))
             continue
 
         q = a
         if b != tokens[q]:
             continue  # superseded by a preemption
         heap = heaps[q]
-        fl = heappop(heap)[3]
-        fl.sent += k + 1 - started[q]
-        ti, hop = fl.ti, fl.hop
-        if fl.sent != pkts[ti]:
+        f = heappop(heap)[3]
+        sent[f] += k + 1 - started[q]
+        ti, hop = type_of[f], hop_of[f]
+        if sent[f] != pkts[ti]:
             raise InternalConsistencyError(
-                f"flow {fl.uid} sent {fl.sent} of {pkts[ti]} packets at {queues[q]}"
+                f"flow {uid_of[f]} sent {sent[f]} of {pkts[ti]} packets at {queues[q]}"
             )
-        n_trans += fl.sent
+        n_trans += sent[f]
         delta_slot = k + 1
-        limit = slot_ceil(deltas[fl.uid][hop], epsv)
+        o = offsets[f] + hop
+        limit = slot_ceil(deltas[o], epsv)
         if delta_slot > limit:
             raise EmulationInfeasibilityError(
-                f"flow {fl.uid} left {queues[q]} in slot {delta_slot}, "
+                f"flow {uid_of[f]} left {queues[q]} in slot {delta_slot}, "
                 f"reference bound is {limit}"
             )
-        fl.delta_slots.append(delta_slot)
+        delta_slots[o] = delta_slot
         n_checked += 1
         hop += 1
-        if hop < len(fl.path):
-            s_next = fl.s_slots[hop]
+        if hop < len(paths[ti]):
+            s_next = slot_ceil(taus[o + 1], epsv)
             if delta_slot > s_next:
                 raise EmulationInfeasibilityError(
-                    f"flow {fl.uid} reached {queues[fl.path[hop]]} in slot {delta_slot}, "
+                    f"flow {uid_of[f]} reached {queues[paths[ti][hop]]} in slot {delta_slot}, "
                     f"after its schedule slot {s_next}"
                 )
-            fl.hop = hop
-            fl.sent = 0
-            fl.a_times.append(delta_slot * epsv)
-            heappush(events, (s_next, 0, fl.uid, fl))
+            hop_of[f] = hop
+            sent[f] = 0
+            heappush(events, (s_next, 0, uid_of[f], f))
         else:
             n_done += 1
         if heap:
@@ -248,16 +267,17 @@ def run_dt(
             nxt = heap[0][3]
             started[q] = delta_slot
             tokens[q] += 1
-            heappush(events, (k + pkts[nxt.ti] - nxt.sent, 1, q, tokens[q]))
+            heappush(events, (k + pkts[type_of[nxt]] - sent[nxt], 1, q, tokens[q]))
         else:
             busy -= 1
             if not busy:
                 n_slots += delta_slot - busy_since
 
-    if n_done != len(flows):
+    if n_done != len(first):
         raise InternalConsistencyError("some flows never drained from the slot engine")
+    del first  # freed before the ledger rows are built
     return DtRunResult(
-        ledger=_ledger(ct, injections, types, epsv, flows, arrive_times),
+        ledger=_ledger(ct, injections, types, epsv, delta_slots, arrive_times),
         n_slots_processed=n_slots,
         n_transmissions=n_trans,
         flow_hops_checked=n_checked,

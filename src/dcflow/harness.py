@@ -337,11 +337,13 @@ def _build_verdict(config: ExperimentConfig, points: list[PointResult]) -> dict:
             for s in p.stats
             if not s.within_bounds(slack)
         ]
+        counts = ", ".join(f"route {s.route} size {s.size} n={s.count}" for s in p.stats)
         checks.append(
             {
                 "name": f"delay_bounds[mult={p.mult}]",
                 "pass": not bad,
-                "detail": "all types within bounds" if not bad else "violated: " + ", ".join(bad),
+                "detail": ("all types within bounds" if not bad else "violated: " + ", ".join(bad))
+                          + f"; flows after burn-in: {counts}",
             }
         )
 

@@ -5,30 +5,33 @@ transmittable flow and lets the head of each queue's LCFS heap send one
 packet, which is the definition the event-driven `dt_network.run_dt`
 must reproduce.  It can log every transmission and iterate the queues in
 any order, so tests can check slot capacity and packet conservation
-directly and show that the queue order is immaterial.
+directly and show that the queue order is immaterial.  It records each
+flow's per-queue trail as it goes and checks that the ledger, which both
+engines build from their departure slots, reports that same trail.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 
 from dcflow.ct_network import slot_ceil
-from dcflow.dt_network import DtRunResult, _ledger, _schedule_slots
+from dcflow.dt_network import DtRunResult, _ledger
 from dcflow.errors import EmulationInfeasibilityError, InternalConsistencyError
 from dcflow.topology import queue_paths
 
 
 class _Flow:
-    __slots__ = ("uid", "ti", "hop", "remaining", "s_slots", "a_times", "delta_slots")
+    __slots__ = ("uid", "ti", "offset", "hop", "remaining", "a", "trail")
 
-    def __init__(self, uid, ti, s_slots, t_inject):
+    def __init__(self, uid, ti, offset, t_inject):
         self.uid = uid
         self.ti = ti
+        self.offset = offset   # the flow's first flow-hop in the reference run
         self.hop = 0
         self.remaining = 0
-        self.s_slots = s_slots
-        self.a_times = [t_inject]
-        self.delta_slots = []
+        self.a = t_inject      # instant the flow is fully present at its queue
+        self.trail = []        # (tau, delta, a, s_slot, delta_slot) per queue left
 
 
 def run_dt_per_slot(ct, injections, routes, types, eps, arrive_times=None, node_order=None):
@@ -46,16 +49,28 @@ def run_dt_per_slot(ct, injections, routes, types, eps, arrive_times=None, node_
         queues = list(node_order)
     qidx = {q: i for i, q in enumerate(queues)}
 
+    def activation(fl):
+        # the flow's reference arrival at its current queue, read once
+        tau = ct.tau[fl.offset + fl.hop]
+        return (slot_ceil(tau, epsv), qidx[paths[fl.ti][fl.hop]], fl.uid, tau, fl)
+
     eligible = [[] for _ in queues]
-    activations = []  # (slot, queue index, uid, flow)
+    activations = []  # (slot, queue index, uid, tau, flow)
     flows = {}
     for t_inject, ti, uid in injections:
-        fl = _Flow(uid, ti, _schedule_slots(ct, t_inject, uid, epsv), t_inject)
+        f = ct.index[uid]
+        if ct.offsets[f + 1] - ct.offsets[f] != len(paths[ti]):
+            raise InternalConsistencyError(f"flow {uid} is missing hop records")
+        fl = _Flow(uid, ti, ct.offsets[f], t_inject)
+        act = activation(fl)
+        if t_inject > act[0] * epsv + 1e-9 * max(1.0, abs(t_inject)):
+            raise EmulationInfeasibilityError(f"flow {uid} injected after its first schedule time")
         fl.remaining = pkts[ti]
         flows[uid] = fl
-        heapq.heappush(activations, (fl.s_slots[0], qidx[paths[ti][0]], uid, fl))
+        heapq.heappush(activations, act)
 
     log = []
+    delta_slots = array("q", [0]) * ct.offsets[-1]
     n_done = n_checked = n_slots_processed = 0
     k = -1
     any_eligible = False
@@ -69,48 +84,53 @@ def run_dt_per_slot(ct, injections, routes, types, eps, arrive_times=None, node_
         else:
             break
         while activations and activations[0][0] <= k:
-            s, qi, _, fl = heapq.heappop(activations)
-            tau = ct.taus[fl.uid][fl.hop]
-            heapq.heappush(eligible[qi], (-s, -tau, -fl.uid, fl))
+            s, qi, _, tau, fl = heapq.heappop(activations)
+            heapq.heappush(eligible[qi], (-s, -tau, -fl.uid, s, tau, fl))
         n_slots_processed += 1
 
         for qi, heap in enumerate(eligible):
             if not heap:
                 continue
-            fl = heap[0][3]
+            fl = heap[0][5]
             fl.remaining -= 1
             log.append((k, queues[qi], fl.uid, pkts[fl.ti] - fl.remaining))
             if fl.remaining:
                 continue
-            heapq.heappop(heap)
+            _, _, _, s, tau, _ = heapq.heappop(heap)
             delta_slot = k + 1
-            limit = slot_ceil(ct.deltas[fl.uid][fl.hop], epsv)
+            delta = ct.delta[fl.offset + fl.hop]
+            limit = slot_ceil(delta, epsv)
             if delta_slot > limit:
                 raise EmulationInfeasibilityError(
                     f"flow {fl.uid} left {queues[qi]} in slot {delta_slot}, "
                     f"reference bound is {limit}"
                 )
-            fl.delta_slots.append(delta_slot)
+            delta_slots[fl.offset + fl.hop] = delta_slot
+            fl.trail.append((tau, delta, fl.a, s, delta_slot))
             n_checked += 1
             fl.hop += 1
             if fl.hop < len(paths[fl.ti]):
-                s_next = fl.s_slots[fl.hop]
-                if delta_slot > s_next:
+                act = activation(fl)
+                if delta_slot > act[0]:
                     raise EmulationInfeasibilityError(
                         f"flow {fl.uid} reached {paths[fl.ti][fl.hop]} in slot {delta_slot}, "
-                        f"after its schedule slot {s_next}"
+                        f"after its schedule slot {act[0]}"
                     )
-                fl.a_times.append(delta_slot * epsv)
+                fl.a = delta_slot * epsv
                 fl.remaining = pkts[fl.ti]
-                heapq.heappush(activations, (s_next, qidx[paths[fl.ti][fl.hop]], fl.uid, fl))
+                heapq.heappush(activations, act)
             else:
                 n_done += 1
         any_eligible = any(eligible)
 
     if n_done != len(flows):
         raise InternalConsistencyError("some flows never drained from the slot engine")
+    ledger = _ledger(ct, injections, types, epsv, delta_slots, arrive_times)
+    for row in ledger.rows:
+        if row.hops != tuple(flows[row.uid].trail):
+            raise AssertionError(f"ledger trail of flow {row.uid} differs from the per-slot run")
     result = DtRunResult(
-        ledger=_ledger(ct, injections, types, epsv, list(flows.values()), arrive_times),
+        ledger=ledger,
         n_slots_processed=n_slots_processed,
         n_transmissions=len(log),
         flow_hops_checked=n_checked,

@@ -1,4 +1,4 @@
-import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -10,6 +10,7 @@ from dcflow.errors import DcflowError
 from dcflow.flow_gen import FlowType, gen_poisson
 from dcflow.metrics import oracle_table
 from dcflow.topology import TreeSpec, build_dag, compute_loads, make_route
+from dcflow.virtual_bandwidth_net import run_emulation
 from slot_oracle import run_dt_per_slot
 
 
@@ -187,6 +188,31 @@ NETWORKS = {
 }
 
 
+def test_engines_hold_little_memory_per_flow_hop():
+    # the tree5hop-0.9 benchmark point, shortened: two 5-queue routes
+    # sharing three queues at load 0.9.  Flat per-hop arrays keep the
+    # engines near 100 B per flow-hop; per-flow objects with per-hop
+    # lists and tuples take over 400 B here.
+    dag = build_dag(TREE)
+    routes = [make_route(dag, "h1", "h3", route_id=0), make_route(dag, "h2", "h4", route_id=1)]
+    types = (FlowType(0, 1.0, 0.45), FlowType(1, 1.0, 0.45))
+    profile = compute_loads(routes, {(t.route, t.size): t.rate for t in types})
+    eps = choose_epsilon(profile, 2.0)
+    nb = run_emulation(gen_poisson(types, 2_000.0, seed=1), routes, profile=profile,
+                       record_states=False)
+    injections = sorted(((t, nb.type_of[uid], uid) for uid, t in nb.injections.items()),
+                        key=lambda e: (e[0], e[2]))
+    tracemalloc.start()
+    try:
+        ct = run_ct(injections, routes, types, eps)
+        dt = run_dt(ct, injections, routes, types, eps, arrive_times=nb.arrive_times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dt.flow_hops_checked == 5 * len(injections) > 5_000
+    assert peak / dt.flow_hops_checked <= 200
+
+
 def _outcome(engine):
     try:
         return engine(), None
@@ -220,14 +246,12 @@ def slot_runs(draw):
     if draw(st.booleans()):
         # pull some reference instants earlier: a flow then reaches a
         # queue after its schedule slot, or leaves it after its bound
-        taus = {uid: list(v) for uid, v in ct.taus.items()}
-        deltas = {uid: list(v) for uid, v in ct.deltas.items()}
         for _ in range(draw(st.integers(1, 3))):
             _, _, uid = draw(st.sampled_from(injections))
-            table = draw(st.sampled_from((taus, deltas)))
-            hop = draw(st.integers(0, len(table[uid]) - 1))
-            table[uid][hop] -= draw(st.sampled_from((0.05, 0.5, 2.0)))
-        ct = dataclasses.replace(ct, taus=taus, deltas=deltas)
+            table = draw(st.sampled_from((ct.tau, ct.delta)))
+            f = ct.index[uid]
+            hop = draw(st.integers(0, ct.offsets[f + 1] - ct.offsets[f] - 1))
+            table[ct.offsets[f] + hop] -= draw(st.sampled_from((0.05, 0.5, 2.0)))
     return ct, injections, routes, types, eps
 
 

@@ -98,6 +98,13 @@ def test_smoke_run_writes_artifacts(tmp_path):
     names = [c["name"] for c in verdict["checks"]]
     assert "emulation_invariants" in names
     assert verdict["checks"][0]["pass"] is True
+    # the bounds check reports how many flows it averaged over
+    burn = SMOKE.burn_in * SMOKE.horizon
+    rows = [line.split(",") for line in (out / "ledger.csv").read_text().splitlines()[2:]]
+    n = sum(1 for row in rows if float(row[3]) >= burn)
+    assert 0 < n < len(rows)
+    (bounds,) = [c for c in verdict["checks"] if c["name"] == "delay_bounds[mult=1.0]"]
+    assert bounds["detail"] == f"all types within bounds; flows after burn-in: route 0 size 1.0 n={n}"
 
 
 def test_run_is_deterministic(tmp_path):
@@ -174,11 +181,18 @@ def test_regularized_star_keeps_wait_identity():
 
 
 def test_smoke_ledger_is_pinned(tmp_path):
-    # any engine rewrite that keeps the arithmetic must keep this digest
+    # any engine rewrite that keeps the arithmetic must keep these digests;
+    # the hop tables are written from the per-hop records the ledger reads
     smoke = load_config(os.path.join(HERE, "configs", "smoke.json"))
+    smoke = dataclasses.replace(smoke, emit_hop_tables=True)
     run_experiment(smoke, out_dir=str(tmp_path), seed=17)
-    digest = hashlib.sha256((tmp_path / "ledger.csv").read_bytes()).hexdigest()
-    assert digest == "6e94d99cad2918f410c2110ff59c5435015f7bf39ac4b07ab269b9c06f4c4b89"
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("ledger.csv", "ct_table.csv", "hops.jsonl")}
+    assert digests == {
+        "ledger.csv": "6e94d99cad2918f410c2110ff59c5435015f7bf39ac4b07ab269b9c06f4c4b89",
+        "ct_table.csv": "6aeb28c9733abe276b7c9dc6fa5f06b7ed308ce445d0753822500bf6fab73d31",
+        "hops.jsonl": "88589e05460fb33c92a885ba11199e15943c3d6209cc25a6bd44c8d6782537e0",
+    }
 
 
 def test_config_with_retired_occupancy_cap_loads_and_runs(tmp_path):
