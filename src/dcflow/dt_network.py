@@ -9,32 +9,36 @@ uid.  Packets of a flow only become transmittable once the whole flow is
 present, and a packet sent during slot k is available at the next queue
 when the slot ends.
 
-The engine is event driven.  Between events the head of a queue's LCFS
-heap sends one packet per slot, so a head that starts sending in slot k
-with r packets left sends its last packet in slot k + r - 1 unless a new
-flow preempts it first.  The engine therefore visits only activations (a
-flow reaching its schedule slot at a queue) and last-packet slots, in
-slot order; at one slot every activation is handled before any
-completion.  Each queue keeps its LCFS heap, the slot its head started
-sending and a token that invalidates the completion a preemption
-superseded.  Per-flow state is kept in lists indexed by the reference
-run's flow number, and departure slots in one integer array at its
-flow-hop offsets; a ledger row builds its per-queue trail from these
-shared records when it is read.
+The queues never interact.  A flow becomes transmittable at a queue at
+its schedule slot there, which depends only on its reference arrival tau
+at that queue, not on when its last packet left the previous queue.  So
+each queue is an LCFS server driven by its own reference arrivals alone,
+and the engine sweeps the queues one at a time.  A queue's activations,
+sorted by tau, come in priority order, so its LCFS order is a stack:
+before an activation at slot s, every head that sends its last packet
+before s departs, and a head still sending is preempted with the packets
+it sent taken off.  Each queue must send exactly the packets its flows
+demand, in its busy slots.  Departure slots go into one integer array at
+the reference run's flow-hop offsets; a ledger row builds its per-queue
+trail from these shared records when it is read.
 
-Two sample-path invariants are asserted for every flow at every queue,
-as exact integer slot comparisons:
+What couples the queues is checked, not simulated.  Two sample-path
+invariants are asserted for every flow at every queue, as exact integer
+slot comparisons:
 
   * the flow has fully arrived by its schedule time (A <= S), and
   * it departs no later than the slot boundary that covers its
     continuous-time departure (Delta <= eps * ceil(delta / eps)).
 
-A violation raises EmulationInfeasibilityError naming the flow and queue.
+If the first holds everywhere, every flow is present when its schedule
+slot comes, so activating it there is what the coupled network does, and
+the per-queue sweeps are that network's run.  A violation raises
+EmulationInfeasibilityError naming the flow and queue; of several, the
+one met first in uid order.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from array import array
 from dataclasses import dataclass, field
@@ -154,128 +158,105 @@ def run_dt(
 
     `injections` lists (t_inject, type_index, uid); `arrive_times` maps a
     flow back to its external arrival (defaults to its injection time).
-    Per-flow state is indexed by the reference run's flow number, and a
-    flow's schedule slot at a queue is computed when it reaches that queue.
+    Each queue is swept alone in its flows' schedule order; the two
+    checks that couple the queues then run over every flow-hop, flows in
+    uid order.
     """
     epsv = eps.epsilon
     queues, route_paths = queue_paths(routes)
     paths = [route_paths[t.route] for t in types]
     pkts = [eps.n_slots[t.size] for t in types]
     index, offsets, taus, deltas = ct.index, ct.offsets, ct.tau, ct.delta
-    uid_of = list(index)
-    type_of = [0] * len(uid_of)
-    hop_of = [0] * len(uid_of)
-    sent = [0] * len(uid_of)   # packets sent at the current hop
-    delta_slots = array("q", [0]) * offsets[-1]
+    # a flow-hop's packet count, until the sweep overwrites it with the
+    # flow's departure slot from that queue
+    delta_slots = array("q", [0]) * len(taus)
+    at_queue = [array("q") for _ in queues]   # flow-hop offsets, flows in uid order
+    demand = [0] * len(queues)                # packets each queue must send
 
-    # Events: (slot, 0, uid, flow) makes a flow transmittable at its
-    # current queue; (slot, 1, queue, token) is the slot in which a head
-    # sends its last packet.  Activations sort before completions.  First
-    # hops are read in slot order from `first`, later ones go on the heap.
-    first = []
-    for t_inject, ti, uid in injections:
+    flows = sorted(injections, key=lambda e: e[2])
+    for t_inject, ti, uid in flows:
         f = index[uid]
-        if offsets[f + 1] - offsets[f] != len(paths[ti]):
+        o = offsets[f]
+        path = paths[ti]
+        if offsets[f + 1] - o != len(path):
             raise InternalConsistencyError(f"flow {uid} is missing hop records")
-        s = slot_ceil(taus[offsets[f]], epsv)
-        if t_inject > s * epsv + 1e-9 * max(1.0, abs(t_inject)):
+        if t_inject > slot_ceil(taus[o], epsv) * epsv + 1e-9 * max(1.0, abs(t_inject)):
             raise EmulationInfeasibilityError(f"flow {uid} injected after its first schedule time")
-        type_of[f] = ti
-        first.append((s, 0, uid, f))
-    first.sort(key=lambda e: e[0])
-    events: list[tuple[int, int, int, int]] = []
-    heaps: list[list[tuple[int, float, int, int]]] = [[] for _ in queues]  # LCFS
-    started = [0] * len(queues)   # slot in which the current head started sending
-    tokens = [0] * len(queues)
-    heappush, heappop = heapq.heappush, heapq.heappop
+        n = pkts[ti]
+        for q in path:
+            delta_slots[o] = n
+            at_queue[q].append(o)
+            demand[q] += n
+            o += 1
 
-    n_trans = n_checked = n_done = 0
-    n_slots = busy = busy_since = 0  # union of busy intervals over queues
-    k = 0
-    i, n_first = 0, len(first)
-    while True:
-        if i < n_first and (not events or first[i][0] <= events[0][0]):
-            ev = first[i]
-            i += 1
-        elif events:
-            ev = heappop(events)
-        else:
-            break
-        s, kind, a, b = ev
-        if s < k:
-            raise InternalConsistencyError("event slipped behind the slot clock")
-        k = s
+    begins, ends = array("q"), array("q")   # every queue's busy periods
+    for q, offs in enumerate(at_queue):
+        # slot_ceil is monotone and the sort stable, so ascending tau is
+        # ascending (S, tau, uid): each activation outranks every flow
+        # already waiting, and the LCFS order is a stack.
+        first = len(begins)
+        stack = []     # [flow-hop offset, packets left], head last
+        started = 0    # slot in which the head started sending
+        for o in sorted(offs, key=taus.__getitem__):
+            s = slot_ceil(taus[o], epsv)
+            while stack:
+                head = stack[-1]
+                end = started + head[1]
+                if end > s:
+                    head[1] -= s - started   # the head is preempted
+                    break
+                delta_slots[head[0]] = end
+                stack.pop()
+                started = end
+                if not stack:
+                    ends.append(end)
+            if not stack:
+                begins.append(s)
+            stack.append([o, delta_slots[o]])
+            started = s
+        while stack:
+            o, left = stack.pop()
+            started += left
+            delta_slots[o] = started
+        if offs:
+            ends.append(started)
+        busy = sum(ends[first:]) - sum(begins[first:])
+        if busy != demand[q]:
+            raise InternalConsistencyError(f"{queues[q]} sent {busy} packets of {demand[q]}")
+    del at_queue
 
-        if kind == 0:
-            f = b
-            hop = hop_of[f]
-            q = paths[type_of[f]][hop]
-            heap = heaps[q]
-            entry = (-k, -taus[offsets[f] + hop], -a, f)
-            if heap and heap[0] < entry:
-                heappush(heap, entry)  # waits behind the current head
-                continue
-            if heap:
-                sent[heap[0][3]] += k - started[q]  # the head is preempted
-            else:
-                if not busy:
-                    busy_since = k
-                busy += 1
-            heappush(heap, entry)
-            started[q] = k
-            tokens[q] += 1
-            heappush(events, (k + pkts[type_of[f]] - 1, 1, q, tokens[q]))
-            continue
-
-        q = a
-        if b != tokens[q]:
-            continue  # superseded by a preemption
-        heap = heaps[q]
-        f = heappop(heap)[3]
-        sent[f] += k + 1 - started[q]
-        ti, hop = type_of[f], hop_of[f]
-        if sent[f] != pkts[ti]:
-            raise InternalConsistencyError(
-                f"flow {uid_of[f]} sent {sent[f]} of {pkts[ti]} packets at {queues[q]}"
-            )
-        n_trans += sent[f]
-        delta_slot = k + 1
-        o = offsets[f] + hop
-        limit = slot_ceil(deltas[o], epsv)
-        if delta_slot > limit:
-            raise EmulationInfeasibilityError(
-                f"flow {uid_of[f]} left {queues[q]} in slot {delta_slot}, "
-                f"reference bound is {limit}"
-            )
-        delta_slots[o] = delta_slot
-        n_checked += 1
-        hop += 1
-        if hop < len(paths[ti]):
-            s_next = slot_ceil(taus[o + 1], epsv)
-            if delta_slot > s_next:
+    n_checked = 0
+    for _, ti, uid in flows:
+        f = index[uid]
+        o = offsets[f]
+        path = paths[ti]
+        for h, q in enumerate(path):
+            delta_slot = delta_slots[o]
+            limit = slot_ceil(deltas[o], epsv)
+            if delta_slot > limit:
                 raise EmulationInfeasibilityError(
-                    f"flow {uid_of[f]} reached {queues[paths[ti][hop]]} in slot {delta_slot}, "
-                    f"after its schedule slot {s_next}"
+                    f"flow {uid} left {queues[q]} in slot {delta_slot}, "
+                    f"reference bound is {limit}"
                 )
-            hop_of[f] = hop
-            sent[f] = 0
-            heappush(events, (s_next, 0, uid_of[f], f))
-        else:
-            n_done += 1
-        if heap:
-            # the next head sends from the following slot on
-            nxt = heap[0][3]
-            started[q] = delta_slot
-            tokens[q] += 1
-            heappush(events, (k + pkts[type_of[nxt]] - sent[nxt], 1, q, tokens[q]))
-        else:
-            busy -= 1
-            if not busy:
-                n_slots += delta_slot - busy_since
+            o += 1
+            if h + 1 < len(path):
+                s_next = slot_ceil(taus[o], epsv)
+                if delta_slot > s_next:
+                    raise EmulationInfeasibilityError(
+                        f"flow {uid} reached {queues[path[h + 1]]} in slot {delta_slot}, "
+                        f"after its schedule slot {s_next}"
+                    )
+        n_checked += len(path)
+    del flows  # freed before the ledger rows are built
 
-    if n_done != len(first):
-        raise InternalConsistencyError("some flows never drained from the slot engine")
-    del first  # freed before the ledger rows are built
+    # The union of the busy periods.  Sorted apart, the i-th end is never
+    # before the i-th begin, and the slots no queue sends in are the gaps
+    # from the i-th end to the (i+1)-th begin.
+    n_trans = sum(ends) - sum(begins)
+    begins, ends = sorted(begins), sorted(ends)
+    gaps = sum(b - e for e, b in zip(ends, begins[1:]) if b > e)
+    n_slots = ends[-1] - begins[0] - gaps if begins else 0
+    del begins, ends
     return DtRunResult(
         ledger=_ledger(ct, injections, types, epsv, delta_slots, arrive_times),
         n_slots_processed=n_slots,

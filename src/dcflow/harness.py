@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -389,6 +388,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
 
     points: list[PointResult] = []
     if jobs > 1 and len(multipliers) > 1:
+        # imported here: a serial run need not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(run_point, config, mult, point_dir(i, mult), seed)

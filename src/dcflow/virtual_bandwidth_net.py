@@ -52,6 +52,7 @@ class NbState:
         self.n_events = 0
         self._ev = _evaluator(spec, exact=False)
         self._feas_cap = [float(c) + 1e-9 for c in spec.capacities]
+        self._feasible: set[tuple[int, ...]] = set()  # occupancies checked
         self._users = []  # per resource: [(class, consumption), ...]
         for l in range(spec.n_resources):
             row = []
@@ -79,9 +80,12 @@ class NbState:
             self.clock = t
 
     def _recompute(self) -> None:
-        n_now = self.n
-        self.phi = phi = self._ev.rates(tuple(n_now))
-        # capacity feasibility at the new allocation
+        n_now = tuple(self.n)
+        self.phi = phi = self._ev.rates(n_now)
+        if n_now in self._feasible:
+            return
+        # capacity feasibility at the new allocation; the rates are a pure
+        # function of the occupancy, so each occupancy is checked once
         for l, row in enumerate(self._users):
             used = 0.0
             for j, b in row:
@@ -91,6 +95,7 @@ class NbState:
                 raise InternalConsistencyError(
                     f"allocation violates capacity of resource {l}: {used}"
                 )
+        self._feasible.add(n_now)
 
     # -- transitions -------------------------------------------------------
 

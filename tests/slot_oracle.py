@@ -2,7 +2,7 @@
 
 `run_dt_per_slot` steps every slot in which some queue holds a
 transmittable flow and lets the head of each queue's LCFS heap send one
-packet, which is the definition the event-driven `dt_network.run_dt`
+packet, which is the definition the per-queue `dt_network.run_dt`
 must reproduce.  It can log every transmission and iterate the queues in
 any order, so tests can check slot capacity and packet conservation
 directly and show that the queue order is immaterial.  It records each

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import pytest
@@ -56,6 +57,22 @@ def test_two_flow_busy_cycle_case_two(chain_dag):
     assert by_uid[1].hops[0][4] == 4   # opener: S=1 plus both sizes
     assert by_uid[1].hops[0][3] == 1   # schedule slot of opener
     assert by_uid[1].hops[0][4] == slot_ceil(3.5, 1.0)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_lcfs_ties_at_one_schedule_slot(chain_dag, order):
+    # three one-packet flows share schedule slot 1 at one queue: the
+    # larger tau goes first, and at equal tau the larger uid
+    route = make_route(chain_dag, "a", "r", route_id=0)
+    types = (FlowType(0, 1.0, 0.1),)
+    flows = [(0.25, 0, 5), (0.5, 0, 3), (0.5, 0, 7)]
+    injections = [flows[i] for i in order]
+    _, eps, ct, dt = pipeline([route], types, injections, override=1.0)
+    hops = {row.uid: row.hops[0] for row in dt.ledger.rows}
+    assert {uid: h[3] for uid, h in hops.items()} == {5: 1, 3: 1, 7: 1}
+    assert {uid: h[4] for uid, h in hops.items()} == {7: 2, 3: 3, 5: 4}
+    oracle, _ = run_dt_per_slot(ct, injections, [route], types, eps)
+    assert dt == oracle
 
 
 def test_random_run_invariants_and_capacity(star_dag):

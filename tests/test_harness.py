@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -138,6 +140,16 @@ def test_parallel_sweep_matches_serial(tmp_path):
     for point in ("point_00", "point_01"):
         assert (a / point / "ledger.csv").read_bytes() == (b / point / "ledger.csv").read_bytes()
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
+
+
+def test_serial_runs_do_not_import_multiprocessing():
+    # only a parallel sweep starts a process pool, so only it loads one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    code = "import sys, dcflow.harness; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_verdict_counts_checked_flow_hops(monkeypatch):

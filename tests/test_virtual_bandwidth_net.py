@@ -3,7 +3,7 @@ import statistics
 import numpy as np
 import pytest
 
-from dcflow.errors import StabilityViolationError
+from dcflow.errors import InternalConsistencyError, StabilityViolationError
 from dcflow.flow_gen import ArrivalStream, FlowType, gen_poisson
 from dcflow.sfa_core import (
     BandwidthNetworkSpec,
@@ -313,3 +313,24 @@ def test_far_occupancy_rates_positive_and_feasible(tree5hop_far):
     assert np.array_equal(x > 0.0, n > 0)
     uses = np.array([[l in res for res in spec.route_resources] for l in range(spec.n_resources)])
     assert (x @ uses.T).max() <= 1.0 + 1e-12
+
+
+class _OverAllocating:
+    """Gives each active route rate 1 until two flows are present, then
+    rate 2, which no unit resource can carry."""
+
+    def rates(self, n):
+        scale = 2.0 if sum(n) >= 2 else 1.0
+        return tuple(scale if nj else 0.0 for nj in n)
+
+
+def test_infeasible_allocation_names_its_resource(two_hop_route, monkeypatch):
+    # the first occupancy is feasible and checked once; the second, a new
+    # occupancy, must be checked too
+    monkeypatch.setattr("dcflow.virtual_bandwidth_net._evaluator",
+                        lambda spec, exact: _OverAllocating())
+    types = (FlowType(0, 1.0, 0.1),)
+    stream = manual_stream(types, [(0.0, 0, 0), (0.25, 0, 1)])
+    with pytest.raises(InternalConsistencyError,
+                       match=r"allocation violates capacity of resource 0: 2\.0"):
+        run_emulation(stream, [two_hop_route])
