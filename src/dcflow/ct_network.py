@@ -7,10 +7,12 @@ preempted work resumes where it left off.  The per-flow, per-queue
 arrival and departure instants recorded here drive the discrete-time
 emulation and its invariant checks.
 
-`run_ct` is one loop over integer queue indices that merges the sorted
-injections with a heap of pending completions.  Completions sharing an
-instant pop in the order they were pushed; that order decides which flow
-reaches a shared next queue first, so it is part of the result.  The
+A queue's arrivals are its flows' injections or their departures from
+the queue before it, so `run_ct` sweeps the queues one at a time, each
+after every queue that feeds it.  `lcfs_sweep` serves one queue; the
+slot engine in `dt_network` runs the same function on slot indices, so
+both networks order ties alike: at one instant a completion comes first,
+then equal arrivals stack in uid order, the larger uid on top.  The
 instants are stored flat, one float array each for arrivals and
 departures indexed by flow-hop offset; `CtResult.taus` and `deltas`
 hand them out per flow, as lists built when read.
@@ -18,11 +20,11 @@ hand them out per flow, as lists built when read.
 
 from __future__ import annotations
 
-import heapq
 import math
 from array import array
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, MutableSequence, Sequence
 from dataclasses import dataclass
+from graphlib import TopologicalSorter
 from itertools import accumulate
 
 from .errors import ConfigError, InternalConsistencyError, StabilityViolationError
@@ -147,7 +149,9 @@ class CtResult:
 
     Flows are numbered in arrival order, (t, uid); `index` maps a uid to
     its number f.  Flow f's instants at the hop-th queue of its route are
-    `tau[offsets[f] + hop]` and `delta[offsets[f] + hop]`.
+    `tau[offsets[f] + hop]` and `delta[offsets[f] + hop]`, as
+    `lcfs_sweep` left them: at one instant a queue completes its head
+    before it takes an arrival, and takes equal arrivals in uid order.
     """
 
     index: dict[int, int]
@@ -168,6 +172,46 @@ class CtResult:
         return self.delta[self.offsets[f + 1] - 1] - self.tau[self.offsets[f]]
 
 
+def lcfs_sweep(offs: Sequence[int], arrive: Iterable, out: array,
+               begins: MutableSequence, ends: MutableSequence) -> None:
+    """Serve one queue preemptive-LCFS, in either network.
+
+    `offs` lists the queue's flow-hop offsets in priority order: ascending
+    arrival, equal arrivals in ascending uid.  Each arrival then outranks
+    every flow already waiting, so the service order is a stack.  `arrive`
+    gives their arrival instants in the same order.  `out[o]` holds
+    flow-hop o's work on entry and its departure on return.  At one
+    instant the head finishes before an arrival is taken: a head whose
+    work ends by the arrival departs, any other is preempted and later
+    resumes with the work it has left.  Each busy period's first and last
+    instants are appended to `begins` and `ends`.
+    """
+    stack = []     # [flow-hop offset, work left], head last
+    started = 0    # instant the head began its current stint
+    for o, t in zip(offs, arrive):
+        while stack:
+            head = stack[-1]
+            end = started + head[1]
+            if end > t:
+                head[1] -= t - started   # the head is preempted
+                break
+            out[head[0]] = end
+            stack.pop()
+            started = end
+            if not stack:
+                ends.append(end)
+        if not stack:
+            begins.append(t)
+        stack.append([o, out[o]])
+        started = t
+    while stack:
+        o, left = stack.pop()
+        started += left
+        out[o] = started
+        if not stack:
+            ends.append(started)
+
+
 def run_ct(
     injections: list[tuple[float, int, int]],
     routes: list[Route],
@@ -176,78 +220,44 @@ def run_ct(
 ) -> CtResult:
     """Simulate the reference network for (time, type_index, uid) injections.
 
-    Completions at an instant are handled before arrivals at the same
-    instant, and simultaneous completions in the order they were
-    scheduled; a completed flow arrives at its next queue immediately.
-    Simultaneous arrivals at a queue stack in uid order, so the larger
-    uid ends up on top and is served first.
-
-    External arrivals are read from the sorted injection list; only
-    completions go through the heap, keyed (t, seq).  Each queue keeps a
-    stack of [flow, remaining, type, hop] entries whose top is in
-    service, the instant the top's current service stint began, and a
-    token that invalidates a completion scheduled before a preemption.
+    Each queue is swept by `lcfs_sweep` after every queue that feeds it;
+    a flow arrives at its next queue the instant it leaves one.
     """
     queues, route_paths = queue_paths(routes)
     paths = [route_paths[t.route] for t in types]
     service = [eps.x_eps[t.size] for t in types]
-    stacks: list[list[list]] = [[] for _ in queues]
-    started = [0.0] * len(queues)
-    tokens = [0] * len(queues)
 
     arrivals = sorted(injections, key=lambda e: (e[0], e[2]))
     index = {uid: f for f, (_, _, uid) in enumerate(arrivals)}
     offsets = array("q", accumulate((len(paths[ti]) for _, ti, _ in arrivals), initial=0))
     taus = array("d", [0.0]) * offsets[-1]
+    # a flow-hop's rounded size, until the sweep overwrites it with the
+    # flow's departure from that queue
     deltas = array("d", [0.0]) * offsets[-1]
-    heap: list[tuple[float, int, int, int, int]] = []  # (t, seq, queue, token, flow)
-    seq = 0
-    i, n_arrivals = 0, len(arrivals)
-    heappush, heappop = heapq.heappush, heapq.heappop
+    last_hop = bytearray(offsets[-1])
+    at_queue = [array("q") for _ in queues]   # flow-hop offsets, flows in uid order
+    feeds = TopologicalSorter()
+    for path in route_paths:
+        feeds.add(path[0])
+        for a, b in zip(path, path[1:]):
+            feeds.add(b, a)
 
-    while True:
-        if heap and (i == n_arrivals or heap[0][0] <= arrivals[i][0]):
-            t, _, q, token, f = heappop(heap)
-            if token != tokens[q]:
-                continue  # superseded by a preemption
-            stack = stacks[q]
-            done_f, remaining, ti, hop = stack.pop()
-            if done_f != f or abs(remaining - (t - started[q])) > 1e-6:
-                raise InternalConsistencyError(f"completion bookkeeping broken at {queues[q]}")
-            deltas[offsets[f] + hop] = t
-            tokens[q] += 1
-            if stack:
-                started[q] = t
-                top = stack[-1]
-                heappush(heap, (t + top[1], seq, q, tokens[q], top[0]))
-                seq += 1
-            hop += 1
-            if hop == len(paths[ti]):
-                continue
-        elif i < n_arrivals:
-            t, ti, _ = arrivals[i]
-            f = i
-            i += 1
-            hop = 0
-        else:
-            break
+    for t_inject, ti, uid in sorted(injections, key=lambda e: e[2]):
+        o = offsets[index[uid]]
+        taus[o] = t_inject
+        for q in paths[ti]:
+            deltas[o] = service[ti]
+            at_queue[q].append(o)
+            o += 1
+        last_hop[o - 1] = 1
 
-        # flow f arrives at the hop-th queue of its route at t
-        q = paths[ti][hop]
-        stack = stacks[q]
-        taus[offsets[f] + hop] = t
-        if stack:
-            top = stack[-1]
-            top[1] -= t - started[q]
-            if top[1] < -1e-9:
-                raise InternalConsistencyError(
-                    f"preempted flow {arrivals[top[0]][2]} overserved at {queues[q]}"
-                )
-        stack.append([f, service[ti], ti, hop])
-        started[q] = t
-        tokens[q] += 1
-        heappush(heap, (t + service[ti], seq, q, tokens[q], f))
-        seq += 1
+    for q in feeds.static_order():
+        # the sort is stable, so equal arrivals stay in uid order
+        offs = sorted(at_queue[q], key=taus.__getitem__)
+        lcfs_sweep(offs, map(taus.__getitem__, offs), deltas, [], [])
+        for o in offs:
+            if not last_hop[o]:
+                taus[o + 1] = deltas[o]
 
     return CtResult(index=index, offsets=offsets, tau=taus, delta=deltas)
 

@@ -14,10 +14,12 @@ its schedule slot there, which depends only on its reference arrival tau
 at that queue, not on when its last packet left the previous queue.  So
 each queue is an LCFS server driven by its own reference arrivals alone,
 and the engine sweeps the queues one at a time.  A queue's activations,
-sorted by tau, come in priority order, so its LCFS order is a stack:
-before an activation at slot s, every head that sends its last packet
-before s departs, and a head still sending is preempted with the packets
-it sent taken off.  Each queue must send exactly the packets its flows
+sorted by tau, come in priority order, so its LCFS order is a stack,
+served by the reference network's own sweep, `ct_network.lcfs_sweep`,
+with schedule slots for instants and packet counts for work: before an
+activation at slot s, every head that sends its last packet before s
+departs, and a head still sending is preempted with the packets it sent
+taken off.  Each queue must send exactly the packets its flows
 demand, in its busy slots.  Departure slots go into one integer array at
 the reference run's flow-hop offsets; a ledger row builds its per-queue
 trail from these shared records when it is read.
@@ -43,7 +45,7 @@ import json
 from array import array
 from dataclasses import dataclass, field
 
-from .ct_network import CtResult, EpsilonConfig, slot_ceil
+from .ct_network import CtResult, EpsilonConfig, lcfs_sweep, slot_ceil
 from .errors import EmulationInfeasibilityError, InternalConsistencyError
 from .flow_gen import FlowType
 from .topology import Route, queue_paths
@@ -195,31 +197,8 @@ def run_dt(
         # ascending (S, tau, uid): each activation outranks every flow
         # already waiting, and the LCFS order is a stack.
         first = len(begins)
-        stack = []     # [flow-hop offset, packets left], head last
-        started = 0    # slot in which the head started sending
-        for o in sorted(offs, key=taus.__getitem__):
-            s = slot_ceil(taus[o], epsv)
-            while stack:
-                head = stack[-1]
-                end = started + head[1]
-                if end > s:
-                    head[1] -= s - started   # the head is preempted
-                    break
-                delta_slots[head[0]] = end
-                stack.pop()
-                started = end
-                if not stack:
-                    ends.append(end)
-            if not stack:
-                begins.append(s)
-            stack.append([o, delta_slots[o]])
-            started = s
-        while stack:
-            o, left = stack.pop()
-            started += left
-            delta_slots[o] = started
-        if offs:
-            ends.append(started)
+        offs = sorted(offs, key=taus.__getitem__)
+        lcfs_sweep(offs, (slot_ceil(taus[o], epsv) for o in offs), delta_slots, begins, ends)
         busy = sum(ends[first:]) - sum(begins[first:])
         if busy != demand[q]:
             raise InternalConsistencyError(f"{queues[q]} sent {busy} packets of {demand[q]}")

@@ -12,6 +12,7 @@ counted in delay statistics".
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,7 +106,7 @@ def gen_poisson(types: list[FlowType] | tuple[FlowType, ...], horizon: float, se
     return ArrivalStream(horizon=float(horizon), rng_seed=int(seed), types=types, events=events)
 
 
-def regularize(stream: ArrivalStream, reg_rates: dict[int, float] | list[float]) -> ArrivalStream:
+def regularize(stream: ArrivalStream, reg_rates: Sequence[float]) -> ArrivalStream:
     """Re-emit each type at Poisson epochs, substituting dummies when idle.
 
     Emission epochs are an independent Poisson process per type at the
@@ -114,10 +115,7 @@ def regularize(stream: ArrivalStream, reg_rates: dict[int, float] | list[float])
     size.  Real flows keep their uid and remember their original arrival
     time; dummies get fresh negative uids.
     """
-    if isinstance(reg_rates, dict):
-        rates = [reg_rates[ti] for ti in range(len(stream.types))]
-    else:
-        rates = list(reg_rates)
+    rates = list(reg_rates)
     if len(rates) != len(stream.types):
         raise ValueError("need one regularizer rate per type")
     for ti, ftype in enumerate(stream.types):

@@ -264,7 +264,7 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
 
     stream = gen_poisson(types, config.horizon, seed)
     if plan.reg is not None:
-        stream = regularize(stream, list(plan.reg))
+        stream = regularize(stream, plan.reg)
 
     nb = run_emulation(stream, routes, profile=plan.profile, record_states=False)
     injections = sorted(

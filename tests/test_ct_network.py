@@ -3,9 +3,11 @@ import statistics
 import pytest
 
 from dcflow.ct_network import choose_epsilon, ct_delay_oracle, run_ct, slot_ceil
+from dcflow.dt_network import run_dt
 from dcflow.errors import ConfigError, StabilityViolationError
 from dcflow.flow_gen import FlowType, gen_poisson
 from dcflow.topology import compute_loads, make_route
+from slot_oracle import run_dt_per_slot
 
 
 def single_queue_profile(chain_dag, rate=0.5, size=1.0):
@@ -112,10 +114,9 @@ def test_simultaneous_events_order(star_dag):
     ct = run_ct([(0.0, 0, 0), (1.0, 0, 1)], routes, types, eps)
     assert ct.deltas == {0: [1.0], 1: [2.0]}
 
-    # simultaneous completions go in the order they were scheduled: both
-    # flows leave their first queue at 1.0 and meet at r/down; flow 0's
-    # completion was scheduled first, so it arrives first and flow 1
-    # preempts it there
+    # equal arrivals at a queue stack in uid order: both flows leave
+    # their first queue at 1.0 and meet at r/down, where flow 1, the
+    # larger uid, goes on top and preempts flow 0
     routes = [make_route(star_dag, "a", "b", route_id=0), make_route(star_dag, "b", "a", route_id=1)]
     types = (FlowType(0, 1.0, 0.1), FlowType(1, 1.0, 0.1))
     profile = compute_loads(routes, {(0, 1.0): 0.1, (1, 1.0): 0.1})
@@ -125,27 +126,76 @@ def test_simultaneous_events_order(star_dag):
     assert ct.deltas == {0: [1.0, 3.0, 4.0], 1: [1.0, 2.0, 3.0]}
 
 
-def queue_logs(ct, route):
+def test_equal_arrivals_from_two_queues_stack_by_uid(star_dag):
+    # flows 5 and 3 leave a/up and b/up at 1.0 and meet at r/down: flow
+    # 5, the larger uid, goes on top in both networks, so the slot
+    # engine's tie order reproduces the reference run
+    routes = [make_route(star_dag, "a", "b", route_id=0), make_route(star_dag, "b", "a", route_id=1)]
+    types = (FlowType(0, 1.0, 0.1), FlowType(1, 0.5, 0.1))
+    eps = choose_epsilon(compute_loads(routes, {(0, 1.0): 0.1, (1, 0.5): 0.1}), 2.0,
+                         override=0.5)
+    injections = [(0.0, 0, 5), (0.5, 1, 3)]
+    ct = run_ct(injections, routes, types, eps)
+    assert ct.taus == {5: [0.0, 1.0, 2.0], 3: [0.5, 1.0, 2.5]}
+    assert ct.deltas == {5: [1.0, 2.0, 3.0], 3: [1.0, 2.5, 3.0]}
+    dt = run_dt(ct, injections, routes, types, eps)
+    at_r_down = {row.uid: row.hops[1] for row in dt.ledger.rows}
+    assert {uid: (h[3], h[4]) for uid, h in at_r_down.items()} == {5: (2, 4), 3: (2, 5)}
+    oracle, _ = run_dt_per_slot(ct, injections, routes, types, eps)
+    assert dt == oracle
+
+
+def test_completion_at_an_arrival_instant_departs(chain_dag):
+    # flow 2 finishes its work at a/up at 1.0, the instant flow 1 arrives
+    # there from g/up: it departs, and is not preempted with no work left
+    routes = [make_route(chain_dag, "g", "r", route_id=0), make_route(chain_dag, "a", "r", route_id=1)]
+    types = (FlowType(0, 1.0, 0.1), FlowType(1, 0.5, 0.1))
+    eps = choose_epsilon(compute_loads(routes, {(0, 1.0): 0.1, (1, 0.5): 0.1}), 2.0,
+                         override=0.5)
+    ct = run_ct([(0.0, 0, 1), (0.5, 1, 2)], routes, types, eps)
+    assert ct.deltas[2] == [1.0]
+    assert ct.deltas[1] == [1.0, 2.0]
+
+
+LCFS_NETWORKS = {
+    # one two-hop route over the chain's up-queues
+    "chain": ((("g", "r"),), ((0, 1.0, 0.6),)),
+    # two routes, one size each, merging at r/down
+    "star": ((("a", "b"), ("b", "a")), ((0, 1.0, 0.3), (1, 0.5, 0.6))),
+}
+
+
+def lcfs_network(name, chain_dag, star_dag):
+    pairs, specs = LCFS_NETWORKS[name]
+    dag = chain_dag if name == "chain" else star_dag
+    routes = [make_route(dag, s, d, route_id=i) for i, (s, d) in enumerate(pairs)]
+    types = tuple(FlowType(*spec) for spec in specs)
+    profile = compute_loads(routes, {(t.route, t.size): t.rate for t in types})
+    return routes, types, choose_epsilon(profile, 2.0)
+
+
+def queue_logs(ct, routes, types, injections):
     """Each queue's (t, "arr" | "dep", uid) events, rebuilt from the
-    per-hop instants; at one instant departures come first, as in run_ct."""
-    logs = {q: [] for q in route.queue_path}
-    for uid in ct.taus:
-        for q, tau, delta in zip(route.queue_path, ct.taus[uid], ct.deltas[uid]):
-            logs[q] += [(tau, 1, uid), (delta, 0, uid)]
+    per-hop instants; at one instant departures come first, then
+    arrivals in uid order, as in run_ct."""
+    by_id = {r.id: r for r in routes}
+    logs = {}
+    for _, ti, uid in injections:
+        path = by_id[types[ti].route].queue_path
+        for q, tau, delta in zip(path, ct.taus[uid], ct.deltas[uid]):
+            logs.setdefault(q, []).extend([(tau, 1, uid), (delta, 0, uid)])
     return {q: [(t, "arr" if k else "dep", uid) for t, k, uid in sorted(log)]
             for q, log in logs.items()}
 
 
-def test_lcfs_pr_sample_path(two_hop_route):
-    types = (FlowType(0, 1.0, 0.6),)
-    profile = compute_loads([two_hop_route], {(0, 1.0): 0.6})
-    eps = choose_epsilon(profile, 2.0)
-    stream = gen_poisson(types, 2_000.0, seed=31)
-    inj = list(stream.events)
-    ct = run_ct(inj, [two_hop_route], types, eps)
+@pytest.mark.parametrize("network", sorted(LCFS_NETWORKS))
+def test_lcfs_pr_sample_path(network, chain_dag, star_dag):
+    routes, types, eps = lcfs_network(network, chain_dag, star_dag)
+    inj = list(gen_poisson(types, 2_000.0, seed=31).events)
+    ct = run_ct(inj, routes, types, eps)
     # replay each queue's log as a pure stack: every departure must pop
     # the most recent arrival among still-present flows
-    for q, log in queue_logs(ct, two_hop_route).items():
+    for q, log in queue_logs(ct, routes, types, inj).items():
         stack = []
         for t, kind, uid in log:
             if kind == "arr":
@@ -156,31 +206,30 @@ def test_lcfs_pr_sample_path(two_hop_route):
         assert not stack
 
 
-def test_busy_cycle_identity(two_hop_route):
+@pytest.mark.parametrize("network", sorted(LCFS_NETWORKS))
+def test_busy_cycle_identity(network, chain_dag, star_dag):
     # within one busy cycle the opener departs last, after the summed
     # rounded sizes of every flow in the cycle
-    types = (FlowType(0, 1.0, 0.6),)
-    profile = compute_loads([two_hop_route], {(0, 1.0): 0.6})
-    eps = choose_epsilon(profile, 2.0)
-    stream = gen_poisson(types, 3_000.0, seed=32)
-    ct = run_ct(list(stream.events), [two_hop_route], types, eps)
-    xe = eps.x_eps[1.0]
-    for q, log in queue_logs(ct, two_hop_route).items():
+    routes, types, eps = lcfs_network(network, chain_dag, star_dag)
+    inj = list(gen_poisson(types, 3_000.0, seed=32).events)
+    ct = run_ct(inj, routes, types, eps)
+    x_eps = {uid: eps.x_eps[types[ti].size] for _, ti, uid in inj}
+    for q, log in queue_logs(ct, routes, types, inj).items():
         depth = 0
         opener = None
-        count = 0
+        work = 0.0
         start = None
         for t, kind, uid in log:
             if kind == "arr":
                 if depth == 0:
-                    opener, start, count = uid, t, 0
+                    opener, start, work = uid, t, 0.0
                 depth += 1
-                count += 1
+                work += x_eps[uid]
             else:
                 depth -= 1
                 if depth == 0:
                     assert uid == opener
-                    assert t == pytest.approx(start + count * xe, rel=1e-9)
+                    assert t == pytest.approx(start + work, rel=1e-9)
 
 
 def test_work_conservation_per_hop(two_hop_route):

@@ -240,7 +240,8 @@ def _outcome(engine):
 @st.composite
 def slot_runs(draw):
     """A random network, flow types, injections and slot length, and
-    optionally a tampered reference run that breaks an invariant."""
+    optionally a tampered reference run that breaks an invariant; the
+    last item says whether it was tampered."""
     tree, pairs = NETWORKS[draw(st.sampled_from(sorted(NETWORKS)))]
     dag = build_dag(tree)
     n_routes = draw(st.integers(1, len(pairs)))
@@ -260,7 +261,8 @@ def slot_runs(draw):
     profile = compute_loads(routes, {(t.route, t.size): t.rate for t in types})
     eps = choose_epsilon(profile, 2.0, override=override)
     ct = run_ct(injections, routes, types, eps)
-    if draw(st.booleans()):
+    tampered = draw(st.booleans())
+    if tampered:
         # pull some reference instants earlier: a flow then reaches a
         # queue after its schedule slot, or leaves it after its bound
         for _ in range(draw(st.integers(1, 3))):
@@ -269,13 +271,13 @@ def slot_runs(draw):
             f = ct.index[uid]
             hop = draw(st.integers(0, ct.offsets[f + 1] - ct.offsets[f] - 1))
             table[ct.offsets[f] + hop] -= draw(st.sampled_from((0.05, 0.5, 2.0)))
-    return ct, injections, routes, types, eps
+    return ct, injections, routes, types, eps, tampered
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(slot_runs())
 def test_event_engine_matches_per_slot_oracle(run):
-    ct, injections, routes, types, eps = run
+    ct, injections, routes, types, eps, tampered = run
     arrive = {uid: t - 0.1 for t, _, uid in injections}
     got, got_exc = _outcome(lambda: run_dt(ct, injections, routes, types, eps, arrive))
     want, want_exc = _outcome(
@@ -283,6 +285,9 @@ def test_event_engine_matches_per_slot_oracle(run):
     )
     event(f"outcome: {want_exc.__name__ if want_exc else 'ledger'}")
     assert got_exc == want_exc
+    if not tampered:
+        # the slot engine emulates an untampered reference run exactly
+        assert want_exc is None
     if want is not None:
         assert got.ledger.rows == want.ledger.rows
         assert got.n_slots_processed == want.n_slots_processed
