@@ -8,14 +8,15 @@ arrival and departure instants recorded here drive the discrete-time
 emulation and its invariant checks.
 
 A queue's arrivals are its flows' injections or their departures from
-the queue before it, so `run_ct` sweeps the queues one at a time, each
-after every queue that feeds it.  `lcfs_sweep` serves one queue; the
-slot engine in `dt_network` runs the same function on slot indices, so
-both networks order ties alike: at one instant a completion comes first,
-then equal arrivals stack in uid order, the larger uid on top.  The
-instants are stored flat, one float array each for arrivals and
-departures indexed by flow-hop offset; `CtResult.taus` and `deltas`
-hand them out per flow, as lists built when read.
+the queue before it, so `run_ct` sweeps the queues one at a time in
+index order: `topology.queue_paths` numbers every queue after each queue
+that feeds it.  `lcfs_sweep` serves one queue; the slot engine in
+`dt_network` runs the same function on slot indices, so both networks
+order ties alike: at one instant a completion comes first, then equal
+arrivals stack in uid order, the larger uid on top.  The instants are
+stored flat, one float array each for arrivals and departures indexed
+by flow-hop offset; `CtResult.taus` and `deltas` hand them out per
+flow, as lists built when read.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ import math
 from array import array
 from collections.abc import Iterable, Mapping, MutableSequence, Sequence
 from dataclasses import dataclass
-from graphlib import TopologicalSorter
 from itertools import accumulate
 
 from .errors import ConfigError, InternalConsistencyError, StabilityViolationError
-from .topology import LoadProfile, QueueNode, Route, queue_paths
+from .topology import LoadProfile, QueueNode, Route, queue_paths, require_admissible
 from .flow_gen import FlowType
 
 _GUARD = 1e-9
@@ -55,7 +55,6 @@ class EpsilonConfig:
     x_eps: dict[float, float]          # size -> eps * ceil(size / eps)
     n_slots: dict[float, int]          # size -> packet count
     f_eps: dict[QueueNode, float]      # queue -> load at rounded sizes
-    rule_chosen: bool = True
 
 
 def choose_epsilon(profile: LoadProfile, c0: float, override: float | None = None) -> EpsilonConfig:
@@ -68,8 +67,7 @@ def choose_epsilon(profile: LoadProfile, c0: float, override: float | None = Non
     """
     if c0 <= 1:
         raise ConfigError("C0 must exceed 1")
-    if any(fv >= 1.0 for fv in profile.f.values()):
-        raise StabilityViolationError("load is not admissible; cannot discretize")
+    require_admissible(profile)
     if not profile.lam:
         raise ConfigError("no flow types; slot length undefined")
 
@@ -77,7 +75,6 @@ def choose_epsilon(profile: LoadProfile, c0: float, override: float | None = Non
         if override <= 0:
             raise ConfigError("slot length must be positive")
         eps = float(override)
-        rule_chosen = False
     else:
         per_queue = []
         for q, fv in profile.f.items():
@@ -86,7 +83,6 @@ def choose_epsilon(profile: LoadProfile, c0: float, override: float | None = Non
                 per_queue.append((1.0 - fv) / (c0 * nu))
         per_route = [1.0 - rho for rho in profile.rho.values()]
         eps = min(min(per_queue), min(per_route))
-        rule_chosen = True
 
     x_eps: dict[float, float] = {}
     n_slots: dict[float, int] = {}
@@ -103,24 +99,14 @@ def choose_epsilon(profile: LoadProfile, c0: float, override: float | None = Non
     for q, fe in f_eps.items():
         if fe >= 1.0:
             raise StabilityViolationError(f"rounded load at {q} reaches capacity: {fe}")
-        if rule_chosen:
+        if override is None:
             floor = (c0 - 1.0) / c0 * (1.0 - profile.f[q])
             if 1.0 - fe < floor - 1e-12:
                 raise InternalConsistencyError(
                     f"slot rule failed its load-inflation guarantee at {q}"
                 )
 
-    return EpsilonConfig(epsilon=eps, c0=float(c0), x_eps=x_eps, n_slots=n_slots,
-                         f_eps=f_eps, rule_chosen=rule_chosen)
-
-
-def ct_delay_oracle(eps: EpsilonConfig, profile: LoadProfile) -> dict[tuple[int, float], float]:
-    """Closed-form per-type sojourn: sum over queues of x_eps / (1 - f_eps)."""
-    out = {}
-    for (j, x) in profile.lam:
-        xe = eps.x_eps[x]
-        out[(j, x)] = sum(xe / (1.0 - eps.f_eps[q]) for q in profile.routes[j].queue_path)
-    return out
+    return EpsilonConfig(epsilon=eps, c0=float(c0), x_eps=x_eps, n_slots=n_slots, f_eps=f_eps)
 
 
 class _PerHop(Mapping):
@@ -220,8 +206,9 @@ def run_ct(
 ) -> CtResult:
     """Simulate the reference network for (time, type_index, uid) injections.
 
-    Each queue is swept by `lcfs_sweep` after every queue that feeds it;
-    a flow arrives at its next queue the instant it leaves one.
+    The queues are swept by `lcfs_sweep` in index order, which serves
+    each after every queue that feeds it; a flow arrives at its next
+    queue the instant it leaves one.
     """
     queues, route_paths = queue_paths(routes)
     paths = [route_paths[t.route] for t in types]
@@ -236,11 +223,6 @@ def run_ct(
     deltas = array("d", [0.0]) * offsets[-1]
     last_hop = bytearray(offsets[-1])
     at_queue = [array("q") for _ in queues]   # flow-hop offsets, flows in uid order
-    feeds = TopologicalSorter()
-    for path in route_paths:
-        feeds.add(path[0])
-        for a, b in zip(path, path[1:]):
-            feeds.add(b, a)
 
     for t_inject, ti, uid in sorted(injections, key=lambda e: e[2]):
         o = offsets[index[uid]]
@@ -251,9 +233,9 @@ def run_ct(
             o += 1
         last_hop[o - 1] = 1
 
-    for q in feeds.static_order():
+    for offs in at_queue:
         # the sort is stable, so equal arrivals stay in uid order
-        offs = sorted(at_queue[q], key=taus.__getitem__)
+        offs = sorted(offs, key=taus.__getitem__)
         lcfs_sweep(offs, map(taus.__getitem__, offs), deltas, [], [])
         for o in offs:
             if not last_hop[o]:

@@ -22,15 +22,7 @@ from .dt_network import run_dt, write_hop_table_jsonl, write_ledger_csv
 from .errors import ConfigError, MalformedTreeError, StabilityViolationError
 from .flow_gen import FlowType, gen_poisson, regularize
 from .metrics import TypeStats, format_report, summarize, write_summary_csv
-from .topology import (
-    LoadProfile,
-    Route,
-    TreeSpec,
-    build_dag,
-    compute_loads,
-    is_admissible,
-    make_route,
-)
+from .topology import LoadProfile, Route, TreeSpec, compute_loads, make_route, require_admissible
 from .virtual_bandwidth_net import run_emulation, write_injection_trace
 
 
@@ -123,8 +115,7 @@ def _build_routes(config: ExperimentConfig) -> list[Route]:
         root=config.topology_root,
         parent=config.topology_parent,
     )
-    dag = build_dag(tree)
-    return [make_route(dag, s, d, route_id=i) for i, (s, d) in enumerate(config.routes)]
+    return [make_route(tree, s, d, route_id=i) for i, (s, d) in enumerate(config.routes)]
 
 
 @dataclass
@@ -171,9 +162,10 @@ def plan_point(config: ExperimentConfig, mult: float) -> PointPlan:
         lam = {(t.route, t.size): reg[i] for i, t in enumerate(types)}
         extra_wait = {(t.route, t.size): 1.0 / (reg[i] - t.rate) for i, t in enumerate(types)}
     profile = compute_loads(routes, lam)
-    if not is_admissible(profile):
-        offenders = sorted(str(q) for q, fv in profile.f.items() if fv >= 1.0)
-        raise ConfigError(f"load at sweep {mult}: inadmissible (f >= 1 at {offenders})")
+    try:
+        require_admissible(profile)
+    except StabilityViolationError as exc:
+        raise ConfigError(f"load at sweep {mult}: {exc}") from exc
     try:
         eps = choose_epsilon(profile, config.c0, config.epsilon_override)
     except StabilityViolationError as exc:

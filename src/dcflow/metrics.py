@@ -7,9 +7,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ct_network import EpsilonConfig, ct_delay_oracle
+from .ct_network import EpsilonConfig
 from .dt_network import DelayLedger
-from .sfa_core import StationaryLaw, expected_flow_delay, occupancies_within
+from .sfa_core import StationaryLaw, occupancies_within
 from .topology import LoadProfile
 
 
@@ -60,16 +60,19 @@ def oracle_table(
     """Oracles and bounds per type, in (route, size) order.
 
     The waiting oracle is the virtual network's mean sojourn and the
-    scheduling oracle the reference network's; the waiting bound is
-    x * d / (1 - rho) for a d-hop route, and the scheduling bound
-    (C0 / (C0 - 1)) * (x * d / (1 - rho) + d).  `extra_wait` adds a
-    per-type constant to the waiting oracle and bound: a regularized run
-    passes the regularizer stage's exact expected sojourn here, since
-    measured waits then start at the external arrival rather than at the
-    emission.
+    scheduling oracle the reference network's, each a sum over the route's
+    queues of size / (1 - load): the size x and loads f for the virtual
+    network, the slot-rounded x_eps and f_eps for the reference network.
+    The waiting bound is x * d / (1 - rho) for a d-hop route, and the
+    scheduling bound (C0 / (C0 - 1)) * (x * d / (1 - rho) + d).
+    `extra_wait` adds a per-type constant to the waiting oracle and bound:
+    a regularized run passes the regularizer stage's exact expected
+    sojourn here, since measured waits then start at the external arrival
+    rather than at the emission.
     """
-    oracle_w = expected_flow_delay(profile)
-    oracle_s = ct_delay_oracle(eps, profile)
+    def sojourn(j: int, size: float, load: dict) -> float:
+        return sum(size / (1.0 - load[q]) for q in profile.routes[j].queue_path)
+
     scale = eps.c0 / (eps.c0 - 1.0)
     extra_wait = extra_wait or {}
     table = {}
@@ -79,8 +82,8 @@ def oracle_table(
         extra = extra_wait.get((j, x), 0.0)
         b_w = w + extra
         b_s = scale * (w + d)
-        table[(j, x)] = TypeOracle(oracle_w[(j, x)] + extra, oracle_s[(j, x)], b_w, b_s,
-                                   b_w + b_s)
+        table[(j, x)] = TypeOracle(sojourn(j, x, profile.f) + extra,
+                                   sojourn(j, eps.x_eps[x], eps.f_eps), b_w, b_s, b_w + b_s)
     return table
 
 

@@ -23,7 +23,7 @@ from .sfa_core import (
     phi_big_bruteforce,
     phi_rate,
 )
-from .topology import TreeSpec, build_dag, compute_loads, make_route
+from .topology import TreeSpec, compute_loads, make_route
 
 
 @dataclass
@@ -114,13 +114,12 @@ def random_admissible_network(rng: np.random.Generator):
     nodes = tuple(f"n{i}" for i in range(n_nodes))
     parent = {nodes[i]: nodes[int(rng.integers(0, i))] for i in range(1, n_nodes)}
     tree = TreeSpec(nodes=nodes, root=nodes[0], parent=parent)
-    dag = build_dag(tree)
 
     n_routes = int(rng.integers(1, 4))
     routes = []
     for j in range(n_routes):
         src, dst = rng.choice(n_nodes, size=2, replace=False)
-        routes.append(make_route(dag, nodes[src], nodes[dst], route_id=j))
+        routes.append(make_route(tree, nodes[src], nodes[dst], route_id=j))
 
     sizes = [0.5, 1.0, 2.0]
     lam = {}

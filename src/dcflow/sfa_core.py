@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import EnumerationLimitError, StabilityViolationError
-from .topology import LoadProfile
 
 Number = Union[float, Fraction]
 
@@ -358,15 +357,3 @@ def expected_occupancy(spec: BandwidthNetworkSpec, alpha) -> tuple[float, ...]:
             total += (b * float(alpha[j]) / float(spec.capacities[l])) / (1.0 - g[l])
         out.append(total)
     return tuple(out)
-
-
-def expected_flow_delay(profile: LoadProfile) -> dict[tuple[int, float], float]:
-    """Mean sojourn of a type-(route, size) flow in the virtual network:
-    sum over the route's queues of size / (1 - f_v)."""
-    if any(fv >= 1.0 for fv in profile.f.values()):
-        raise StabilityViolationError("profile is not admissible")
-    out = {}
-    for (j, x) in profile.lam:
-        route = profile.routes[j]
-        out[(j, x)] = sum(x / (1.0 - profile.f[q]) for q in route.queue_path)
-    return out

@@ -1,18 +1,21 @@
-"""Tree topologies and their up/down queue DAGs.
+"""Tree topologies, routes over their up/down queues, and loads.
 
 A datacenter tree is described by a parent map and a chosen root.  Every
 node carries two queues: one sending data toward the root ("up") and one
-sending data away from it ("down").  Orienting all traffic through these
-queues yields a directed acyclic graph whose topological order respects
-queue dominance: whenever some flow's packets visit q1 before q2, q1
-precedes q2 in the order.
+sending data away from it ("down").  A route climbs up-queues to the
+lowest common ancestor and then descends down-queues, so the queues that
+routes visit form a directed acyclic graph.  `queue_paths` numbers the
+queues in a topological order of that graph, the one numbering every
+engine shares: whenever some flow visits q1 before q2, q1 has the
+smaller index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from graphlib import TopologicalSorter
 
-from .errors import MalformedTreeError
+from .errors import MalformedTreeError, StabilityViolationError
 
 UP = "up"
 DOWN = "down"
@@ -35,7 +38,7 @@ class TreeSpec:
     root: str
     parent: dict[str, str]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         nodes = set(self.nodes)
         if len(nodes) != len(self.nodes):
             raise MalformedTreeError("duplicate node names")
@@ -61,55 +64,6 @@ class TreeSpec:
                     raise MalformedTreeError(f"cycle in parent map through {cur!r}")
                 seen.add(cur)
 
-    def depth(self, node: str) -> int:
-        d = 0
-        while node != self.root:
-            node = self.parent[node]
-            d += 1
-        return d
-
-
-@dataclass
-class Dag:
-    """Queue-level network universe derived from a tree."""
-
-    tree: TreeSpec
-    queues: list[QueueNode]
-    links: set[tuple[QueueNode, QueueNode]]
-    topo_order: list[QueueNode]
-    position: dict[QueueNode, int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.position = {q: i for i, q in enumerate(self.topo_order)}
-
-
-def build_dag(spec: TreeSpec) -> Dag:
-    """Expand a tree into its up/down queue DAG.
-
-    Links follow parent/child adjacency: a child's up-queue feeds the
-    parent's up- and down-queues, and a parent's down-queue feeds each
-    child's down-queue.  The topological order lists all up-queues by
-    decreasing depth (leaves first, root last) followed by all down-queues
-    by increasing depth (root first, leaves last); ties keep the node
-    order of the spec.
-    """
-    spec.validate()
-    depth = {v: spec.depth(v) for v in spec.nodes}
-    order_index = {v: i for i, v in enumerate(spec.nodes)}
-
-    ups = sorted(spec.nodes, key=lambda v: (-depth[v], order_index[v]))
-    downs = sorted(spec.nodes, key=lambda v: (depth[v], order_index[v]))
-    topo = [QueueNode(v, UP) for v in ups] + [QueueNode(v, DOWN) for v in downs]
-
-    links: set[tuple[QueueNode, QueueNode]] = set()
-    for child, par in spec.parent.items():
-        links.add((QueueNode(child, UP), QueueNode(par, UP)))
-        links.add((QueueNode(child, UP), QueueNode(par, DOWN)))
-        links.add((QueueNode(par, DOWN), QueueNode(child, DOWN)))
-
-    queues = [QueueNode(v, UP) for v in spec.nodes] + [QueueNode(v, DOWN) for v in spec.nodes]
-    return Dag(tree=spec, queues=queues, links=links, topo_order=topo)
-
 
 @dataclass(frozen=True)
 class Route:
@@ -133,14 +87,13 @@ def _chain_to_root(spec: TreeSpec, node: str) -> list[str]:
     return chain
 
 
-def make_route(dag: Dag, src: str, dst: str, route_id: int = 0) -> Route:
+def make_route(spec: TreeSpec, src: str, dst: str, route_id: int = 0) -> Route:
     """Queue path from src to dst: up-queues to the lowest common ancestor,
     then down-queues to the destination.
 
     A flow terminating at the ancestor itself ends on the up-queue that
     reaches it; otherwise it ends on the destination's own down-queue.
     """
-    spec = dag.tree
     if src == dst:
         raise ValueError("route needs distinct endpoints")
     if src not in set(spec.nodes) or dst not in set(spec.nodes):
@@ -160,8 +113,11 @@ def make_route(dag: Dag, src: str, dst: str, route_id: int = 0) -> Route:
 
 
 def queue_paths(routes: list[Route]) -> tuple[list[QueueNode], list[tuple[int, ...]]]:
-    """Number the routes' queues in order of first use, walking the routes
-    by id; return the queues and, at index r, route r's queue indices.
+    """Number the routes' queues in a topological order of their hops;
+    return the queues and, at index r, route r's queue indices, which
+    increase along the route.  A queue is numbered after every queue
+    that feeds it, so serving queues 0, 1, ... in turn serves each one
+    after all of its arrivals are known.
 
     Route ids must be 0 .. len(routes) - 1: engines index per-route
     tables by route id.
@@ -169,14 +125,15 @@ def queue_paths(routes: list[Route]) -> tuple[list[QueueNode], list[tuple[int, .
     by_id = {r.id: r for r in routes}
     if sorted(by_id) != list(range(len(routes))):
         raise ValueError("route ids must be 0 .. len(routes) - 1")
-    index: dict[QueueNode, int] = {}
-    paths = []
-    for j in range(len(routes)):
-        path = by_id[j].queue_path
-        for q in path:
-            index.setdefault(q, len(index))
-        paths.append(tuple(index[q] for q in path))
-    return list(index), paths
+    qpaths = [by_id[j].queue_path for j in range(len(routes))]
+    feeds = TopologicalSorter()
+    for path in qpaths:
+        feeds.add(path[0])
+        for a, b in zip(path, path[1:]):
+            feeds.add(b, a)
+    queues = list(feeds.static_order())
+    index = {q: i for i, q in enumerate(queues)}
+    return queues, [tuple(index[q] for q in path) for path in qpaths]
 
 
 @dataclass
@@ -184,7 +141,6 @@ class LoadProfile:
     """Per-queue work rates and per-route effective loads for a rate vector."""
 
     lam: dict[tuple[int, float], float]  # (route id, size) -> flow arrival rate
-    alpha: dict[int, float]              # route id -> work arrival rate
     f: dict[QueueNode, float]            # queue -> work arrival rate
     rho: dict[int, float]                # route id -> max queue load along the route
     routes: dict[int, Route]
@@ -211,10 +167,6 @@ def compute_loads(routes: list[Route], lam: dict[tuple[int, float], float]) -> L
         if rate < 0:
             raise ValueError(f"arrival rate must be nonnegative, got {rate}")
 
-    alpha = {j: 0.0 for j in by_id}
-    for (j, x), rate in lam.items():
-        alpha[j] += x * rate
-
     f: dict[QueueNode, float] = {}
     for route in routes:
         for q in route.queue_path:
@@ -224,9 +176,12 @@ def compute_loads(routes: list[Route], lam: dict[tuple[int, float], float]) -> L
             f[q] += x * rate
 
     rho = {j: max(f[q] for q in by_id[j].queue_path) for j in by_id}
-    return LoadProfile(lam=dict(lam), alpha=alpha, f=f, rho=rho, routes=by_id)
+    return LoadProfile(lam=dict(lam), f=f, rho=rho, routes=by_id)
 
 
-def is_admissible(profile: LoadProfile) -> bool:
-    """Strict capacity check: every queue's work rate below its unit rate."""
-    return all(fv < 1.0 for fv in profile.f.values())
+def require_admissible(profile: LoadProfile) -> None:
+    """Strict capacity check: every queue's work rate below its unit rate.
+    Raises StabilityViolationError naming the queues at or over capacity."""
+    offenders = sorted(str(q) for q, fv in profile.f.items() if fv >= 1.0)
+    if offenders:
+        raise StabilityViolationError(f"inadmissible (f >= 1 at {offenders})")

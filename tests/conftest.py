@@ -1,6 +1,6 @@
 import pytest
 
-from dcflow.topology import TreeSpec, build_dag, make_route
+from dcflow.topology import TreeSpec, make_route
 
 
 @pytest.fixture
@@ -10,21 +10,11 @@ def star_tree():
 
 
 @pytest.fixture
-def star_dag(star_tree):
-    return build_dag(star_tree)
-
-
-@pytest.fixture
 def chain_tree():
     """Chain r - a - g; route g->r spans two up-queues."""
     return TreeSpec(nodes=("r", "a", "g"), root="r", parent={"a": "r", "g": "a"})
 
 
 @pytest.fixture
-def chain_dag(chain_tree):
-    return build_dag(chain_tree)
-
-
-@pytest.fixture
-def two_hop_route(chain_dag):
-    return make_route(chain_dag, "g", "r", route_id=0)
+def two_hop_route(chain_tree):
+    return make_route(chain_tree, "g", "r", route_id=0)

@@ -11,12 +11,13 @@ import time
 
 import pytest
 
-from dcflow.ct_network import choose_epsilon, ct_delay_oracle, run_ct, slot_ceil
+from dcflow.ct_network import choose_epsilon, run_ct, slot_ceil
 from dcflow.dt_network import run_dt
 from dcflow.flow_gen import FlowType, gen_poisson
 from dcflow.harness import ExperimentConfig, run_experiment
 from dcflow.metrics import (
     compare_distribution,
+    oracle_table,
     summarize,
     test_poisson,
     window_count_correlation,
@@ -27,7 +28,7 @@ from dcflow.selftest import (
     check_processor_sharing,
 )
 from dcflow.sfa_core import expected_occupancy, stationary_pi
-from dcflow.topology import TreeSpec, build_dag, compute_loads, make_route
+from dcflow.topology import TreeSpec, compute_loads, make_route
 from dcflow.virtual_bandwidth_net import (
     bandwidth_spec_for,
     departure_process,
@@ -41,14 +42,12 @@ def report(criterion: int, detail: str) -> None:
 
 # ---------------------------------------------------------------- topology --
 
-def chain_dag():
-    tree = TreeSpec(nodes=("r", "a", "g"), root="r", parent={"a": "r", "g": "a"})
-    return build_dag(tree)
+def chain_tree():
+    return TreeSpec(nodes=("r", "a", "g"), root="r", parent={"a": "r", "g": "a"})
 
 
-def star_dag():
-    tree = TreeSpec(nodes=("r", "a", "b"), root="r", parent={"a": "r", "b": "r"})
-    return build_dag(tree)
+def star_tree():
+    return TreeSpec(nodes=("r", "a", "b"), root="r", parent={"a": "r", "b": "r"})
 
 
 # ------------------------------------------------------------- shared runs --
@@ -56,8 +55,8 @@ def star_dag():
 @pytest.fixture(scope="module")
 def product_form_run():
     """Two routes over the same two queues, f_v = 0.6, one million events."""
-    dag = chain_dag()
-    routes = [make_route(dag, "g", "r", route_id=0), make_route(dag, "g", "r", route_id=1)]
+    tree = chain_tree()
+    routes = [make_route(tree, "g", "r", route_id=0), make_route(tree, "g", "r", route_id=1)]
     types = (FlowType(0, 1.0, 0.3), FlowType(1, 1.0, 0.3))
     horizon = 1_000_000 / 1.2  # two events per flow
     t0 = time.monotonic()
@@ -81,8 +80,8 @@ def sweep_runs():
     """Full pipeline on a shared-root tree, two routes, sizes {1, 2},
     C0 = 2, at loads 0.5 / 0.8 / 0.9; the 0.9 point carries over 1e5
     flows and doubles as the adversarial high-load run."""
-    dag = star_dag()
-    routes = [make_route(dag, "r", "a", route_id=0), make_route(dag, "r", "b", route_id=1)]
+    tree = star_tree()
+    routes = [make_route(tree, "r", "a", route_id=0), make_route(tree, "r", "b", route_id=1)]
     out = {}
     for rho in SWEEP_RHOS:
         types = (
@@ -182,8 +181,8 @@ def test_criterion_04_poisson_departures(product_form_run):
 
 
 def test_criterion_05_waiting_delay_law_and_bound():
-    dag = chain_dag()
-    route = make_route(dag, "g", "r", route_id=0)
+    tree = chain_tree()
+    route = make_route(tree, "g", "r", route_id=0)
     results = []
     for rho in (0.3, 0.5, 0.7, 0.8):
         for x in (1.0, 2.0):
@@ -218,9 +217,9 @@ def map_seed(rho: float, x: float) -> int:
 
 
 def test_criterion_06_reference_network_delay_law():
-    dag = chain_dag()
-    one_hop = make_route(dag, "a", "r", route_id=0)
-    two_hop = make_route(dag, "g", "r", route_id=0)
+    tree = chain_tree()
+    one_hop = make_route(tree, "a", "r", route_id=0)
+    two_hop = make_route(tree, "g", "r", route_id=0)
     worst = 0.0
     for route in (one_hop, two_hop):
         for f_target in (0.3, 0.5, 0.7):
@@ -234,7 +233,7 @@ def test_criterion_06_reference_network_delay_law():
             burn = 0.2 * horizon
             sample = [ct.sojourn(uid) for t, _, uid in stream.events if t >= burn]
             assert len(sample) >= 90_000
-            oracle = ct_delay_oracle(eps, profile)[(0, 1.0)]
+            oracle = oracle_table(profile, eps)[(0, 1.0)].oracle_ds
             rel = abs(statistics.mean(sample) - oracle) / oracle
             worst = max(worst, rel)
             assert rel <= 0.05, f"hops={route.hop_count} f={f_target}: off by {rel:.2%}"

@@ -2,17 +2,24 @@ import statistics
 
 import pytest
 
-from dcflow.ct_network import choose_epsilon, ct_delay_oracle, run_ct, slot_ceil
+from dcflow.ct_network import choose_epsilon, run_ct, slot_ceil
 from dcflow.dt_network import run_dt
 from dcflow.errors import ConfigError, StabilityViolationError
 from dcflow.flow_gen import FlowType, gen_poisson
+from dcflow.metrics import oracle_table
 from dcflow.topology import compute_loads, make_route
 from slot_oracle import run_dt_per_slot
 
 
-def single_queue_profile(chain_dag, rate=0.5, size=1.0):
-    route = make_route(chain_dag, "a", "r", route_id=0)
+def single_queue_profile(chain_tree, rate=0.5, size=1.0):
+    route = make_route(chain_tree, "a", "r", route_id=0)
     return compute_loads([route], {(0, size): rate}), [route]
+
+
+def reference_oracle(eps, profile, j, x):
+    """The reference network's mean sojourn, the scheduling oracle of
+    `oracle_table`."""
+    return oracle_table(profile, eps)[(j, x)].oracle_ds
 
 
 def test_slot_ceil_basics():
@@ -29,8 +36,8 @@ def test_slot_ceil_guard_band():
     assert slot_ceil(0.301, 0.1) == 4
 
 
-def test_choose_epsilon_worked_example(chain_dag):
-    profile, _ = single_queue_profile(chain_dag, rate=0.5)
+def test_choose_epsilon_worked_example(chain_tree):
+    profile, _ = single_queue_profile(chain_tree, rate=0.5)
     eps = choose_epsilon(profile, 2.0)
     # gap rule: min{ (1/2) * (0.5 / 0.5), 1 - 0.5 } = 0.5
     assert eps.epsilon == pytest.approx(0.5)
@@ -41,45 +48,44 @@ def test_choose_epsilon_worked_example(chain_dag):
     assert 1 - fe >= 0.5 * (1 - 0.5) - 1e-12
 
 
-def test_rounding_up_sizes(chain_dag):
-    profile, _ = single_queue_profile(chain_dag, rate=0.5)
+def test_rounding_up_sizes(chain_tree):
+    profile, _ = single_queue_profile(chain_tree, rate=0.5)
     eps = choose_epsilon(profile, 2.0, override=0.4)
     assert eps.n_slots[1.0] == 3
     assert eps.x_eps[1.0] == pytest.approx(1.2)
-    assert not eps.rule_chosen
 
 
-def test_epsilon_rejects_bad_inputs(chain_dag):
-    profile, _ = single_queue_profile(chain_dag, rate=0.5)
+def test_epsilon_rejects_bad_inputs(chain_tree):
+    profile, _ = single_queue_profile(chain_tree, rate=0.5)
     with pytest.raises(ConfigError):
         choose_epsilon(profile, 1.0)
-    heavy, _ = single_queue_profile(chain_dag, rate=1.5)
+    heavy, _ = single_queue_profile(chain_tree, rate=1.5)
     with pytest.raises(StabilityViolationError):
         choose_epsilon(heavy, 2.0)
 
 
-def test_override_must_keep_rounded_load_feasible(chain_dag):
-    profile, _ = single_queue_profile(chain_dag, rate=0.9)
+def test_override_must_keep_rounded_load_feasible(chain_tree):
+    profile, _ = single_queue_profile(chain_tree, rate=0.9)
     # eps = 0.7 rounds size 1.0 to 1.4, pushing the load to 1.26
     with pytest.raises(StabilityViolationError):
         choose_epsilon(profile, 2.0, override=0.7)
 
 
-def test_ct_delay_oracle_single_node(chain_dag):
-    profile, _ = single_queue_profile(chain_dag, rate=0.5)
+def test_ct_delay_oracle_single_node(chain_tree):
+    profile, _ = single_queue_profile(chain_tree, rate=0.5)
     eps = choose_epsilon(profile, 2.0)
-    assert ct_delay_oracle(eps, profile)[(0, 1.0)] == pytest.approx(2.0)
+    assert reference_oracle(eps, profile, 0, 1.0) == pytest.approx(2.0)
 
 
-def test_ct_delay_oracle_light_load_and_bound(chain_dag, two_hop_route):
+def test_ct_delay_oracle_light_load_and_bound(chain_tree, two_hop_route):
     profile = compute_loads([two_hop_route], {(0, 1.0): 1e-6})
     eps = choose_epsilon(profile, 2.0, override=0.25)
-    val = ct_delay_oracle(eps, profile)[(0, 1.0)]
+    val = reference_oracle(eps, profile, 0, 1.0)
     assert val == pytest.approx(2 * 1.0, rel=1e-4)
     # never beyond the load-inflation factor applied to unrounded gaps
     heavy = compute_loads([two_hop_route], {(0, 1.0): 0.7})
     eps2 = choose_epsilon(heavy, 2.0)
-    v = ct_delay_oracle(eps2, heavy)[(0, 1.0)]
+    v = reference_oracle(eps2, heavy, 0, 1.0)
     cap = (2.0 / 1.0) * sum(eps2.x_eps[1.0] / (1 - heavy.f[q]) for q in two_hop_route.queue_path)
     assert v <= cap + 1e-12
 
@@ -94,8 +100,8 @@ def test_lone_flow_hops(two_hop_route):
     assert ct.sojourn(0) == pytest.approx(2.0)
 
 
-def test_preemption_resume(chain_dag):
-    route = make_route(chain_dag, "a", "r", route_id=0)
+def test_preemption_resume(chain_tree):
+    route = make_route(chain_tree, "a", "r", route_id=0)
     types = (FlowType(0, 1.0, 0.1),)
     profile = compute_loads([route], {(0, 1.0): 0.1})
     eps = choose_epsilon(profile, 2.0, override=0.5)
@@ -105,10 +111,10 @@ def test_preemption_resume(chain_dag):
     assert ct.deltas[0][0] == pytest.approx(2.0)  # 0.6 + 1.0 + 0.4
 
 
-def test_simultaneous_events_order(star_dag):
+def test_simultaneous_events_order(star_tree):
     # a completion at an instant comes before an arrival at it: flow 1
     # lands as flow 0 leaves and does not preempt it
-    routes = [make_route(star_dag, "a", "r", route_id=0)]
+    routes = [make_route(star_tree, "a", "r", route_id=0)]
     types = (FlowType(0, 1.0, 0.1),)
     eps = choose_epsilon(compute_loads(routes, {(0, 1.0): 0.1}), 2.0, override=0.5)
     ct = run_ct([(0.0, 0, 0), (1.0, 0, 1)], routes, types, eps)
@@ -117,7 +123,7 @@ def test_simultaneous_events_order(star_dag):
     # equal arrivals at a queue stack in uid order: both flows leave
     # their first queue at 1.0 and meet at r/down, where flow 1, the
     # larger uid, goes on top and preempts flow 0
-    routes = [make_route(star_dag, "a", "b", route_id=0), make_route(star_dag, "b", "a", route_id=1)]
+    routes = [make_route(star_tree, "a", "b", route_id=0), make_route(star_tree, "b", "a", route_id=1)]
     types = (FlowType(0, 1.0, 0.1), FlowType(1, 1.0, 0.1))
     profile = compute_loads(routes, {(0, 1.0): 0.1, (1, 1.0): 0.1})
     eps = choose_epsilon(profile, 2.0, override=0.5)
@@ -126,11 +132,11 @@ def test_simultaneous_events_order(star_dag):
     assert ct.deltas == {0: [1.0, 3.0, 4.0], 1: [1.0, 2.0, 3.0]}
 
 
-def test_equal_arrivals_from_two_queues_stack_by_uid(star_dag):
+def test_equal_arrivals_from_two_queues_stack_by_uid(star_tree):
     # flows 5 and 3 leave a/up and b/up at 1.0 and meet at r/down: flow
     # 5, the larger uid, goes on top in both networks, so the slot
     # engine's tie order reproduces the reference run
-    routes = [make_route(star_dag, "a", "b", route_id=0), make_route(star_dag, "b", "a", route_id=1)]
+    routes = [make_route(star_tree, "a", "b", route_id=0), make_route(star_tree, "b", "a", route_id=1)]
     types = (FlowType(0, 1.0, 0.1), FlowType(1, 0.5, 0.1))
     eps = choose_epsilon(compute_loads(routes, {(0, 1.0): 0.1, (1, 0.5): 0.1}), 2.0,
                          override=0.5)
@@ -145,10 +151,10 @@ def test_equal_arrivals_from_two_queues_stack_by_uid(star_dag):
     assert dt == oracle
 
 
-def test_completion_at_an_arrival_instant_departs(chain_dag):
+def test_completion_at_an_arrival_instant_departs(chain_tree):
     # flow 2 finishes its work at a/up at 1.0, the instant flow 1 arrives
     # there from g/up: it departs, and is not preempted with no work left
-    routes = [make_route(chain_dag, "g", "r", route_id=0), make_route(chain_dag, "a", "r", route_id=1)]
+    routes = [make_route(chain_tree, "g", "r", route_id=0), make_route(chain_tree, "a", "r", route_id=1)]
     types = (FlowType(0, 1.0, 0.1), FlowType(1, 0.5, 0.1))
     eps = choose_epsilon(compute_loads(routes, {(0, 1.0): 0.1, (1, 0.5): 0.1}), 2.0,
                          override=0.5)
@@ -165,10 +171,10 @@ LCFS_NETWORKS = {
 }
 
 
-def lcfs_network(name, chain_dag, star_dag):
+def lcfs_network(name, chain_tree, star_tree):
     pairs, specs = LCFS_NETWORKS[name]
-    dag = chain_dag if name == "chain" else star_dag
-    routes = [make_route(dag, s, d, route_id=i) for i, (s, d) in enumerate(pairs)]
+    tree = chain_tree if name == "chain" else star_tree
+    routes = [make_route(tree, s, d, route_id=i) for i, (s, d) in enumerate(pairs)]
     types = tuple(FlowType(*spec) for spec in specs)
     profile = compute_loads(routes, {(t.route, t.size): t.rate for t in types})
     return routes, types, choose_epsilon(profile, 2.0)
@@ -189,8 +195,8 @@ def queue_logs(ct, routes, types, injections):
 
 
 @pytest.mark.parametrize("network", sorted(LCFS_NETWORKS))
-def test_lcfs_pr_sample_path(network, chain_dag, star_dag):
-    routes, types, eps = lcfs_network(network, chain_dag, star_dag)
+def test_lcfs_pr_sample_path(network, chain_tree, star_tree):
+    routes, types, eps = lcfs_network(network, chain_tree, star_tree)
     inj = list(gen_poisson(types, 2_000.0, seed=31).events)
     ct = run_ct(inj, routes, types, eps)
     # replay each queue's log as a pure stack: every departure must pop
@@ -207,10 +213,10 @@ def test_lcfs_pr_sample_path(network, chain_dag, star_dag):
 
 
 @pytest.mark.parametrize("network", sorted(LCFS_NETWORKS))
-def test_busy_cycle_identity(network, chain_dag, star_dag):
+def test_busy_cycle_identity(network, chain_tree, star_tree):
     # within one busy cycle the opener departs last, after the summed
     # rounded sizes of every flow in the cycle
-    routes, types, eps = lcfs_network(network, chain_dag, star_dag)
+    routes, types, eps = lcfs_network(network, chain_tree, star_tree)
     inj = list(gen_poisson(types, 3_000.0, seed=32).events)
     ct = run_ct(inj, routes, types, eps)
     x_eps = {uid: eps.x_eps[types[ti].size] for _, ti, uid in inj}
@@ -244,13 +250,13 @@ def test_work_conservation_per_hop(two_hop_route):
             assert delta - tau >= xe - 1e-9
 
 
-def test_ergodic_sojourn_matches_oracle(chain_dag):
-    profile, routes = single_queue_profile(chain_dag, rate=0.5)
+def test_ergodic_sojourn_matches_oracle(chain_tree):
+    profile, routes = single_queue_profile(chain_tree, rate=0.5)
     types = (FlowType(0, 1.0, 0.5),)
     eps = choose_epsilon(profile, 2.0, override=0.25)
     stream = gen_poisson(types, 40_000.0, seed=34)
     ct = run_ct(list(stream.events), routes, types, eps)
     burn = 8_000.0
     soj = [ct.sojourn(uid) for t, ti, uid in stream.events if t >= burn]
-    want = ct_delay_oracle(eps, profile)[(0, 1.0)]
+    want = reference_oracle(eps, profile, 0, 1.0)
     assert statistics.mean(soj) == pytest.approx(want, rel=0.08)

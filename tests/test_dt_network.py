@@ -10,7 +10,7 @@ from dcflow.dt_network import run_dt, write_ledger_csv
 from dcflow.errors import DcflowError
 from dcflow.flow_gen import FlowType, gen_poisson
 from dcflow.metrics import oracle_table
-from dcflow.topology import TreeSpec, build_dag, compute_loads, make_route
+from dcflow.topology import TreeSpec, compute_loads, make_route
 from dcflow.virtual_bandwidth_net import run_emulation
 from slot_oracle import run_dt_per_slot
 
@@ -24,10 +24,10 @@ def pipeline(routes, types, injections, c0=2.0, override=None, **kwargs):
     return profile, eps, ct, dt
 
 
-def test_lone_flow_single_node_base_case(chain_dag):
+def test_lone_flow_single_node_base_case(chain_tree):
     # service two slots; injection at 0 gives schedule slot 0 and
     # departure exactly at the rounded reference departure
-    route = make_route(chain_dag, "a", "r", route_id=0)
+    route = make_route(chain_tree, "a", "r", route_id=0)
     types = (FlowType(0, 1.0, 0.1),)
     _, eps, ct, dt = pipeline([route], types, [(0.0, 0, 0)], override=0.5)
     row = dt.ledger.rows[0]
@@ -39,12 +39,12 @@ def test_lone_flow_single_node_base_case(chain_dag):
     assert row.d_s == pytest.approx(1.0)
 
 
-def test_two_flow_busy_cycle_case_two(chain_dag):
+def test_two_flow_busy_cycle_case_two(chain_tree):
     # opener size 2 (slots at eps=1: 2 packets), a size-1 flow lands inside
     # the cycle with a strictly smaller schedule offset: it departs as its
     # own one-flow cycle and the opener resumes and exits on the rounded
     # reference boundary
-    route = make_route(chain_dag, "a", "r", route_id=0)
+    route = make_route(chain_tree, "a", "r", route_id=0)
     types = (FlowType(0, 2.0, 0.01), FlowType(0, 1.0, 0.01))
     injections = [(0.5, 0, 1), (1.7, 1, 2)]
     _, eps, ct, dt = pipeline([route], types, injections, override=1.0)
@@ -60,10 +60,10 @@ def test_two_flow_busy_cycle_case_two(chain_dag):
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
-def test_lcfs_ties_at_one_schedule_slot(chain_dag, order):
+def test_lcfs_ties_at_one_schedule_slot(chain_tree, order):
     # three one-packet flows share schedule slot 1 at one queue: the
     # larger tau goes first, and at equal tau the larger uid
-    route = make_route(chain_dag, "a", "r", route_id=0)
+    route = make_route(chain_tree, "a", "r", route_id=0)
     types = (FlowType(0, 1.0, 0.1),)
     flows = [(0.25, 0, 5), (0.5, 0, 3), (0.5, 0, 7)]
     injections = [flows[i] for i in order]
@@ -75,9 +75,9 @@ def test_lcfs_ties_at_one_schedule_slot(chain_dag, order):
     assert dt == oracle
 
 
-def test_random_run_invariants_and_capacity(star_dag):
-    r0 = make_route(star_dag, "r", "a", route_id=0)
-    r1 = make_route(star_dag, "r", "b", route_id=1)
+def test_random_run_invariants_and_capacity(star_tree):
+    r0 = make_route(star_tree, "r", "a", route_id=0)
+    r1 = make_route(star_tree, "r", "b", route_id=1)
     types = (FlowType(0, 1.0, 0.2), FlowType(0, 2.0, 0.1),
              FlowType(1, 1.0, 0.2), FlowType(1, 2.0, 0.1))
     stream = gen_poisson(types, 3_000.0, seed=41)
@@ -115,9 +115,9 @@ def test_random_run_invariants_and_capacity(star_dag):
             assert d_slot <= slot_ceil(delta, eps.epsilon)
 
 
-def test_node_iteration_order_is_immaterial(star_dag):
-    r0 = make_route(star_dag, "a", "b", route_id=0)
-    r1 = make_route(star_dag, "b", "a", route_id=1)
+def test_node_iteration_order_is_immaterial(star_tree):
+    r0 = make_route(star_tree, "a", "b", route_id=0)
+    r1 = make_route(star_tree, "b", "a", route_id=1)
     types = (FlowType(0, 1.0, 0.2), FlowType(1, 1.0, 0.2))
     stream = gen_poisson(types, 1_000.0, seed=42)
     lam = {(t.route, t.size): t.rate for t in types}
@@ -210,8 +210,7 @@ def test_engines_hold_little_memory_per_flow_hop():
     # sharing three queues at load 0.9.  Flat per-hop arrays keep the
     # engines near 100 B per flow-hop; per-flow objects with per-hop
     # lists and tuples take over 400 B here.
-    dag = build_dag(TREE)
-    routes = [make_route(dag, "h1", "h3", route_id=0), make_route(dag, "h2", "h4", route_id=1)]
+    routes = [make_route(TREE, "h1", "h3", route_id=0), make_route(TREE, "h2", "h4", route_id=1)]
     types = (FlowType(0, 1.0, 0.45), FlowType(1, 1.0, 0.45))
     profile = compute_loads(routes, {(t.route, t.size): t.rate for t in types})
     eps = choose_epsilon(profile, 2.0)
@@ -243,9 +242,8 @@ def slot_runs(draw):
     optionally a tampered reference run that breaks an invariant; the
     last item says whether it was tampered."""
     tree, pairs = NETWORKS[draw(st.sampled_from(sorted(NETWORKS)))]
-    dag = build_dag(tree)
     n_routes = draw(st.integers(1, len(pairs)))
-    routes = [make_route(dag, s, d, route_id=i) for i, (s, d) in enumerate(pairs[:n_routes])]
+    routes = [make_route(tree, s, d, route_id=i) for i, (s, d) in enumerate(pairs[:n_routes])]
     sizes = draw(st.lists(st.sampled_from((0.3, 0.5, 1.0, 1.7, 2.0)), min_size=1, max_size=3,
                           unique=True))
     types = tuple(FlowType(draw(st.integers(0, n_routes - 1)), x, 0.01) for x in sizes)

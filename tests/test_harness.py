@@ -68,6 +68,12 @@ def test_validate_rejects_c0_one():
         validate_config(bad)
 
 
+def test_validate_rejects_malformed_tree():
+    bad = ExperimentConfig(**{**SMOKE.__dict__, "topology_parent": {"a": "g", "g": "a"}})
+    with pytest.raises(ConfigError, match="topology/routes: cycle in parent map"):
+        validate_config(bad)
+
+
 def test_validate_rejects_overload():
     bad = ExperimentConfig(**{**SMOKE.__dict__, "types": ((0, 1.0, 1.01),)})
     with pytest.raises(ConfigError, match="inadmissible"):
@@ -175,8 +181,8 @@ def test_verdict_counts_checked_flow_hops(monkeypatch):
 
 
 def test_regularized_star_keeps_wait_identity():
-    # the wait is computed as one difference of instants and checked
-    # against the sum of two others; these seeds once differed by an ulp
+    # a regularized flow waits for an emission epoch before it enters the
+    # virtual net; every flow of these seeds must pass the pipeline's checks
     config = ExperimentConfig(
         name="regularized-star",
         topology_nodes=("r", "a", "b"),

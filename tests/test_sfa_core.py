@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from dcflow import sfa_core
+from dcflow.ct_network import choose_epsilon
 from dcflow.errors import EnumerationLimitError, StabilityViolationError
+from dcflow.metrics import oracle_table
 from dcflow.selftest import random_spec
 from dcflow.sfa_core import (
     BandwidthNetworkSpec,
-    expected_flow_delay,
     expected_occupancy,
     occupancies_within,
     phi_big,
@@ -178,27 +179,23 @@ def test_expected_occupancy_forms():
     assert expected_occupancy(MM1, (0.0,))[0] == 0.0
 
 
-def test_expected_flow_delay(chain_dag):
-    route = make_route(chain_dag, "g", "r", route_id=0)
+def test_expected_flow_delay(chain_tree):
+    # the virtual network's mean sojourn, the waiting oracle of `oracle_table`
+    def waiting_oracle(profile, j, x):
+        return oracle_table(profile, choose_epsilon(profile, 2.0))[(j, x)].oracle_dw
+
+    route = make_route(chain_tree, "g", "r", route_id=0)
     profile = compute_loads([route], {(0, 1.0): 0.5})
-    delays = expected_flow_delay(profile)
-    assert delays[(0, 1.0)] == pytest.approx(4.0)
+    assert waiting_oracle(profile, 0, 1.0) == pytest.approx(4.0)
 
     light = compute_loads([route], {(0, 3.0): 1e-9})
-    assert expected_flow_delay(light)[(0, 3.0)] == pytest.approx(3.0 * 2, rel=1e-6)
+    assert waiting_oracle(light, 0, 3.0) == pytest.approx(3.0 * 2, rel=1e-6)
 
     # never exceeds the route-level bound x*d/(1-rho)
     for lam_ in (0.1, 0.5, 0.9):
         p = compute_loads([route], {(0, 1.0): lam_})
-        val = expected_flow_delay(p)[(0, 1.0)]
+        val = waiting_oracle(p, 0, 1.0)
         assert val <= 1.0 * 2 / (1 - p.rho[0]) + 1e-12
-
-
-def test_expected_flow_delay_rejects_overload(chain_dag):
-    route = make_route(chain_dag, "g", "r", route_id=0)
-    profile = compute_loads([route], {(0, 1.0): 1.2})
-    with pytest.raises(StabilityViolationError):
-        expected_flow_delay(profile)
 
 
 def test_spec_validation():

@@ -13,7 +13,7 @@ from dcflow.sfa_core import (
     occupancies_within,
     phi_rate,
 )
-from dcflow.topology import TreeSpec, build_dag, make_route
+from dcflow.topology import TreeSpec, make_route
 from dcflow.virtual_bandwidth_net import (
     NbState,
     bandwidth_spec_for,
@@ -26,18 +26,18 @@ def manual_stream(types, events, horizon=1e9):
     return ArrivalStream(horizon=horizon, rng_seed=0, types=tuple(types), events=list(events))
 
 
-def test_single_flow_unit_resource_departs_at_one(chain_dag):
-    route = make_route(chain_dag, "a", "r", route_id=0)  # one queue
+def test_single_flow_unit_resource_departs_at_one(chain_tree):
+    route = make_route(chain_tree, "a", "r", route_id=0)  # one queue
     types = (FlowType(0, 1.0, 0.1),)
     stream = manual_stream(types, [(0.0, 0, 0)])
     nb = run_emulation(stream, [route])
     assert nb.injections[0] == pytest.approx(1.0)
 
 
-def test_two_flows_shared_resource_both_depart_at_two(star_dag):
+def test_two_flows_shared_resource_both_depart_at_two(star_tree):
     # two classes whose routes share one queue; each gets half the rate
-    r0 = make_route(star_dag, "a", "r", route_id=0)
-    r1 = make_route(star_dag, "a", "r", route_id=1)
+    r0 = make_route(star_tree, "a", "r", route_id=0)
+    r1 = make_route(star_tree, "a", "r", route_id=1)
     types = (FlowType(0, 1.0, 0.1), FlowType(1, 1.0, 0.1))
     stream = manual_stream(types, [(0.0, 0, 0), (0.0, 1, 1)])
     nb = run_emulation(stream, [r0, r1])
@@ -186,9 +186,18 @@ def test_inadmissible_load_refused(two_hop_route):
         run_emulation(stream, [two_hop_route])
 
 
-def test_bandwidth_spec_mapping(star_dag):
-    r0 = make_route(star_dag, "a", "b", route_id=0)   # 3 queues
-    r1 = make_route(star_dag, "r", "b", route_id=1)   # 2 queues, both shared with r0
+def test_flow_entering_before_its_arrival_is_refused(two_hop_route):
+    # a regularizer that emitted a flow before its external arrival
+    types = (FlowType(0, 1.0, 0.1),)
+    stream = manual_stream(types, [(1.0, 0, 0), (2.0, 0, 1)])
+    stream.external_times[1] = 2.5
+    with pytest.raises(InternalConsistencyError, match="flow 1 entered"):
+        run_emulation(stream, [two_hop_route])
+
+
+def test_bandwidth_spec_mapping(star_tree):
+    r0 = make_route(star_tree, "a", "b", route_id=0)   # 3 queues
+    r1 = make_route(star_tree, "r", "b", route_id=1)   # 2 queues, both shared with r0
     spec = bandwidth_spec_for([r1, r0])
     assert spec.n_routes == 2     # one class per route, indexed by route id
     assert spec.n_resources == 3  # a/up, r/down, b/down
@@ -223,8 +232,7 @@ def test_route_classes_lump_type_classes_exactly(case):
     # classes with identical resources lump: a type-j flow on route r gets
     # phi_j(n) / n_j = Phi_r(N - e_r) / (N_r Phi_r(N)) at every occupancy
     tree, pairs, sizes, cap = LUMPING_CASES[case]
-    dag = build_dag(tree)
-    routes = [make_route(dag, s, d, route_id=i) for i, (s, d) in enumerate(pairs)]
+    routes = [make_route(tree, s, d, route_id=i) for i, (s, d) in enumerate(pairs)]
     types = tuple(FlowType(j, x, 0.1) for j, x in sizes)
     by_route = bandwidth_spec_for(routes)
     by_type = per_type_spec(routes, types)
@@ -242,9 +250,9 @@ def test_route_classes_lump_type_classes_exactly(case):
     assert checked > 1000
 
 
-def test_route_classes_drive_mixed_sizes_like_type_classes(star_dag):
-    routes = [make_route(star_dag, "r", "a", route_id=0),
-              make_route(star_dag, "r", "b", route_id=1)]
+def test_route_classes_drive_mixed_sizes_like_type_classes(star_tree):
+    routes = [make_route(star_tree, "r", "a", route_id=0),
+              make_route(star_tree, "r", "b", route_id=1)]
     types = (FlowType(0, 1.0, 0.15), FlowType(0, 2.0, 0.075),
              FlowType(1, 1.0, 0.15), FlowType(1, 2.0, 0.075))
     stream = gen_poisson(types, 3_000.0, seed=27)
@@ -290,8 +298,7 @@ def tree5hop_far():
     """Evaluator of the two 5-queue tree routes filled up to (600, 600),
     past where a float Phi overflows.  It is private, so its 361k-entry
     memo goes with the module."""
-    dag = build_dag(TREE)
-    routes = [make_route(dag, "h1", "h3", route_id=0), make_route(dag, "h2", "h4", route_id=1)]
+    routes = [make_route(TREE, "h1", "h3", route_id=0), make_route(TREE, "h2", "h4", route_id=1)]
     ev = _PhiEvaluator(bandwidth_spec_for(routes), exact=False)
     ev.rates((600, 600))
     return ev
