@@ -10,40 +10,57 @@ emulation and its invariant checks.
 A queue's arrivals are its flows' injections or their departures from
 the queue before it, so `run_ct` sweeps the queues one at a time in
 index order: `topology.queue_paths` numbers every queue after each queue
-that feeds it.  `lcfs_sweep` serves one queue; the slot engine in
-`dt_network` runs the same function on slot indices, so both networks
-order ties alike: at one instant a completion comes first, then equal
-arrivals stack in uid order, the larger uid on top.  The instants are
-stored flat, one float array each for arrivals and departures indexed
-by flow-hop offset; `CtResult.taus` and `deltas` hand them out per
-flow, as lists built when read.
+that feeds it.  `lcfs_pr` serves one queue in closed form, on arrays;
+the slot engine in `dt_network` runs it on slot indices and packet
+counts, so both networks order ties alike: at one instant a completion
+comes first, then equal arrivals stack in uid order, the larger uid on
+top.
+
+The closed form is the Lindley workload recursion (Lindley 1952) read
+the LCFS-PR way (Kleinrock, "Queueing Systems" vol. 1).  Take a queue's
+arrivals in priority order, k = 0, 1, ..., at instants t_k with works
+x_k, and let W_k = x_0 + ... + x_k.  Everything that arrives while k is
+present is served before k resumes, so k departs at
+t_k + (W_{j-1} - W_{k-1}) for the first later arrival j that finds that
+work done, t_j >= t_k + (W_{j-1} - W_{k-1}); with no such j, k leaves
+when the queue drains.  The queue is empty when k arrives exactly when
+no earlier flow waits past k's arrival: k then opens a busy period,
+which ends at k's departure.  In floats, a completion within 2**-50 of
+an arrival, relative to the instant, counts as at it, so a tie that
+float noise would otherwise turn into a preemption stays a tie.
+
+The instants are stored flat, one float array each for arrivals and
+departures indexed by flow-hop offset; `CtResult.taus` and `deltas`
+hand them out per flow, as lists built when read.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
-from collections.abc import Iterable, Mapping, MutableSequence, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import accumulate
+
+import numpy as np
 
 from .errors import ConfigError, InternalConsistencyError, StabilityViolationError
 from .topology import LoadProfile, QueueNode, Route, queue_paths, require_admissible
 from .flow_gen import FlowType
 
 _GUARD = 1e-9
+_TIE = 2.0 ** -50   # relative: four to eight units in the last place
 
 
-def slot_ceil(t: float, eps: float) -> int:
+def slot_ceil(t, eps: float):
     """Smallest slot index k with k*eps >= t, with a relative guard band.
 
     A ratio within 1e-9 of an integer snaps to that integer before the
-    ceiling, so boundary values survive float noise.
+    ceiling, so boundary values survive float noise.  `t` is a number, for
+    which a Python int is returned, or an array, for which an int64 array
+    is returned elementwise.
     """
-    if t <= 0:
-        return 0
-    r = t / eps
-    return math.ceil(r - _GUARD * r if r > 1.0 else r - _GUARD)
+    r = np.divide(t, eps)
+    k = np.maximum(np.ceil(r - _GUARD * np.maximum(r, 1.0)), 0.0).astype(np.int64)
+    return k if k.ndim else int(k)
 
 
 @dataclass(frozen=True)
@@ -135,9 +152,9 @@ class CtResult:
 
     Flows are numbered in arrival order, (t, uid); `index` maps a uid to
     its number f.  Flow f's instants at the hop-th queue of its route are
-    `tau[offsets[f] + hop]` and `delta[offsets[f] + hop]`, as
-    `lcfs_sweep` left them: at one instant a queue completes its head
-    before it takes an arrival, and takes equal arrivals in uid order.
+    `tau[offsets[f] + hop]` and `delta[offsets[f] + hop]`, as `lcfs_pr`
+    left them: at one instant a queue completes its head before it takes
+    an arrival, and takes equal arrivals in uid order.
     """
 
     index: dict[int, int]
@@ -158,44 +175,87 @@ class CtResult:
         return self.delta[self.offsets[f + 1] - 1] - self.tau[self.offsets[f]]
 
 
-def lcfs_sweep(offs: Sequence[int], arrive: Iterable, out: array,
-               begins: MutableSequence, ends: MutableSequence) -> None:
-    """Serve one queue preemptive-LCFS, in either network.
+def lcfs_pr(arrive: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Serve one queue preemptive-LCFS, in either network, in closed form.
 
-    `offs` lists the queue's flow-hop offsets in priority order: ascending
-    arrival, equal arrivals in ascending uid.  Each arrival then outranks
-    every flow already waiting, so the service order is a stack.  `arrive`
-    gives their arrival instants in the same order.  `out[o]` holds
-    flow-hop o's work on entry and its departure on return.  At one
-    instant the head finishes before an arrival is taken: a head whose
-    work ends by the arrival departs, any other is preempted and later
-    resumes with the work it has left.  Each busy period's first and last
-    instants are appended to `begins` and `ends`.
+    `arrive` lists the queue's arrival instants in priority order:
+    ascending, equal arrivals in ascending uid, so each arrival outranks
+    every flow already waiting.  `work` gives their works, in floats or
+    in integers alike.  Returns each arrival's departure and the indices
+    of the arrivals that open a busy period; a busy period ends at its
+    opener's departure.
+
+    With `done[k]` the work of the arrivals before k, flow k departs at
+    `arrive[k] + (done[j] - done[k])` for the first later j that arrives
+    no earlier than that, or j = n, the queue draining, when there is
+    none.  At one instant the head finishes before an arrival is taken;
+    in floats a finish within `_TIE` of the arrival, relative to the
+    instant, counts as at it and departs at the arrival instant, so float
+    noise does not turn a tie into a preemption.  The search jumps
+    pointers: a candidate j that fails hands over its own candidate, since
+    every arrival it skipped comes too early for it, and so for k.  Flow k
+    opens a busy period when no earlier flow is still waiting at its
+    arrival.
     """
-    stack = []     # [flow-hop offset, work left], head last
-    started = 0    # instant the head began its current stint
-    for o, t in zip(offs, arrive):
-        while stack:
-            head = stack[-1]
-            end = started + head[1]
-            if end > t:
-                head[1] -= t - started   # the head is preempted
-                break
-            out[head[0]] = end
-            stack.pop()
-            started = end
-            if not stack:
-                ends.append(end)
-        if not stack:
-            begins.append(t)
-        stack.append([o, out[o]])
-        started = t
-    while stack:
-        o, left = stack.pop()
-        started += left
-        out[o] = started
-        if not stack:
-            ends.append(started)
+    n = len(arrive)
+    done = np.zeros(n + 1, dtype=work.dtype)
+    np.cumsum(work, out=done[1:])
+    top = np.inf if arrive.dtype.kind == "f" else np.iinfo(arrive.dtype).max
+    at = np.append(arrive, top)   # arrival n stands for the queue draining
+
+    def finished_by(k, j):
+        """Whether flow k, preempted by the flows k+1..j-1, is done when j arrives."""
+        finish = arrive[k] + (done[j] - done[k])
+        if finish.dtype.kind == "f":
+            finish -= _TIE * np.abs(finish)
+        return at[j] >= finish
+
+    k = np.arange(n)
+    ender = k + 1
+    open_ = np.flatnonzero(~finished_by(k, ender))
+    while open_.size:
+        ender[open_] = ender[ender[open_]]
+        open_ = open_[~finished_by(open_, ender[open_])]
+    departs = np.minimum(arrive + (done[ender] - done[:-1]), at[ender])
+    # the furthest arrival that a flow before k waits for
+    waits_for = np.maximum.accumulate(np.append(0, ender))[:-1]
+    return departs, np.flatnonzero(waits_for <= k)
+
+
+def injection_columns(injections: list[tuple[float, int, int]]
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(time, type_index, uid) injections as three arrays."""
+    cols = np.fromiter(injections, dtype=[("t", "f8"), ("ti", "i8"), ("uid", "i8")],
+                       count=len(injections))
+    return cols["t"], cols["ti"], cols["uid"]
+
+
+class QueueSegments:
+    """Where each queue's flow-hops sit, per (type, hop).
+
+    The flows of type k have their first flow-hop at offsets `first[k]`
+    and uids `uids[k]`; their hop-h flow-hops are `first[k] + h`.
+    `gather(q, tau)` collects queue q's flow-hops and returns them in priority
+    order, ascending `tau`, then uid: offsets, uids and, for each, the
+    index of its (type, hop) pair in `segments[q]`.
+    """
+
+    def __init__(self, n_queues: int, paths: list[tuple[int, ...]],
+                 first: list[np.ndarray], uids: list[np.ndarray]):
+        self.segments: list[list[tuple[int, int]]] = [[] for _ in range(n_queues)]
+        for k, path in enumerate(paths):
+            for h, q in enumerate(path):
+                self.segments[q].append((k, h))
+        self.first = first
+        self.uids = uids
+
+    def gather(self, q: int, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        segs = self.segments[q]
+        offs = np.concatenate([self.first[k] + h for k, h in segs])
+        uids = np.concatenate([self.uids[k] for k, _ in segs])
+        seg = np.repeat(np.arange(len(segs)), [len(self.first[k]) for k, _ in segs])
+        order = np.lexsort((uids, tau[offs]))
+        return offs[order], uids[order], seg[order]
 
 
 def run_ct(
@@ -206,42 +266,40 @@ def run_ct(
 ) -> CtResult:
     """Simulate the reference network for (time, type_index, uid) injections.
 
-    The queues are swept by `lcfs_sweep` in index order, which serves
-    each after every queue that feeds it; a flow arrives at its next
-    queue the instant it leaves one.
+    The queues are served by `lcfs_pr` in index order, which serves each
+    after every queue that feeds it; a flow arrives at its next queue the
+    instant it leaves one.
     """
     queues, route_paths = queue_paths(routes)
     paths = [route_paths[t.route] for t in types]
-    service = [eps.x_eps[t.size] for t in types]
 
-    arrivals = sorted(injections, key=lambda e: (e[0], e[2]))
-    index = {uid: f for f, (_, _, uid) in enumerate(arrivals)}
-    offsets = array("q", accumulate((len(paths[ti]) for _, ti, _ in arrivals), initial=0))
-    taus = array("d", [0.0]) * offsets[-1]
-    # a flow-hop's rounded size, until the sweep overwrites it with the
-    # flow's departure from that queue
-    deltas = array("d", [0.0]) * offsets[-1]
-    last_hop = bytearray(offsets[-1])
-    at_queue = [array("q") for _ in queues]   # flow-hop offsets, flows in uid order
+    t_inject, ti, uid = injection_columns(injections)
+    order = np.lexsort((uid, t_inject))
+    t_inject, ti, uid = t_inject[order], ti[order], uid[order]   # flows in arrival order
+    index = dict(zip(uid.tolist(), range(len(uid))))
+    offsets = array("q", [0]) * (len(uid) + 1)
+    starts = np.frombuffer(offsets, dtype=np.int64)
+    np.cumsum(np.array([len(p) for p in paths], dtype=np.int64)[ti], out=starts[1:])
+    tau_buf = array("d", [0.0]) * int(starts[-1])
+    delta_buf = array("d", [0.0]) * int(starts[-1])
+    tau = np.frombuffer(tau_buf, dtype=np.float64)
+    delta = np.frombuffer(delta_buf, dtype=np.float64)
+    tau[starts[:-1]] = t_inject
 
-    for t_inject, ti, uid in sorted(injections, key=lambda e: e[2]):
-        o = offsets[index[uid]]
-        taus[o] = t_inject
-        for q in paths[ti]:
-            deltas[o] = service[ti]
-            at_queue[q].append(o)
-            o += 1
-        last_hop[o - 1] = 1
+    of_type = [np.flatnonzero(ti == k) for k in range(len(types))]
+    by_queue = QueueSegments(len(queues), paths, [starts[f] for f in of_type],
+                       [uid[f] for f in of_type])
+    for q, segs in enumerate(by_queue.segments):
+        if not segs:
+            continue
+        offs, _, seg = by_queue.gather(q, tau)
+        work = np.array([eps.x_eps[types[k].size] for k, _ in segs])[seg]
+        departs, _ = lcfs_pr(tau[offs], work)
+        delta[offs] = departs
+        onward = np.array([h + 1 < len(paths[k]) for k, h in segs])[seg]
+        tau[offs[onward] + 1] = departs[onward]
 
-    for offs in at_queue:
-        # the sort is stable, so equal arrivals stay in uid order
-        offs = sorted(offs, key=taus.__getitem__)
-        lcfs_sweep(offs, map(taus.__getitem__, offs), deltas, [], [])
-        for o in offs:
-            if not last_hop[o]:
-                taus[o + 1] = deltas[o]
-
-    return CtResult(index=index, offsets=offsets, tau=taus, delta=deltas)
+    return CtResult(index=index, offsets=offsets, tau=tau_buf, delta=delta_buf)
 
 
 def write_ct_table(result: CtResult, types: tuple[FlowType, ...], routes: list[Route],

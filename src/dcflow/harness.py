@@ -16,6 +16,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__
 from .ct_network import EpsilonConfig, choose_epsilon, run_ct, write_ct_table
 from .dt_network import run_dt, write_hop_table_jsonl, write_ledger_csv
@@ -243,7 +245,7 @@ class PointResult:
     stats: list[TypeStats]
     n_flows: int
     flow_hops_checked: int     # flow-hops that passed both sample-path checks
-    flow_hops_expected: int    # route hop counts summed over the ledger rows
+    flow_hops_expected: int    # route hop counts summed over the ledger's flows
     artifacts: dict[str, str] = field(default_factory=dict)
 
 
@@ -259,6 +261,7 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
         stream = regularize(stream, plan.reg)
 
     nb = run_emulation(stream, routes, profile=plan.profile, record_states=False)
+    del stream   # freed before the engines run
     injections = sorted(
         ((t, nb.type_of[uid], uid) for uid, t in nb.injections.items()),
         key=lambda e: (e[0], e[2]),
@@ -290,7 +293,7 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
         stats=stats,
         n_flows=len(nb.injections),
         flow_hops_checked=dt.flow_hops_checked,
-        flow_hops_expected=sum(routes[row.route].hop_count for row in dt.ledger.rows),
+        flow_hops_expected=int(np.array([r.hop_count for r in routes])[dt.ledger.route].sum()),
         artifacts=artifacts,
     )
 

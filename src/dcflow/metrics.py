@@ -96,21 +96,14 @@ def summarize(
 ) -> list[TypeStats]:
     """Per-type means over real flows arriving at or after `burn_in`, next
     to the `oracle_table` entries of their type."""
-    # exactly-rounded sums keep the result independent of row order
-    samples: dict[tuple[int, float], list[list[float]]] = {}
-    for r in ledger.rows:
-        if r.dummy or r.t_arrive < burn_in:
-            continue
-        buckets = samples.setdefault((r.route, r.size), [[], [], []])
-        buckets[0].append(r.d_w)
-        buckets[1].append(r.d_s)
-        buckets[2].append(r.d)
-
+    kept = (ledger.uid >= 0) & (ledger.t_arrive >= burn_in)
     stats = []
     for (j, x), o in oracle_table(profile, eps, extra_wait).items():
-        buckets = samples.get((j, x))
-        n = len(buckets[0]) if buckets else 0
-        means = [math.fsum(b) / n for b in buckets] if n else [None, None, None]
+        rows = kept & (ledger.route == j) & (ledger.size == x)
+        n = int(np.count_nonzero(rows))
+        # exactly-rounded sums keep the result independent of row order
+        means = ([math.fsum(col[rows].tolist()) / n for col in (ledger.d_w, ledger.d_s, ledger.d)]
+                 if n else [None, None, None])
         stats.append(TypeStats(j, x, n, *means, **asdict(o)))
     return stats
 

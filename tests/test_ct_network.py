@@ -1,13 +1,18 @@
+import math
 import statistics
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dcflow.ct_network import choose_epsilon, run_ct, slot_ceil
+from dcflow.ct_network import choose_epsilon, lcfs_pr, run_ct, slot_ceil
 from dcflow.dt_network import run_dt
 from dcflow.errors import ConfigError, StabilityViolationError
 from dcflow.flow_gen import FlowType, gen_poisson
 from dcflow.metrics import oracle_table
 from dcflow.topology import compute_loads, make_route
+from lcfs_oracle import lcfs_sweep
 from slot_oracle import run_dt_per_slot
 
 
@@ -34,6 +39,34 @@ def test_slot_ceil_guard_band():
     assert slot_ceil(0.30000000000000004, 0.1) == 3
     assert slot_ceil(0.1 + 0.1 + 0.1, 0.1) == 3
     assert slot_ceil(0.301, 0.1) == 4
+
+
+def scalar_slot_ceil(t, eps):
+    """The slot rule as a scalar-only function, as it read before it
+    served arrays."""
+    if t <= 0:
+        return 0
+    r = t / eps
+    return math.ceil(r - 1e-9 * r if r > 1.0 else r - 1e-9)
+
+
+def test_slot_ceil_array_form_matches_scalar_rule():
+    cases = [(0.30000000000000004, 0.1), (0.1 + 0.1 + 0.1, 0.1), (0.301, 0.1),
+             (0.0, 0.5), (1.0, 0.5), (1.01, 0.5), (-1.0, 0.5)]
+    for eps in {e for _, e in cases}:
+        t = [x for x, e in cases if e == eps]
+        assert slot_ceil(np.array(t), eps).tolist() == [scalar_slot_ceil(x, eps) for x in t]
+    assert type(slot_ceil(1.0, 0.5)) is int
+    # ratios within 1e-8 of an integer, on both sides of the guard band:
+    # small slot indices sit outside it, large ones snap down
+    rng = np.random.default_rng(12)
+    k = np.concatenate([rng.integers(0, 20, 50_000), rng.integers(0, 10**6, 50_000)])
+    ratios = k + rng.uniform(-1e-8, 1e-8, k.size)
+    for eps in (0.1, 0.037, 0.5):
+        t = ratios * eps
+        got = slot_ceil(t, eps)
+        assert got.dtype == np.int64
+        assert got.tolist() == [scalar_slot_ceil(x, eps) for x in t.tolist()]
 
 
 def test_choose_epsilon_worked_example(chain_tree):
@@ -163,6 +196,20 @@ def test_completion_at_an_arrival_instant_departs(chain_tree):
     assert ct.deltas[1] == [1.0, 2.0]
 
 
+def test_float_noise_keeps_a_completion_tie(star_tree):
+    # three flows of work 0.995 injected together: in exact arithmetic
+    # flow 1 finishes at b/down at 3.98, the instant flow 0 arrives there,
+    # so it departs first.  The float sums along the two paths land a unit
+    # in the last place apart, within the tie band, so the tie holds
+    routes = [make_route(star_tree, "a", "b", route_id=0)]
+    types = (FlowType(0, 0.5, 0.1),)
+    eps = choose_epsilon(compute_loads(routes, {(0, 0.5): 0.1}), 2.0, override=0.995)
+    ct = run_ct([(0.0, 0, uid) for uid in range(3)], routes, types, eps)
+    assert ct.taus[0][2] == pytest.approx(3.98, rel=1e-12)
+    assert ct.deltas[1][2] == ct.taus[0][2]   # departs at the arrival it did not wait for
+    assert ct.deltas[0][2] == pytest.approx(4.975, rel=1e-12)
+
+
 LCFS_NETWORKS = {
     # one two-hop route over the chain's up-queues
     "chain": ((("g", "r"),), ((0, 1.0, 0.6),)),
@@ -260,3 +307,73 @@ def test_ergodic_sojourn_matches_oracle(chain_tree):
     soj = [ct.sojourn(uid) for t, ti, uid in stream.events if t >= burn]
     want = reference_oracle(eps, profile, 0, 1.0)
     assert statistics.mean(soj) == pytest.approx(want, rel=0.08)
+
+
+def stack_run(arrive, work):
+    """Departures and busy periods of the stack sweep."""
+    out, begins, ends = list(work), [], []
+    lcfs_sweep(range(len(arrive)), arrive, out, begins, ends)
+    return out, begins, ends
+
+
+def kernel_run(arrive, work, dtype):
+    """Departures and busy periods of the closed form."""
+    arrive = np.array(arrive, dtype=dtype)
+    departs, opens = lcfs_pr(arrive, np.array(work, dtype=dtype))
+    return departs.tolist(), arrive[opens].tolist(), departs[opens].tolist()
+
+
+@pytest.mark.parametrize("arrive, work, departs, periods", [
+    # a completion at an arrival instant departs first: two busy periods
+    ([0, 1], [1, 1], [1, 2], ([0, 1], [1, 2])),
+    # equal arrivals stack in priority order, the later on top
+    ([0, 0], [1, 1], [2, 1], ([0], [2])),
+    # both at once: flow 0 finishes at 2, as flows 1 and 2 arrive
+    ([0, 2, 2], [2, 1, 3], [2, 6, 5], ([0, 2], [2, 6])),
+])
+def test_lcfs_kernel_tie_cases(arrive, work, departs, periods):
+    want = (departs, *periods)
+    assert stack_run(arrive, work) == want
+    assert kernel_run(arrive, work, np.int64) == want
+    assert kernel_run(arrive, work, np.float64) == want
+
+
+def priority_order(flows):
+    """Flows (arrival, work) in priority order: the sort is stable, so
+    equal arrivals keep their drawn order, which stands for uid order."""
+    flows = sorted(flows, key=lambda f: f[0])
+    return [t for t, _ in flows], [w for _, w in flows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 4)), min_size=1, max_size=40))
+@example([(0, 1), (1, 1)])
+@example([(0, 1), (0, 1)])
+def test_lcfs_kernel_matches_stack_on_integers(flows):
+    # a coarse grid and short works: equal arrivals and completions at
+    # an arrival instant are common
+    arrive, work = priority_order(flows)
+    assert kernel_run(arrive, work, np.int64) == stack_run(arrive, work)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 120), st.integers(1, 40)), min_size=1, max_size=40))
+def test_lcfs_kernel_matches_stack_on_dyadic_floats(flows):
+    # quarters and eighths: every sum either side forms is exact
+    arrive, work = priority_order([(t / 4, w / 8) for t, w in flows])
+    assert kernel_run(arrive, work, np.float64) == stack_run(arrive, work)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.sampled_from((0.3, 0.9, 0.99)))
+def test_lcfs_kernel_matches_stack_on_continuous_floats(seed, n, load):
+    # Poisson arrivals and exponential works: the two forms sum the same
+    # works in different orders, so they agree to rounding
+    rng = np.random.default_rng(seed)
+    arrive = np.cumsum(rng.exponential(1.0, n)).tolist()
+    work = rng.exponential(load, n).tolist()
+    departs, begins, ends = kernel_run(arrive, work, np.float64)
+    want_departs, want_begins, want_ends = stack_run(arrive, work)
+    assert begins == want_begins
+    assert departs == pytest.approx(want_departs, rel=1e-9)
+    assert ends == pytest.approx(want_ends, rel=1e-9)

@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from dcflow.ct_network import choose_epsilon, run_ct, slot_ceil
-from dcflow.dt_network import run_dt, write_ledger_csv
-from dcflow.errors import DcflowError
+from dcflow.dt_network import _ledger, run_dt, write_ledger_csv
+from dcflow.errors import DcflowError, EmulationInfeasibilityError
 from dcflow.flow_gen import FlowType, gen_poisson
 from dcflow.metrics import oracle_table
 from dcflow.topology import TreeSpec, compute_loads, make_route
@@ -196,6 +196,29 @@ def test_ledger_csv_format(two_hop_route, tmp_path):
     assert int(first[0]) == dt.ledger.rows[0].uid
 
 
+def test_violations_are_named_in_uid_order(two_hop_route):
+    # flow 9 breaks a check at the first queue and flow 2 at the second;
+    # the error names the smaller uid, whatever the queue order
+    types = (FlowType(0, 1.0, 0.1),)
+    eps = choose_epsilon(compute_loads([two_hop_route], {(0, 1.0): 0.1}), 2.0, override=0.5)
+    injections = [(1.0, 0, 9), (10.0, 0, 2)]
+    ct = run_ct(injections, [two_hop_route], types, eps)
+    ct.delta[ct.offsets[ct.index[9]]] -= 0.5
+    ct.delta[ct.offsets[ct.index[2]] + 1] -= 0.5
+    with pytest.raises(EmulationInfeasibilityError,
+                       match=r"^flow 2 left a/up in slot 24, reference bound is 23$"):
+        run_dt(ct, injections, [two_hop_route], types, eps)
+
+    # both injected after their first schedule time: flow 2 is named,
+    # though flow 9 comes first in injection order
+    ct = run_ct(injections, [two_hop_route], types, eps)
+    for uid in (9, 2):
+        ct.tau[ct.offsets[ct.index[uid]]] -= 1.0
+    with pytest.raises(EmulationInfeasibilityError,
+                       match=r"^flow 2 injected after its first schedule time$"):
+        run_dt(ct, injections, [two_hop_route], types, eps)
+
+
 STAR = TreeSpec(nodes=("r", "a", "b"), root="r", parent={"a": "r", "b": "r"})
 TREE = TreeSpec(nodes=("r", "a1", "a2", "h1", "h2", "h3", "h4"), root="r",
                 parent={"a1": "r", "a2": "r", "h1": "a1", "h2": "a1", "h3": "a2", "h4": "a2"})
@@ -209,7 +232,8 @@ def test_engines_hold_little_memory_per_flow_hop():
     # the tree5hop-0.9 benchmark point, shortened: two 5-queue routes
     # sharing three queues at load 0.9.  Flat per-hop arrays keep the
     # engines near 100 B per flow-hop; per-flow objects with per-hop
-    # lists and tuples take over 400 B here.
+    # lists and tuples take over 400 B here.  The ledger holds one array
+    # per column, 64 B per flow; one row object per flow took about 187 B.
     routes = [make_route(TREE, "h1", "h3", route_id=0), make_route(TREE, "h2", "h4", route_id=1)]
     types = (FlowType(0, 1.0, 0.45), FlowType(1, 1.0, 0.45))
     profile = compute_loads(routes, {(t.route, t.size): t.rate for t in types})
@@ -223,10 +247,18 @@ def test_engines_hold_little_memory_per_flow_hop():
         ct = run_ct(injections, routes, types, eps)
         dt = run_dt(ct, injections, routes, types, eps, arrive_times=nb.arrive_times)
         peak = tracemalloc.get_traced_memory()[1]
+        # the ledger build alone, from the engine's departure slots
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ledger = _ledger(ct, injections, types, eps.epsilon, dt.ledger.trail.delta_slots,
+                         nb.arrive_times)
+        held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    assert ledger == dt.ledger
     assert dt.flow_hops_checked == 5 * len(injections) > 5_000
     assert peak / dt.flow_hops_checked <= 200
+    assert held / len(injections) <= 100
 
 
 def _outcome(engine):

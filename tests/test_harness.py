@@ -6,10 +6,12 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dcflow import harness, selftest, sfa_core
 from dcflow.cli import main as cli_main
+from dcflow.ct_network import slot_ceil
 from dcflow.errors import ConfigError, InternalConsistencyError
 from dcflow.harness import (
     ExperimentConfig,
@@ -20,6 +22,8 @@ from dcflow.harness import (
     serialize_config,
     validate_config,
 )
+
+from lcfs_oracle import run_ct_stack
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -198,6 +202,30 @@ def test_regularized_star_keeps_wait_identity():
         assert point.flow_hops_checked == point.flow_hops_expected > 0
 
 
+def test_smoke_reference_run_matches_stack_oracle():
+    # the closed-form reference run against the stack sweep on the shipped
+    # smoke point: every instant agrees to rounding and every slot exactly
+    smoke = load_config(os.path.join(HERE, "configs", "smoke.json"))
+    plan = harness.plan_point(smoke, smoke.sweep[0])
+    nb = harness.run_emulation(harness.gen_poisson(plan.types, smoke.horizon, smoke.seed),
+                               plan.routes, profile=plan.profile, record_states=False)
+    injections = sorted(((t, nb.type_of[uid], uid) for uid, t in nb.injections.items()),
+                        key=lambda e: (e[0], e[2]))
+    args = (injections, plan.routes, plan.types, plan.eps)
+    got, want = harness.run_ct(*args), run_ct_stack(*args)
+    assert got.index == want.index and got.offsets == want.offsets
+    epsv = plan.eps.epsilon
+    for g, w in ((got.tau, want.tau), (got.delta, want.delta)):
+        g, w = np.asarray(g), np.asarray(w)
+        assert np.all(np.abs(g - w) <= 1e-9 * np.abs(w))
+        assert np.array_equal(slot_ceil(g, epsv), slot_ceil(w, epsv))
+    dt_got = harness.run_dt(got, *args, arrive_times=nb.arrive_times)
+    dt_want = harness.run_dt(want, *args, arrive_times=nb.arrive_times)
+    assert dt_got.ledger.trail.delta_slots == dt_want.ledger.trail.delta_slots
+    assert (dt_got.n_slots_processed, dt_got.n_transmissions, dt_got.flow_hops_checked) == (
+        dt_want.n_slots_processed, dt_want.n_transmissions, dt_want.flow_hops_checked)
+
+
 def test_smoke_ledger_is_pinned(tmp_path):
     # any engine rewrite that keeps the arithmetic must keep these digests;
     # the hop tables are written from the per-hop records the ledger reads
@@ -208,8 +236,8 @@ def test_smoke_ledger_is_pinned(tmp_path):
                for name in ("ledger.csv", "ct_table.csv", "hops.jsonl")}
     assert digests == {
         "ledger.csv": "6e94d99cad2918f410c2110ff59c5435015f7bf39ac4b07ab269b9c06f4c4b89",
-        "ct_table.csv": "6aeb28c9733abe276b7c9dc6fa5f06b7ed308ce445d0753822500bf6fab73d31",
-        "hops.jsonl": "88589e05460fb33c92a885ba11199e15943c3d6209cc25a6bd44c8d6782537e0",
+        "ct_table.csv": "039cc937ae92182f53d0e01b508cbc436b7edf3357e5b71b1a336041a83a3149",
+        "hops.jsonl": "11be9e798800bcd37bbda63951d59777c5d892cce7a4d017b4068417760ee808",
     }
 
 

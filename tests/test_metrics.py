@@ -1,10 +1,8 @@
-import random
-
 import numpy as np
 import pytest
 
 from dcflow.ct_network import choose_epsilon, run_ct
-from dcflow.dt_network import run_dt
+from dcflow.dt_network import COLUMNS, run_dt
 from dcflow.flow_gen import FlowType, gen_poisson
 from dcflow.metrics import (
     compare_distribution,
@@ -56,8 +54,10 @@ def test_summarize_burn_in_and_absent_types(two_hop_route):
 def test_summarize_permutation_invariant(two_hop_route):
     profile, eps, ledger = small_run(two_hop_route)
     stats_a = summarize(ledger, 100.0, profile, eps)
-    rng = random.Random(7)
-    rng.shuffle(ledger.rows)
+    perm = np.random.default_rng(7).permutation(len(ledger))
+    assert not np.array_equal(perm, np.arange(len(ledger)))
+    for name in COLUMNS:
+        setattr(ledger, name, getattr(ledger, name)[perm])
     stats_b = summarize(ledger, 100.0, profile, eps)
     assert stats_a == stats_b
 
