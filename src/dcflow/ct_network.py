@@ -37,8 +37,9 @@ hand them out per flow, as lists built when read.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -146,21 +147,44 @@ class _PerHop(Mapping):
         return len(self._ct.index)
 
 
-@dataclass
+@dataclass(eq=False)
 class CtResult:
     """Per-flow, per-hop arrival/departure instants along each route.
 
-    Flows are numbered in arrival order, (t, uid); `index` maps a uid to
-    its number f.  Flow f's instants at the hop-th queue of its route are
-    `tau[offsets[f] + hop]` and `delta[offsets[f] + hop]`, as `lcfs_pr`
-    left them: at one instant a queue completes its head before it takes
-    an arrival, and takes equal arrivals in uid order.
+    Flows are numbered in arrival order, (t, uid): flow f has uid
+    `uid[f]`, and `flows` maps uids back to their numbers.  Flow f's
+    instants at the hop-th queue of its route are `tau[offsets[f] + hop]`
+    and `delta[offsets[f] + hop]`, as `lcfs_pr` left them: at one instant
+    a queue completes its head before it takes an arrival, and takes equal
+    arrivals in uid order.
     """
 
-    index: dict[int, int]
+    uid: np.ndarray  # int64, one entry per flow
     offsets: array   # 'q', one entry per flow plus the total flow-hop count
     tau: array       # 'd'
     delta: array     # 'd'
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """uid -> flow number, built on first read."""
+        return dict(zip(self.uid.tolist(), range(len(self.uid))))
+
+    @cached_property
+    def _by_uid(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self.uid)
+        return order, self.uid[order]
+
+    def flows(self, uids: np.ndarray) -> np.ndarray:
+        """Flow numbers of `uids`.  A uid the run does not hold raises
+        InternalConsistencyError naming it, the smallest such first."""
+        order, known = self._by_uid
+        pos = np.searchsorted(known, uids)
+        held = pos < len(known)
+        held[held] = known[pos[held]] == uids[held]
+        if not held.all():
+            raise InternalConsistencyError(
+                f"flow {uids[~held].min()} is unknown to the reference run")
+        return order[pos]
 
     @property
     def taus(self) -> Mapping[int, list[float]]:
@@ -222,12 +246,15 @@ def lcfs_pr(arrive: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return departs, np.flatnonzero(waits_for <= k)
 
 
-def injection_columns(injections: list[tuple[float, int, int]]
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(time, type_index, uid) injections as three arrays."""
-    cols = np.fromiter(injections, dtype=[("t", "f8"), ("ti", "i8"), ("uid", "i8")],
-                       count=len(injections))
-    return cols["t"], cols["ti"], cols["uid"]
+INJECTION = np.dtype([("t", "f8"), ("ti", "i8"), ("uid", "i8")])
+
+
+def injection_columns(injections) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(time, type_index, uid) injections, a list of rows or an `INJECTION`
+    array, as three arrays."""
+    if not isinstance(injections, np.ndarray):
+        injections = np.fromiter(injections, dtype=INJECTION, count=len(injections))
+    return injections["t"], injections["ti"], injections["uid"]
 
 
 class QueueSegments:
@@ -259,12 +286,13 @@ class QueueSegments:
 
 
 def run_ct(
-    injections: list[tuple[float, int, int]],
+    injections: Sequence[tuple[float, int, int]] | np.ndarray,
     routes: list[Route],
     types: tuple[FlowType, ...],
     eps: EpsilonConfig,
 ) -> CtResult:
-    """Simulate the reference network for (time, type_index, uid) injections.
+    """Simulate the reference network for (time, type_index, uid)
+    injections, given in any order as rows or as an `INJECTION` array.
 
     The queues are served by `lcfs_pr` in index order, which serves each
     after every queue that feeds it; a flow arrives at its next queue the
@@ -276,7 +304,6 @@ def run_ct(
     t_inject, ti, uid = injection_columns(injections)
     order = np.lexsort((uid, t_inject))
     t_inject, ti, uid = t_inject[order], ti[order], uid[order]   # flows in arrival order
-    index = dict(zip(uid.tolist(), range(len(uid))))
     offsets = array("q", [0]) * (len(uid) + 1)
     starts = np.frombuffer(offsets, dtype=np.int64)
     np.cumsum(np.array([len(p) for p in paths], dtype=np.int64)[ti], out=starts[1:])
@@ -299,19 +326,21 @@ def run_ct(
         onward = np.array([h + 1 < len(paths[k]) for k, h in segs])[seg]
         tau[offs[onward] + 1] = departs[onward]
 
-    return CtResult(index=index, offsets=offsets, tau=tau_buf, delta=delta_buf)
+    return CtResult(uid=uid, offsets=offsets, tau=tau_buf, delta=delta_buf)
 
 
 def write_ct_table(result: CtResult, types: tuple[FlowType, ...], routes: list[Route],
                    type_of: dict[int, int], path: str) -> None:
     """CSV table `uid,node,tau,delta`, one row per flow per hop."""
     by_id = {r.id: r for r in routes}
-    index, offsets, taus, deltas = result.index, result.offsets, result.tau, result.delta
+    offsets, taus, deltas = result.offsets, result.tau, result.delta
+    uids = result.uid.tolist()
     with open(path, "w") as fh:
         fh.write("# dcflow ct-table v1\n")
         fh.write("uid,node,tau,delta\n")
-        for uid in sorted(index):
+        for f in np.argsort(result.uid).tolist():
+            uid = uids[f]
             qpath = by_id[types[type_of[uid]].route].queue_path
-            o = offsets[index[uid]]
+            o = offsets[f]
             for hop, q in enumerate(qpath):
                 fh.write(f"{uid},{q},{taus[o + hop]!r},{deltas[o + hop]!r}\n")

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,20 +163,17 @@ class DtRunResult:
     flow_hops_checked: int
 
 
-def _ledger(ct: CtResult, injections: list[tuple[float, int, int]],
+def _ledger(ct: CtResult, injections: Sequence[tuple[float, int, int]] | np.ndarray,
             types: tuple[FlowType, ...], eps: float, delta_slots: array,
-            arrive_times: dict[int, float] | None) -> DelayLedger:
+            arrive_times: np.ndarray | None) -> DelayLedger:
     """The ledger of a slot engine's run.  `delta_slots` holds its
     departure slot at every flow-hop, at the reference run's flow-hop
     offsets."""
     t_inject, ti, uid = injection_columns(injections)
-    t_arrive = t_inject
-    if arrive_times:
-        t_arrive = np.fromiter(map(arrive_times.get, uid.tolist(), t_inject.tolist()),
-                               dtype=np.float64, count=len(uid))
+    t_arrive = t_inject if arrive_times is None else np.asarray(arrive_times, dtype=np.float64)
     order = np.lexsort((uid, t_arrive))
     t_inject, ti, uid, t_arrive = t_inject[order], ti[order], uid[order], t_arrive[order]
-    f = np.fromiter(map(ct.index.__getitem__, uid.tolist()), dtype=np.int64, count=len(uid))
+    f = ct.flows(uid)
     last = np.frombuffer(ct.offsets, dtype=np.int64)[f + 1] - 1
     d_w = t_inject - t_arrive
     d_s = np.frombuffer(delta_slots, dtype=np.int64)[last] * eps - t_inject
@@ -195,16 +193,17 @@ def _ledger(ct: CtResult, injections: list[tuple[float, int, int]],
 
 def run_dt(
     ct: CtResult,
-    injections: list[tuple[float, int, int]],
+    injections: Sequence[tuple[float, int, int]] | np.ndarray,
     routes: list[Route],
     types: tuple[FlowType, ...],
     eps: EpsilonConfig,
-    arrive_times: dict[int, float] | None = None,
+    arrive_times: np.ndarray | None = None,
 ) -> DtRunResult:
     """Run the slot engine against a finished reference run.
 
-    `injections` lists (t_inject, type_index, uid); `arrive_times` maps a
-    flow back to its external arrival (defaults to its injection time).
+    `injections` lists (t_inject, type_index, uid), as rows or as an
+    `INJECTION` array; `arrive_times` holds each flow's external arrival,
+    in the same order (defaults to its injection time).
     Every flow's hop records and injection are checked first; then each
     queue is served alone in its flows' schedule order, and the two checks
     that couple the queues run on its flow-hops.
@@ -217,7 +216,7 @@ def run_dt(
     delta = np.frombuffer(ct.delta, dtype=np.float64)
 
     t_inject, ti, uid = injection_columns(injections)
-    f = np.fromiter(map(ct.index.__getitem__, uid.tolist()), dtype=np.int64, count=len(uid))
+    f = ct.flows(uid)
     first = offsets[f]
     n_hops = np.array([len(p) for p in paths], dtype=np.int64)[ti]
     missing = offsets[f + 1] - first != n_hops

@@ -49,9 +49,6 @@ class ArrivalStream:
     events: list[tuple[float, int, int]]
     external_times: dict[int, float] = field(default_factory=dict)
 
-    def arrival_time(self, uid: int, emit_time: float) -> float:
-        return self.external_times.get(uid, emit_time)
-
 
 def _float_bits(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
@@ -102,7 +99,7 @@ def gen_poisson(types: list[FlowType] | tuple[FlowType, ...], horizon: float, se
         times = np.empty(0)
         tids = np.empty(0, dtype=np.int64)
 
-    events = [(float(t), int(ti), uid) for uid, (t, ti) in enumerate(zip(times, tids))]
+    events = list(zip(times.tolist(), tids.tolist(), range(len(times))))
     return ArrivalStream(horizon=float(horizon), rng_seed=int(seed), types=types, events=events)
 
 

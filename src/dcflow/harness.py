@@ -260,14 +260,11 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
     if plan.reg is not None:
         stream = regularize(stream, plan.reg)
 
-    nb = run_emulation(stream, routes, profile=plan.profile, record_states=False)
+    nb = run_emulation(stream, routes, profile=plan.profile)
     del stream   # freed before the engines run
-    injections = sorted(
-        ((t, nb.type_of[uid], uid) for uid, t in nb.injections.items()),
-        key=lambda e: (e[0], e[2]),
-    )
+    injections = nb.schedule()
     ct = run_ct(injections, routes, types, plan.eps)
-    dt = run_dt(ct, injections, routes, types, plan.eps, arrive_times=nb.arrive_times)
+    dt = run_dt(ct, injections, routes, types, plan.eps, arrive_times=nb.t_arrive)
     stats = summarize(dt.ledger, config.burn_in * config.horizon, plan.profile, plan.eps,
                       extra_wait=plan.extra_wait)
 
@@ -291,7 +288,7 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
     return PointResult(
         mult=mult,
         stats=stats,
-        n_flows=len(nb.injections),
+        n_flows=len(nb),
         flow_hops_checked=dt.flow_hops_checked,
         flow_hops_expected=int(np.array([r.hop_count for r in routes])[dt.ledger.route].sum()),
         artifacts=artifacts,

@@ -7,8 +7,16 @@ route's rate equally.  Between events the rate vector is constant, so
 flow completions are computed in closed form: a route tracks the
 cumulative service V granted to each of its flows, a flow of size x
 arriving when the route had accumulated V departs once the route reaches
-V + x, and the allocation is re-evaluated only when the occupancy vector
-changes.
+V + x, and the allocation changes only when the occupancy vector does.
+
+`serve` is the whole simulation: one flat event loop over plain locals,
+per class a flow count, V and a heap of (V + x, uid, event index).  The
+per-flow rates phi_j(n) / n_j are cached per occupancy n, and each
+occupancy's allocation is checked against the capacities when it enters
+that cache.  At one instant a departure goes before an arrival, and
+equal departure instants go in uid order.  The loop writes each flow's
+departure into one array; everything else about a run is read from
+`NbRunResult`'s columns afterwards.
 
 The congestion-control rule is: a flow becomes eligible for the internal
 network exactly when it departs this virtual network.  Its external wait
@@ -20,8 +28,14 @@ flow enters before it arrives.
 from __future__ import annotations
 
 import heapq
+import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
+from .ct_network import INJECTION, injection_columns
 from .errors import InternalConsistencyError
 from .flow_gen import ArrivalStream, FlowType
 from .sfa_core import BandwidthNetworkSpec, _evaluator
@@ -34,126 +48,160 @@ def bandwidth_spec_for(routes: list[Route]) -> BandwidthNetworkSpec:
     return BandwidthNetworkSpec.unit(len(queues), paths)
 
 
-class NbState:
-    """Mutable simulation state: clock, per-class flow sets, current rates.
+def serve(spec: BandwidthNetworkSpec, classes: Sequence[int], sizes: Sequence[float],
+          events: Sequence[tuple[float, int, int]]) -> np.ndarray:
+    """Departure instant of every flow of `events`, in event order.
 
-    A flow joins a class with its own size, so one class may hold flows
-    of several sizes.
+    `events` lists (time, type index, uid) with nondecreasing times; a
+    type-k flow joins class `classes[k]` with size `sizes[k]`.  An arrival
+    goes first only if it is strictly earlier than the next departure, and
+    equal departure instants go in uid order.
     """
+    n_classes = spec.n_routes
+    ev = _evaluator(spec, exact=False)
+    cap = [float(c) + 1e-9 for c in spec.capacities]
+    users = [[(j, float(spec.consumption[j][spec.route_resources[j].index(l)]))
+              for j in spec.routes_using(l)] for l in range(spec.n_resources)]
+    per_flow: dict[tuple[int, ...], tuple[float, ...]] = {}
 
-    def __init__(self, spec: BandwidthNetworkSpec, record_states: bool = True):
-        self.spec = spec
-        self.clock = 0.0
-        self.n = [0] * spec.n_routes
-        self.v = [0.0] * spec.n_routes            # cumulative per-flow service
-        self.heaps: list[list[tuple[float, int]]] = [[] for _ in range(spec.n_routes)]
-        self.phi: tuple[float, ...] = (0.0,) * spec.n_routes
-        self.occ_integral = [0.0] * spec.n_routes
-        self.state_time: dict[tuple[int, ...], float] = {} if record_states else None
-        self.n_events = 0
-        self._ev = _evaluator(spec, exact=False)
-        self._feas_cap = [float(c) + 1e-9 for c in spec.capacities]
-        self._feasible: set[tuple[int, ...]] = set()  # occupancies checked
-        self._users = []  # per resource: [(class, consumption), ...]
-        for l in range(spec.n_resources):
-            row = []
-            for j in spec.routes_using(l):
-                k = spec.route_resources[j].index(l)
-                row.append((j, float(spec.consumption[j][k])))
-            self._users.append(row)
-
-    # -- bookkeeping ------------------------------------------------------
-
-    def advance(self, t: float) -> None:
-        dt = t - self.clock
-        if dt < 0:
-            raise InternalConsistencyError(f"clock moved backwards: {self.clock} -> {t}")
-        if dt > 0:
-            n, v, phi, occ = self.n, self.v, self.phi, self.occ_integral
-            for j in range(len(n)):
-                nj = n[j]
-                if nj:
-                    v[j] += phi[j] / nj * dt
-                    occ[j] += nj * dt
-            if self.state_time is not None:
-                key = tuple(n)
-                self.state_time[key] = self.state_time.get(key, 0.0) + dt
-            self.clock = t
-
-    def _recompute(self) -> None:
-        n_now = tuple(self.n)
-        self.phi = phi = self._ev.rates(n_now)
-        if n_now in self._feasible:
-            return
-        # capacity feasibility at the new allocation; the rates are a pure
-        # function of the occupancy, so each occupancy is checked once
-        for l, row in enumerate(self._users):
+    def rates_at(key: tuple[int, ...]) -> tuple[float, ...]:
+        # each occupancy's allocation is checked once, when first met
+        phi = ev.rates(key)
+        for l, row in enumerate(users):
             used = 0.0
             for j, b in row:
-                if n_now[j]:
+                if key[j]:
                     used += b * phi[j]
-            if used > self._feas_cap[l]:
+            if used > cap[l]:
                 raise InternalConsistencyError(
-                    f"allocation violates capacity of resource {l}: {used}"
-                )
-        self._feasible.add(n_now)
+                    f"allocation violates capacity of resource {l}: {used}")
+        rates = per_flow[key] = tuple(phi[j] / nj if nj else 0.0 for j, nj in enumerate(key))
+        return rates
 
-    # -- transitions -------------------------------------------------------
+    out = array("d", bytes(8 * len(events)))
+    n = [0] * n_classes
+    v = [0.0] * n_classes             # cumulative per-flow service
+    heaps: list[list[tuple[float, int, int]]] = [[] for _ in range(n_classes)]
+    rate = (0.0,) * n_classes         # per-flow rates at the current occupancy
+    clock = 0.0
+    inf = math.inf
+    push, pop = heapq.heappush, heapq.heappop
+    total = len(events)
+    i = 0
+    t_next = events[0][0] if total else inf
+    while True:
+        # earliest completion under the current rates, ties toward the smaller uid
+        t_dep, u_dep, c_dep = inf, 0, -1
+        for j, heap in enumerate(heaps):
+            if heap:
+                thr, uid, _ = heap[0]
+                remaining = thr - v[j]
+                if remaining > 0:
+                    t = clock + remaining / rate[j]
+                elif remaining < -1e-9:
+                    raise InternalConsistencyError(
+                        f"negative residual work {remaining} in class {j}")
+                else:
+                    t = clock
+                if t < t_dep or (t == t_dep and uid < u_dep):
+                    t_dep, u_dep, c_dep = t, uid, j
+        t = t_next if t_next < t_dep else t_dep
+        if t == inf:
+            break
+        dt = t - clock
+        if dt > 0:
+            for j in range(n_classes):
+                v[j] += rate[j] * dt   # an empty class's rate is 0.0: v unchanged
+            clock = t
+        if t_next < t_dep:
+            _, k, uid = events[i]
+            c = classes[k]
+            push(heaps[c], (v[c] + sizes[k], uid, i))
+            n[c] += 1
+            i += 1
+            t_next = events[i][0] if i < total else inf
+        else:
+            thr, _, e = pop(heaps[c_dep])
+            v[c_dep] = thr   # snap out accumulated rounding
+            n[c_dep] -= 1
+            out[e] = t
+        key = tuple(n)
+        try:
+            rate = per_flow[key]
+        except KeyError:
+            rate = rates_at(key)
+    return np.frombuffer(out, dtype=np.float64)
 
-    def apply_arrival(self, t: float, class_idx: int, uid: int, size: float) -> None:
-        self.advance(t)
-        heapq.heappush(self.heaps[class_idx], (self.v[class_idx] + size, uid))
-        self.n[class_idx] += 1
-        self._recompute()
-        self.n_events += 1
 
-    def next_departure(self) -> tuple[float, int, int] | None:
-        """Earliest completion under the current rates: (time, class, uid).
-
-        Ties across classes break toward the smaller uid.
-        """
-        best = None
-        for j, nj in enumerate(self.n):
-            if not nj:
-                continue
-            thr, uid = self.heaps[j][0]
-            rate = self.phi[j] / nj
-            remaining = thr - self.v[j]
-            if remaining < -1e-9:
-                raise InternalConsistencyError(f"negative residual work {remaining} in class {j}")
-            t = self.clock + (remaining / rate if remaining > 0 else 0.0)
-            if best is None or (t, uid) < (best[0], best[2]):
-                best = (t, j, uid)
-        return best
-
-    def apply_departure(self, t: float, class_idx: int, uid: int) -> None:
-        self.advance(t)
-        thr, top_uid = heapq.heappop(self.heaps[class_idx])
-        if top_uid != uid:
-            raise InternalConsistencyError(f"departure of {uid} but {top_uid} is due first")
-        self.v[class_idx] = thr  # snap out accumulated rounding
-        self.n[class_idx] -= 1
-        self._recompute()
-        self.n_events += 1
-
-
-@dataclass
+@dataclass(eq=False)
 class NbRunResult:
-    """Outcome of one virtual-network run.  Occupancies are per route."""
+    """Outcome of one virtual-network run: one array per column, flows in
+    stream order.  Occupancies are per route."""
 
     types: tuple[FlowType, ...]
     spec: BandwidthNetworkSpec
-    injections: dict[int, float]                     # uid -> eligibility instant
-    enter_times: dict[int, float]                    # uid -> arrival into the virtual net
-    arrive_times: dict[int, float]                   # uid -> external arrival
-    type_of: dict[int, int]
-    departures_by_type: list[list[tuple[float, int]]]
-    occupancy_time_avg: tuple[float, ...]
-    state_time: dict[tuple[int, ...], float] | None
+    uid: np.ndarray        # negative for a regularizer's dummy flow
+    type: np.ndarray       # index into `types`
+    t_enter: np.ndarray    # arrival into the virtual net
+    t_arrive: np.ndarray   # external arrival
+    t_inject: np.ndarray   # departure from the virtual net: eligibility instant
     n_events: int
 
-    def waiting_delay(self, uid: int) -> float:
-        return self.injections[uid] - self.arrive_times[uid]
+    def __len__(self) -> int:
+        return len(self.uid)
+
+    @property
+    def injections(self) -> dict[int, float]:
+        """uid -> eligibility instant, built when read."""
+        return dict(zip(self.uid.tolist(), self.t_inject.tolist()))
+
+    @property
+    def enter_times(self) -> dict[int, float]:
+        """uid -> arrival into the virtual net, built when read."""
+        return dict(zip(self.uid.tolist(), self.t_enter.tolist()))
+
+    @property
+    def type_of(self) -> dict[int, int]:
+        """uid -> type index, built when read."""
+        return dict(zip(self.uid.tolist(), self.type.tolist()))
+
+    def schedule(self) -> np.ndarray:
+        """The injections as `run_ct` and `run_dt` take them: one
+        (t, type index, uid) record per flow, stream order."""
+        rows = np.empty(len(self), dtype=INJECTION)
+        rows["t"], rows["ti"], rows["uid"] = self.t_inject, self.type, self.uid
+        return rows
+
+    def _route(self) -> np.ndarray:
+        return np.array([t.route for t in self.types], dtype=np.int64)[self.type]
+
+    @property
+    def occupancy_time_avg(self) -> tuple[float, ...]:
+        """Time-average flows per route, from 0 to the last departure."""
+        end = float(self.t_inject.max()) if len(self) else 0.0
+        held = np.bincount(self._route(), weights=self.t_inject - self.t_enter,
+                           minlength=self.spec.n_routes)
+        return tuple((x / end if end > 0 else 0.0) for x in held.tolist())
+
+    @property
+    def state_time(self) -> dict[tuple[int, ...], float]:
+        """Time spent at each occupancy vector, from 0 to the last departure."""
+        n, width = len(self), self.spec.n_routes
+        at = np.concatenate(([0.0], self.t_enter, self.t_inject))
+        step = np.zeros((2 * n + 1, width), dtype=np.int64)
+        route = self._route()
+        step[1 + np.arange(n), route] = 1
+        step[1 + n + np.arange(n), route] = -1
+        order = np.argsort(at, kind="stable")
+        occ = np.cumsum(step[order], axis=0)[:-1]   # held until the next instant
+        dt = np.diff(at[order])
+        kept = dt > 0
+        occ = occ[kept]
+        span = occ.max(axis=0, initial=0) + 1
+        codes, which = np.unique(np.ravel_multi_index(occ.T, span), return_inverse=True)
+        spent = np.bincount(which, weights=dt[kept], minlength=len(codes))
+        states = zip(*(c.tolist() for c in np.unravel_index(codes, span)))
+        return dict(zip(states, spent.tolist()))
 
 
 def run_emulation(
@@ -161,7 +209,6 @@ def run_emulation(
     routes: list[Route],
     *,
     profile: LoadProfile | None = None,
-    record_states: bool = True,
 ) -> NbRunResult:
     """Drive the virtual network with a stream; injection time = departure.
 
@@ -173,73 +220,44 @@ def run_emulation(
         profile = compute_loads(routes, {(t.route, t.size): t.rate for t in types})
     require_admissible(profile)
 
-    spec = bandwidth_spec_for(routes)
-    state = NbState(spec, record_states=record_states)
-
-    injections: dict[int, float] = {}
-    enter: dict[int, float] = {}
-    arrive: dict[int, float] = {}
-    type_of: dict[int, int] = {}
-    departures: list[list[tuple[float, int]]] = [[] for _ in types]
-
     events = stream.events
-    i, total = 0, len(events)
-    while True:
-        nd = state.next_departure()
-        if i < total:
-            ta = events[i][0]
-            if nd is None or ta < nd[0]:
-                t, ti, uid = events[i]
-                i += 1
-                state.apply_arrival(t, types[ti].route, uid, types[ti].size)
-                enter[uid] = t
-                arrive[uid] = stream.arrival_time(uid, t)
-                type_of[uid] = ti
-                continue
-        if nd is None:
-            break
-        t, j, uid = nd
-        state.apply_departure(t, j, uid)
-        injections[uid] = t
-        departures[type_of[uid]].append((t, uid))
+    t_enter, ti, uid = (np.ascontiguousarray(c) for c in injection_columns(events))
+    back = np.flatnonzero(t_enter[1:] < t_enter[:-1])
+    if back.size:
+        k = back[0]
+        raise InternalConsistencyError(
+            f"clock moved backwards at flow {uid[k + 1]}: {t_enter[k]} -> {t_enter[k + 1]}")
+    t_arrive = t_enter
+    if stream.external_times:
+        t_arrive = np.fromiter(map(stream.external_times.get, uid.tolist(), t_enter.tolist()),
+                               dtype=np.float64, count=len(uid))
+        early = np.flatnonzero(t_enter < t_arrive)
+        if early.size:
+            raise InternalConsistencyError(
+                f"flow {uid[early[0]]} entered the virtual net before it arrived")
 
-    end_clock = state.clock
-    occ_avg = tuple(
-        (integral / end_clock if end_clock > 0 else 0.0) for integral in state.occ_integral
-    )
-    result = NbRunResult(
-        types=types,
-        spec=spec,
-        injections=injections,
-        enter_times=enter,
-        arrive_times=arrive,
-        type_of=type_of,
-        departures_by_type=departures,
-        occupancy_time_avg=occ_avg,
-        state_time=state.state_time,
-        n_events=state.n_events,
-    )
-    _assert_entered_after_arrival(result)
-    return result
-
-
-def _assert_entered_after_arrival(result: NbRunResult) -> None:
-    # a regularized flow enters at an emission epoch after its external
-    # arrival; any other flow enters the instant it arrives
-    for uid, t_enter in result.enter_times.items():
-        if t_enter < result.arrive_times[uid]:
-            raise InternalConsistencyError(f"flow {uid} entered the virtual net before it arrived")
+    spec = bandwidth_spec_for(routes)
+    t_inject = serve(spec, [t.route for t in types], [t.size for t in types], events)
+    return NbRunResult(types=types, spec=spec, uid=uid, type=ti, t_enter=t_enter,
+                       t_arrive=t_arrive, t_inject=t_inject, n_events=2 * len(events))
 
 
 def departure_process(result: NbRunResult, type_index: int, burn_in: float = 0.0) -> list[float]:
     """Departure epochs of one type after burn-in; dummies excluded."""
-    return [t for t, uid in result.departures_by_type[type_index] if t >= burn_in and uid >= 0]
+    t = np.sort(result.t_inject[(result.type == type_index) & (result.uid >= 0)])
+    return t[t >= burn_in].tolist()
 
 
 def write_injection_trace(result: NbRunResult, path: str) -> None:
-    """CSV trace `uid,t_arrive,t_inject`, one row per flow, uid order."""
+    """CSV trace `uid,t_arrive,t_inject`, one row per flow, uid order,
+    converted to Python numbers a chunk of rows at a time."""
+    order = np.argsort(result.uid)
     with open(path, "w") as fh:
         fh.write("# dcflow injection-trace v1\n")
         fh.write("uid,t_arrive,t_inject\n")
-        for uid in sorted(result.injections):
-            fh.write(f"{uid},{result.arrive_times[uid]!r},{result.injections[uid]!r}\n")
+        for lo in range(0, len(order), 4096):
+            part = order[lo:lo + 4096]
+            for uid, t_arrive, t_inject in zip(result.uid[part].tolist(),
+                                                result.t_arrive[part].tolist(),
+                                                result.t_inject[part].tolist()):
+                fh.write(f"{uid},{t_arrive!r},{t_inject!r}\n")

@@ -13,6 +13,8 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate
 
+import numpy as np
+
 from dcflow.ct_network import CtResult
 from dcflow.topology import queue_paths
 
@@ -88,4 +90,5 @@ def run_ct_stack(injections, routes, types, eps) -> CtResult:
             if not last_hop[o]:
                 taus[o + 1] = deltas[o]
 
-    return CtResult(index=index, offsets=offsets, tau=taus, delta=deltas)
+    return CtResult(uid=np.array([uid for _, _, uid in arrivals], dtype=np.int64),
+                    offsets=offsets, tau=taus, delta=deltas)

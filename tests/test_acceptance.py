@@ -9,6 +9,7 @@ module-scoped fixtures.
 import statistics
 import time
 
+import numpy as np
 import pytest
 
 from dcflow.ct_network import choose_epsilon, run_ct, slot_ceil
@@ -94,21 +95,18 @@ def sweep_runs():
         profile = compute_loads(routes, lam)
         horizon = 150_000.0
         stream = gen_poisson(types, horizon, seed=5)
-        nb = run_emulation(stream, routes, record_states=False)
+        nb = run_emulation(stream, routes)
         eps = choose_epsilon(profile, 2.0)
-        injections = sorted(
-            ((t, nb.type_of[u], u) for u, t in nb.injections.items()),
-            key=lambda e: (e[0], e[2]),
-        )
+        injections = nb.schedule()
         ct = run_ct(injections, routes, types, eps)
-        dt = run_dt(ct, injections, routes, types, eps, arrive_times=nb.arrive_times)
+        dt = run_dt(ct, injections, routes, types, eps, arrive_times=nb.t_arrive)
         stats = summarize(dt.ledger, 0.2 * horizon, profile, eps)
         out[rho] = {
             "profile": profile,
             "eps": eps,
             "ledger": dt.ledger,
             "stats": stats,
-            "n_flows": len(nb.injections),
+            "n_flows": len(nb),
             "routes": routes,
         }
     return out
@@ -191,14 +189,10 @@ def test_criterion_05_waiting_delay_law_and_bound():
             n_target = 30_000 if rho < 0.8 else 60_000
             horizon = n_target / lam_
             stream = gen_poisson(types, horizon, seed=map_seed(rho, x))
-            nb = run_emulation(stream, [route], record_states=False)
+            nb = run_emulation(stream, [route])
             burn = 0.2 * horizon
-            waits = [
-                nb.waiting_delay(u)
-                for u, t in nb.enter_times.items()
-                if t >= burn and u in nb.injections
-            ]
-            mean = statistics.mean(waits)
+            waits = (nb.t_inject - nb.t_arrive)[nb.t_enter >= burn]
+            mean = statistics.mean(waits.tolist())
             bound = x * route.hop_count / (1.0 - rho)
             assert mean <= bound * 1.05, f"rho={rho} x={x}: {mean:.3f} > {bound:.3f}"
             results.append((rho, x, mean, bound))
@@ -244,38 +238,46 @@ def test_criterion_07_emulation_invariants(sweep_runs):
     adversarial = sweep_runs[0.9]
     assert adversarial["n_flows"] >= 100_000
     # the engines raise on any violation; re-verify from the recorded
-    # ledgers as exact slot-integer comparisons, independent of the engine
+    # ledgers' hop trails as exact slot-integer comparisons, independent
+    # of the engine, on every flow-hop at once
     checked = 0
     for rho in SWEEP_RHOS:
         run = sweep_runs[rho]
         epsv = run["eps"].epsilon
-        for row in run["ledger"].rows:
-            a_prev_slot = None
-            for (tau, delta, a, s_slot, d_slot) in row.hops:
-                assert d_slot <= slot_ceil(delta, epsv)
-                if a_prev_slot is not None:
-                    assert a_prev_slot <= s_slot
-                a_prev_slot = d_slot  # arrival slot downstream = this departure slot
-                checked += 1
+        ledger = run["ledger"]
+        ct = ledger.trail.ct
+        offsets = np.frombuffer(ct.offsets, dtype=np.int64)
+        # the ledger's rows hold every flow of the reference run once
+        assert np.array_equal(np.sort(offsets[ct.flows(ledger.uid)]), offsets[:-1])
+        tau = np.frombuffer(ct.tau, dtype=np.float64)
+        delta = np.frombuffer(ct.delta, dtype=np.float64)
+        d_slot = np.frombuffer(ledger.trail.delta_slots, dtype=np.int64)
+        assert np.all(d_slot <= slot_ceil(delta, epsv))
+        # a flow arrives downstream in the slot it departs upstream
+        onward = np.ones(len(tau), dtype=bool)
+        onward[offsets[:-1]] = False
+        assert np.all(d_slot[:-1][onward[1:]] <= slot_ceil(tau, epsv)[onward])
+        checked += len(tau)
     # no upward backlog trend at the bottleneck of the adversarial run:
-    # compare time-average occupancy between the two halves
+    # compare time-average occupancy between the two halves.  Every flow
+    # is present at the shared root queue, its first, from its injection
+    # to the end of its departure slot there; at one instant departures
+    # count first
+    ledger = adversarial["ledger"]
+    ct = ledger.trail.ct
+    first = np.frombuffer(ct.offsets, dtype=np.int64)[ct.flows(ledger.uid)]
     epsv = adversarial["eps"].epsilon
-    marks = []
-    for row in adversarial["ledger"].rows:
-        tau, delta, a, s_slot, d_slot = row.hops[0]  # shared root queue
-        marks.append((a, 1))
-        marks.append((d_slot * epsv, -1))
-    marks.sort()
-    half = marks[-1][0] / 2
-    area = [0.0, 0.0]
-    level, prev = 0, 0.0
-    for t, step in marks:
-        lo, hi = min(prev, half), min(t, half)
-        area[0] += level * max(0.0, hi - lo)
-        area[1] += level * max(0.0, t - max(prev, half))
-        level += step
-        prev = t
-    ratio = area[1] / area[0]
+    leave = np.frombuffer(ledger.trail.delta_slots, dtype=np.int64)[first] * epsv
+    at = np.concatenate((ledger.t_inject, leave))
+    step = np.repeat([1, -1], len(ledger))
+    order = np.lexsort((step, at))
+    at, step = at[order], step[order]
+    half = at[-1] / 2
+    since = np.concatenate(([0.0], at[:-1]))
+    level = np.concatenate(([0], np.cumsum(step)[:-1]))   # flows present since the last mark
+    first_half = np.sum(level * np.maximum(0.0, np.minimum(at, half) - np.minimum(since, half)))
+    second_half = np.sum(level * np.maximum(0.0, at - np.maximum(since, half)))
+    ratio = second_half / first_half
     assert ratio < 2.0, f"backlog grew: second half {ratio:.2f}x the first"
     report(
         7,

@@ -1,13 +1,14 @@
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from dcflow.ct_network import choose_epsilon, run_ct, slot_ceil
 from dcflow.dt_network import _ledger, run_dt, write_ledger_csv
-from dcflow.errors import DcflowError, EmulationInfeasibilityError
+from dcflow.errors import DcflowError, EmulationInfeasibilityError, InternalConsistencyError
 from dcflow.flow_gen import FlowType, gen_poisson
 from dcflow.metrics import oracle_table
 from dcflow.topology import TreeSpec, compute_loads, make_route
@@ -152,7 +153,7 @@ def test_rerun_is_deterministic(two_hop_route):
 def test_delay_decomposition_rows(two_hop_route):
     types = (FlowType(0, 1.0, 0.4),)
     stream = gen_poisson(types, 300.0, seed=44)
-    arrive = {uid: t for t, ti, uid in stream.events}
+    arrive = np.array([t for t, _, _ in stream.events])
     lam = {(0, 1.0): 0.4}
     profile = compute_loads([two_hop_route], lam)
     eps = choose_epsilon(profile, 2.0)
@@ -219,6 +220,19 @@ def test_violations_are_named_in_uid_order(two_hop_route):
         run_dt(ct, injections, [two_hop_route], types, eps)
 
 
+def test_injection_unknown_to_the_reference_run_is_named(two_hop_route):
+    types = (FlowType(0, 1.0, 0.1),)
+    eps = choose_epsilon(compute_loads([two_hop_route], {(0, 1.0): 0.1}), 2.0, override=0.5)
+    ct = run_ct([(1.0, 0, 9), (10.0, 0, 2)], [two_hop_route], types, eps)
+    extra = [(1.0, 0, 9), (3.0, 0, 12), (10.0, 0, 2), (11.0, 0, -4)]
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^flow -4 is unknown to the reference run$"):
+        run_dt(ct, extra, [two_hop_route], types, eps)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^flow 12 is unknown to the reference run$"):
+        run_dt(ct, extra[:2], [two_hop_route], types, eps)
+
+
 STAR = TreeSpec(nodes=("r", "a", "b"), root="r", parent={"a": "r", "b": "r"})
 TREE = TreeSpec(nodes=("r", "a1", "a2", "h1", "h2", "h3", "h4"), root="r",
                 parent={"a1": "r", "a2": "r", "h1": "a1", "h2": "a1", "h3": "a2", "h4": "a2"})
@@ -234,29 +248,38 @@ def test_engines_hold_little_memory_per_flow_hop():
     # engines near 100 B per flow-hop; per-flow objects with per-hop
     # lists and tuples take over 400 B here.  The ledger holds one array
     # per column, 64 B per flow; one row object per flow took about 187 B.
+    # The virtual net's result holds one array per column, about 40 B per
+    # flow; with five uid-keyed dicts and per-type departure lists it
+    # held about 209 B.
     routes = [make_route(TREE, "h1", "h3", route_id=0), make_route(TREE, "h2", "h4", route_id=1)]
     types = (FlowType(0, 1.0, 0.45), FlowType(1, 1.0, 0.45))
     profile = compute_loads(routes, {(t.route, t.size): t.rate for t in types})
     eps = choose_epsilon(profile, 2.0)
-    nb = run_emulation(gen_poisson(types, 2_000.0, seed=1), routes, profile=profile,
-                       record_states=False)
-    injections = sorted(((t, nb.type_of[uid], uid) for uid, t in nb.injections.items()),
-                        key=lambda e: (e[0], e[2]))
+    stream = gen_poisson(types, 2_000.0, seed=1)
+    # a first run fills the normalizer memo, which outlives any one run
+    run_emulation(stream, routes, profile=profile)
     tracemalloc.start()
     try:
+        before = tracemalloc.get_traced_memory()[0]
+        nb = run_emulation(stream, routes, profile=profile)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        injections = nb.schedule()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
         ct = run_ct(injections, routes, types, eps)
-        dt = run_dt(ct, injections, routes, types, eps, arrive_times=nb.arrive_times)
-        peak = tracemalloc.get_traced_memory()[1]
+        dt = run_dt(ct, injections, routes, types, eps, arrive_times=nb.t_arrive)
+        peak = tracemalloc.get_traced_memory()[1] - before
         # the ledger build alone, from the engine's departure slots
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         ledger = _ledger(ct, injections, types, eps.epsilon, dt.ledger.trail.delta_slots,
-                         nb.arrive_times)
+                         nb.t_arrive)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert ledger == dt.ledger
     assert dt.flow_hops_checked == 5 * len(injections) > 5_000
+    assert kept / len(nb) <= 80
     assert peak / dt.flow_hops_checked <= 200
     assert held / len(injections) <= 100
 
@@ -308,7 +331,7 @@ def slot_runs(draw):
 @given(slot_runs())
 def test_event_engine_matches_per_slot_oracle(run):
     ct, injections, routes, types, eps, tampered = run
-    arrive = {uid: t - 0.1 for t, _, uid in injections}
+    arrive = np.array([t - 0.1 for t, _, _ in injections])
     got, got_exc = _outcome(lambda: run_dt(ct, injections, routes, types, eps, arrive))
     want, want_exc = _outcome(
         lambda: run_dt_per_slot(ct, injections, routes, types, eps, arrive)[0]

@@ -208,19 +208,18 @@ def test_smoke_reference_run_matches_stack_oracle():
     smoke = load_config(os.path.join(HERE, "configs", "smoke.json"))
     plan = harness.plan_point(smoke, smoke.sweep[0])
     nb = harness.run_emulation(harness.gen_poisson(plan.types, smoke.horizon, smoke.seed),
-                               plan.routes, profile=plan.profile, record_states=False)
-    injections = sorted(((t, nb.type_of[uid], uid) for uid, t in nb.injections.items()),
-                        key=lambda e: (e[0], e[2]))
+                               plan.routes, profile=plan.profile)
+    injections = nb.schedule()
     args = (injections, plan.routes, plan.types, plan.eps)
     got, want = harness.run_ct(*args), run_ct_stack(*args)
-    assert got.index == want.index and got.offsets == want.offsets
+    assert got.uid.tolist() == want.uid.tolist() and got.offsets == want.offsets
     epsv = plan.eps.epsilon
     for g, w in ((got.tau, want.tau), (got.delta, want.delta)):
         g, w = np.asarray(g), np.asarray(w)
         assert np.all(np.abs(g - w) <= 1e-9 * np.abs(w))
         assert np.array_equal(slot_ceil(g, epsv), slot_ceil(w, epsv))
-    dt_got = harness.run_dt(got, *args, arrive_times=nb.arrive_times)
-    dt_want = harness.run_dt(want, *args, arrive_times=nb.arrive_times)
+    dt_got = harness.run_dt(got, *args, arrive_times=nb.t_arrive)
+    dt_want = harness.run_dt(want, *args, arrive_times=nb.t_arrive)
     assert dt_got.ledger.trail.delta_slots == dt_want.ledger.trail.delta_slots
     assert (dt_got.n_slots_processed, dt_got.n_transmissions, dt_got.flow_hops_checked) == (
         dt_want.n_slots_processed, dt_want.n_transmissions, dt_want.flow_hops_checked)
