@@ -30,16 +30,16 @@ an arrival, relative to the instant, counts as at it, so a tie that
 float noise would otherwise turn into a preemption stays a tie.
 
 The instants are stored flat, one float array each for arrivals and
-departures indexed by flow-hop offset; `CtResult.taus` and `deltas`
-hand them out per flow, as lists built when read.
+departures indexed by flow-hop offset.  `run_ct` numbers the flows, once:
+the slot engine, its ledger and the hop tables all read `CtResult`'s
+per-flow columns by these numbers.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -127,76 +127,39 @@ def choose_epsilon(profile: LoadProfile, c0: float, override: float | None = Non
     return EpsilonConfig(epsilon=eps, c0=float(c0), x_eps=x_eps, n_slots=n_slots, f_eps=f_eps)
 
 
-class _PerHop(Mapping):
-    """uid -> one per-hop column of a `CtResult`, as a list built when read."""
-
-    __slots__ = ("_ct", "_col")
-
-    def __init__(self, ct: "CtResult", col: array):
-        self._ct = ct
-        self._col = col
-
-    def __getitem__(self, uid: int) -> list[float]:
-        f = self._ct.index[uid]
-        return self._col[self._ct.offsets[f]:self._ct.offsets[f + 1]].tolist()
-
-    def __iter__(self):
-        return iter(self._ct.index)
-
-    def __len__(self) -> int:
-        return len(self._ct.index)
-
-
 @dataclass(eq=False)
 class CtResult:
     """Per-flow, per-hop arrival/departure instants along each route.
 
-    Flows are numbered in arrival order, (t, uid): flow f has uid
-    `uid[f]`, and `flows` maps uids back to their numbers.  Flow f's
-    instants at the hop-th queue of its route are `tau[offsets[f] + hop]`
-    and `delta[offsets[f] + hop]`, as `lcfs_pr` left them: at one instant
-    a queue completes its head before it takes an arrival, and takes equal
-    arrivals in uid order.
+    Flows are numbered in arrival order, (t, uid), and every later stage
+    reads them by these numbers: flow f has uid `uid[f]`, type index
+    `ti[f]`, and stood at position `order[f]` in the injections `run_ct`
+    was given.  Its instants at the hop-th queue of its route are
+    `tau[offsets[f] + hop]` and `delta[offsets[f] + hop]`, as `lcfs_pr`
+    left them: at one instant a queue completes its head before it takes
+    an arrival, and takes equal arrivals in uid order.
     """
 
-    uid: np.ndarray  # int64, one entry per flow
-    offsets: array   # 'q', one entry per flow plus the total flow-hop count
-    tau: array       # 'd'
-    delta: array     # 'd'
-
-    @cached_property
-    def index(self) -> dict[int, int]:
-        """uid -> flow number, built on first read."""
-        return dict(zip(self.uid.tolist(), range(len(self.uid))))
-
-    @cached_property
-    def _by_uid(self) -> tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(self.uid)
-        return order, self.uid[order]
-
-    def flows(self, uids: np.ndarray) -> np.ndarray:
-        """Flow numbers of `uids`.  A uid the run does not hold raises
-        InternalConsistencyError naming it, the smallest such first."""
-        order, known = self._by_uid
-        pos = np.searchsorted(known, uids)
-        held = pos < len(known)
-        held[held] = known[pos[held]] == uids[held]
-        if not held.all():
-            raise InternalConsistencyError(
-                f"flow {uids[~held].min()} is unknown to the reference run")
-        return order[pos]
+    uid: np.ndarray    # int64, one entry per flow
+    ti: np.ndarray     # int64, one entry per flow
+    order: np.ndarray  # int64, one entry per flow
+    offsets: array     # 'q', one entry per flow plus the total flow-hop count
+    tau: array         # 'd'
+    delta: array       # 'd'
 
     @property
-    def taus(self) -> Mapping[int, list[float]]:
-        return _PerHop(self, self.tau)
+    def t_inject(self) -> np.ndarray:
+        first = np.frombuffer(self.offsets, dtype=np.int64)[:-1]
+        return np.frombuffer(self.tau, dtype=np.float64)[first]
 
     @property
-    def deltas(self) -> Mapping[int, list[float]]:
-        return _PerHop(self, self.delta)
-
-    def sojourn(self, uid: int) -> float:
-        f = self.index[uid]
-        return self.delta[self.offsets[f + 1] - 1] - self.tau[self.offsets[f]]
+    def taus(self) -> dict[int, list[float]]:
+        """uid -> arrival instant at each queue, built when read.  Only the
+        benchmark's stage tracer reads it, to count flow-hops; it goes
+        when the tracer reads `len(tau)` instead (ROADMAP item 1)."""
+        tau = self.tau.tolist()
+        bounds = self.offsets.tolist()
+        return {u: tau[a:b] for u, a, b in zip(self.uid.tolist(), bounds, bounds[1:])}
 
 
 def lcfs_pr(arrive: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,21 +223,24 @@ def injection_columns(injections) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class QueueSegments:
     """Where each queue's flow-hops sit, per (type, hop).
 
-    The flows of type k have their first flow-hop at offsets `first[k]`
-    and uids `uids[k]`; their hop-h flow-hops are `first[k] + h`.
+    Built from per-flow columns in flow order: type indices `ti`, uids
+    `uid` and first flow-hop offsets `first`.  The flows of type k have
+    their first flow-hop at offsets `self.first[k]` and uids
+    `self.uids[k]`; their hop-h flow-hops are `self.first[k] + h`.
     `gather(q, tau)` collects queue q's flow-hops and returns them in priority
     order, ascending `tau`, then uid: offsets, uids and, for each, the
     index of its (type, hop) pair in `segments[q]`.
     """
 
     def __init__(self, n_queues: int, paths: list[tuple[int, ...]],
-                 first: list[np.ndarray], uids: list[np.ndarray]):
+                 ti: np.ndarray, uid: np.ndarray, first: np.ndarray):
         self.segments: list[list[tuple[int, int]]] = [[] for _ in range(n_queues)]
         for k, path in enumerate(paths):
             for h, q in enumerate(path):
                 self.segments[q].append((k, h))
-        self.first = first
-        self.uids = uids
+        of_type = [np.flatnonzero(ti == k) for k in range(len(paths))]
+        self.first = [first[f] for f in of_type]
+        self.uids = [uid[f] for f in of_type]
 
     def gather(self, q: int, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         segs = self.segments[q]
@@ -294,7 +260,8 @@ def run_ct(
     """Simulate the reference network for (time, type_index, uid)
     injections, given in any order as rows or as an `INJECTION` array.
 
-    The queues are served by `lcfs_pr` in index order, which serves each
+    This is where flows get their numbers: arrival order, (t, uid).  The
+    queues are served by `lcfs_pr` in index order, which serves each
     after every queue that feeds it; a flow arrives at its next queue the
     instant it leaves one.
     """
@@ -313,9 +280,7 @@ def run_ct(
     delta = np.frombuffer(delta_buf, dtype=np.float64)
     tau[starts[:-1]] = t_inject
 
-    of_type = [np.flatnonzero(ti == k) for k in range(len(types))]
-    by_queue = QueueSegments(len(queues), paths, [starts[f] for f in of_type],
-                       [uid[f] for f in of_type])
+    by_queue = QueueSegments(len(queues), paths, ti, uid, starts[:-1])
     for q, segs in enumerate(by_queue.segments):
         if not segs:
             continue
@@ -326,21 +291,21 @@ def run_ct(
         onward = np.array([h + 1 < len(paths[k]) for k, h in segs])[seg]
         tau[offs[onward] + 1] = departs[onward]
 
-    return CtResult(uid=uid, offsets=offsets, tau=tau_buf, delta=delta_buf)
+    return CtResult(uid=uid, ti=ti, order=order, offsets=offsets, tau=tau_buf, delta=delta_buf)
 
 
 def write_ct_table(result: CtResult, types: tuple[FlowType, ...], routes: list[Route],
-                   type_of: dict[int, int], path: str) -> None:
+                   path: str) -> None:
     """CSV table `uid,node,tau,delta`, one row per flow per hop."""
     by_id = {r.id: r for r in routes}
+    qpaths = [by_id[t.route].queue_path for t in types]
     offsets, taus, deltas = result.offsets, result.tau, result.delta
-    uids = result.uid.tolist()
+    uids, tis = result.uid.tolist(), result.ti.tolist()
     with open(path, "w") as fh:
         fh.write("# dcflow ct-table v1\n")
         fh.write("uid,node,tau,delta\n")
         for f in np.argsort(result.uid).tolist():
             uid = uids[f]
-            qpath = by_id[types[type_of[uid]].route].queue_path
             o = offsets[f]
-            for hop, q in enumerate(qpath):
+            for hop, q in enumerate(qpaths[tis[f]]):
                 fh.write(f"{uid},{q},{taus[o + hop]!r},{deltas[o + hop]!r}\n")

@@ -19,9 +19,8 @@ form, `ct_network.lcfs_pr`, serves it, with schedule slots for instants
 and packet counts for work: a flow leaves at its schedule slot plus the
 packets of every activation it waits under, its own included.  Sent
 packets then equal demanded packets by construction.  Departure slots
-go into one integer array at the reference run's flow-hop offsets; a
-ledger row builds its per-queue trail from these shared records when it
-is read.
+go into one integer array at the reference run's flow-hop offsets, and
+the engine reads every flow by the number `run_ct` gave it.
 
 What couples the queues is checked, not simulated.  Two sample-path
 invariants are asserted for every flow at every queue, as exact integer
@@ -31,15 +30,17 @@ slot comparisons:
   * it departs no later than the slot boundary that covers its
     continuous-time departure (Delta <= eps * ceil(delta / eps)).
 
-If the first holds everywhere, every flow is present when its schedule
+At a flow's first queue the first holds by construction: its reference
+arrival there is its injection, which the schedule slot rounds up.  If
+the first holds everywhere, every flow is present when its schedule
 slot comes, so activating it there is what the coupled network does, and
 the per-queue runs are that network's run.  A violation raises
 EmulationInfeasibilityError naming the flow and queue; of several, the
 one met first in uid order, and within a flow in route order.
 
 The delay ledger is columnar: one array per column, rows in
-(t_arrive, uid) order.  `DelayLedger.rows` builds `FlowDelayRecord` row
-views when read.
+(t_arrive, uid) order, each row carrying its reference flow number.
+`hop_columns` lays out every row's per-queue trail as flat columns.
 """
 
 from __future__ import annotations
@@ -48,72 +49,14 @@ import json
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .ct_network import (CtResult, EpsilonConfig, QueueSegments, injection_columns, lcfs_pr,
-                         slot_ceil)
-from .errors import EmulationInfeasibilityError, InternalConsistencyError
+from .ct_network import CtResult, EpsilonConfig, QueueSegments, lcfs_pr, slot_ceil
+from .errors import EmulationInfeasibilityError
 from .flow_gen import FlowType
 from .topology import Route, queue_paths
-
-
-@dataclass(eq=False, slots=True)
-class _HopTrail:
-    """The per-hop records every row of one ledger reads its `hops` from:
-    the reference run's instants and the slot engine's departure slots,
-    both indexed by the reference run's flow-hop offsets."""
-
-    ct: CtResult
-    delta_slots: array
-    eps: float
-    s_slots: np.ndarray | None = None   # every flow-hop's schedule slot, set on the first read
-
-    def hops(self, uid: int, t_inject: float) -> tuple[tuple[float, float, float, int, int], ...]:
-        ct, eps = self.ct, self.eps
-        if self.s_slots is None:
-            self.s_slots = slot_ceil(np.frombuffer(ct.tau, dtype=np.float64), eps)
-        f = ct.index[uid]
-        o, e = ct.offsets[f], ct.offsets[f + 1]
-        d_slots = self.delta_slots[o:e]
-        # a flow is fully present at its next queue when its last packet's slot ends
-        a_times = [t_inject] + [d * eps for d in d_slots[:-1]]
-        return tuple(zip(ct.tau[o:e], ct.delta[o:e], a_times, self.s_slots[o:e].tolist(), d_slots))
-
-
-@dataclass(eq=False, slots=True)
-class FlowDelayRecord:
-    """One ledger row: a flow's delay decomposition plus its per-queue
-    timestamp trail.
-
-    hops[i] = (tau, delta, a, s_slot, delta_slot) at the i-th queue of the
-    route; continuous instants from the reference run, slot indices from
-    the discrete run.  `hops` is built from the ledger's shared per-hop
-    records each time it is read.
-    """
-
-    uid: int
-    route: int
-    size: float
-    t_arrive: float
-    t_inject: float
-    d_w: float
-    d_s: float
-    d: float
-    _trail: _HopTrail = field(repr=False)
-
-    @property
-    def hops(self) -> tuple[tuple[float, float, float, int, int], ...]:
-        return self._trail.hops(self.uid, self.t_inject)
-
-    def _key(self) -> tuple:
-        return (self.uid, self.route, self.size, self.t_arrive, self.t_inject,
-                self.d_w, self.d_s, self.d, self.hops)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FlowDelayRecord):
-            return NotImplemented
-        return self._key() == other._key()
 
 
 COLUMNS = ("uid", "route", "size", "t_arrive", "t_inject", "d_w", "d_s", "d")
@@ -123,10 +66,16 @@ COLUMNS = ("uid", "route", "size", "t_arrive", "t_inject", "d_w", "d_s", "d")
 class DelayLedger:
     """Per-flow delays, one array per column, rows in (t_arrive, uid)
     order.  D_W = t_inject - t_arrive, D_S = (last departure slot) * eps
-    - t_inject and D = D_W + D_S; a negative uid marks a dummy flow."""
+    - t_inject and D = D_W + D_S; a negative uid marks a dummy flow.
+
+    `flow` holds each row's flow number in the reference run `ct`, and
+    `delta_slots` the slot engine's departure slot at every flow-hop, at
+    `ct`'s flow-hop offsets; `hop_columns` reads both."""
 
     epsilon: float
-    trail: _HopTrail = field(repr=False)
+    ct: CtResult = field(repr=False)
+    delta_slots: array = field(repr=False)
+    flow: np.ndarray
     uid: np.ndarray
     route: np.ndarray
     size: np.ndarray
@@ -139,19 +88,39 @@ class DelayLedger:
     def __len__(self) -> int:
         return len(self.uid)
 
-    @property
-    def rows(self) -> list[FlowDelayRecord]:
-        """Row views, built when read."""
-        cols = (getattr(self, c).tolist() for c in COLUMNS)
-        return [FlowDelayRecord(*row, self.trail) for row in zip(*cols)]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DelayLedger):
-            return NotImplemented
-        return self.epsilon == other.epsilon and self.rows == other.rows
+class HopColumns(NamedTuple):
+    """Every flow-hop of a ledger, in ledger-row order, then route order:
+    continuous instants from the reference run, slot indices from the
+    slot engine, and `a`, the instant the flow is fully present."""
+
+    uid: np.ndarray
+    tau: np.ndarray
+    delta: np.ndarray
+    a: np.ndarray
+    s_slot: np.ndarray
+    delta_slot: np.ndarray
 
 
-@dataclass
+def hop_columns(ledger: DelayLedger) -> HopColumns:
+    """The per-queue trail of every ledger row, as flat columns."""
+    ct, eps = ledger.ct, ledger.epsilon
+    offsets = np.frombuffer(ct.offsets, dtype=np.int64)
+    n_hops = np.diff(offsets)[ledger.flow]
+    row = np.repeat(np.arange(len(ledger)), n_hops)
+    hop = np.arange(len(row)) - np.repeat(np.cumsum(n_hops) - n_hops, n_hops)
+    offs = offsets[ledger.flow][row] + hop
+    tau = np.frombuffer(ct.tau, dtype=np.float64)[offs]
+    slots = np.frombuffer(ledger.delta_slots, dtype=np.int64)
+    # a flow is present at its first queue from its injection, its reference
+    # arrival there, and at each next one when its last packet's slot ends
+    a = np.where(hop == 0, tau, slots[offs - 1] * eps)
+    return HopColumns(uid=ledger.uid[row], tau=tau,
+                      delta=np.frombuffer(ct.delta, dtype=np.float64)[offs], a=a,
+                      s_slot=slot_ceil(tau, eps), delta_slot=slots[offs])
+
+
+@dataclass(eq=False)
 class DtRunResult:
     """`n_slots_processed` counts slots in which at least one queue sends
     a packet; `flow_hops_checked` counts flow-hops that passed both
@@ -163,24 +132,26 @@ class DtRunResult:
     flow_hops_checked: int
 
 
-def _ledger(ct: CtResult, injections: Sequence[tuple[float, int, int]] | np.ndarray,
-            types: tuple[FlowType, ...], eps: float, delta_slots: array,
+def _ledger(ct: CtResult, types: tuple[FlowType, ...], eps: float, delta_slots: array,
             arrive_times: np.ndarray | None) -> DelayLedger:
     """The ledger of a slot engine's run.  `delta_slots` holds its
     departure slot at every flow-hop, at the reference run's flow-hop
-    offsets."""
-    t_inject, ti, uid = injection_columns(injections)
-    t_arrive = t_inject if arrive_times is None else np.asarray(arrive_times, dtype=np.float64)
-    order = np.lexsort((uid, t_arrive))
-    t_inject, ti, uid, t_arrive = t_inject[order], ti[order], uid[order], t_arrive[order]
-    f = ct.flows(uid)
-    last = np.frombuffer(ct.offsets, dtype=np.int64)[f + 1] - 1
+    offsets; `arrive_times` is in the order of the injections `run_ct`
+    took, and defaults to the injection instants."""
+    t_inject = ct.t_inject
+    t_arrive = t_inject if arrive_times is None else np.asarray(arrive_times,
+                                                                dtype=np.float64)[ct.order]
+    flow = np.lexsort((ct.uid, t_arrive))
+    t_inject, t_arrive, ti = t_inject[flow], t_arrive[flow], ct.ti[flow]
+    last = np.frombuffer(ct.offsets, dtype=np.int64)[flow + 1] - 1
     d_w = t_inject - t_arrive
     d_s = np.frombuffer(delta_slots, dtype=np.int64)[last] * eps - t_inject
     return DelayLedger(
         epsilon=eps,
-        trail=_HopTrail(ct, delta_slots, eps),
-        uid=uid,
+        ct=ct,
+        delta_slots=delta_slots,
+        flow=flow,
+        uid=ct.uid[flow],
         route=np.array([t.route for t in types], dtype=np.int64)[ti],
         size=np.array([t.size for t in types], dtype=np.float64)[ti],
         t_arrive=t_arrive,
@@ -193,7 +164,6 @@ def _ledger(ct: CtResult, injections: Sequence[tuple[float, int, int]] | np.ndar
 
 def run_dt(
     ct: CtResult,
-    injections: Sequence[tuple[float, int, int]] | np.ndarray,
     routes: list[Route],
     types: tuple[FlowType, ...],
     eps: EpsilonConfig,
@@ -201,39 +171,21 @@ def run_dt(
 ) -> DtRunResult:
     """Run the slot engine against a finished reference run.
 
-    `injections` lists (t_inject, type_index, uid), as rows or as an
-    `INJECTION` array; `arrive_times` holds each flow's external arrival,
-    in the same order (defaults to its injection time).
-    Every flow's hop records and injection are checked first; then each
+    `arrive_times` holds each flow's external arrival, in the order of
+    the injections `run_ct` took (defaults to its injection time).  Each
     queue is served alone in its flows' schedule order, and the two checks
     that couple the queues run on its flow-hops.
     """
     epsv = eps.epsilon
     queues, route_paths = queue_paths(routes)
     paths = [route_paths[t.route] for t in types]
-    offsets = np.frombuffer(ct.offsets, dtype=np.int64)
     tau = np.frombuffer(ct.tau, dtype=np.float64)
     delta = np.frombuffer(ct.delta, dtype=np.float64)
 
-    t_inject, ti, uid = injection_columns(injections)
-    f = ct.flows(uid)
-    first = offsets[f]
-    n_hops = np.array([len(p) for p in paths], dtype=np.int64)[ti]
-    missing = offsets[f + 1] - first != n_hops
-    late = t_inject > slot_ceil(tau[first], epsv) * epsv + 1e-9 * np.maximum(1.0, np.abs(t_inject))
-    bad = np.flatnonzero(missing | late)
-    if bad.size:
-        i = bad[np.argmin(uid[bad])]
-        if missing[i]:
-            raise InternalConsistencyError(f"flow {uid[i]} is missing hop records")
-        raise EmulationInfeasibilityError(f"flow {uid[i]} injected after its first schedule time")
-
     delta_slots = array("q", [0]) * len(ct.tau)
     departed = np.frombuffer(delta_slots, dtype=np.int64)
-    of_type = [np.flatnonzero(ti == k) for k in range(len(types))]
-    by_queue = QueueSegments(len(queues), paths, [first[i] for i in of_type],
-                             [uid[i] for i in of_type])
-    del t_inject, ti, f, first, of_type
+    by_queue = QueueSegments(len(queues), paths, ct.ti, ct.uid,
+                             np.frombuffer(ct.offsets, dtype=np.int64)[:-1])
     begins, ends = [], []   # every queue's busy periods
     faults = []             # (uid, hop, check, message): each queue's first violation
     for q, segs in enumerate(by_queue.segments):
@@ -277,10 +229,10 @@ def run_dt(
     n_slots = int(ends[-1] - begins[0] - gaps) if begins.size else 0
     del by_queue, begins, ends
     return DtRunResult(
-        ledger=_ledger(ct, injections, types, epsv, delta_slots, arrive_times),
+        ledger=_ledger(ct, types, epsv, delta_slots, arrive_times),
         n_slots_processed=n_slots,
         n_transmissions=n_trans,
-        flow_hops_checked=int(n_hops.sum()),
+        flow_hops_checked=len(delta_slots),
     )
 
 
@@ -288,40 +240,31 @@ LEDGER_VERSION = "# dcflow ledger v1"
 LEDGER_COLUMNS = "uid,route,size,t_arrive,t_inject,D_W,D_S,D"
 
 
-def _records(ledger: DelayLedger, names: tuple[str, ...], chunk: int = 4096):
-    """The ledger's rows as tuples of Python numbers, `names` columns
-    each, converted a chunk at a time."""
-    for lo in range(0, len(ledger), chunk):
-        yield from zip(*(getattr(ledger, c)[lo:lo + chunk].tolist() for c in names))
+def _records(columns: Sequence[np.ndarray], chunk: int = 4096):
+    """Rows of equal-length columns as tuples of Python numbers,
+    converted a chunk at a time."""
+    for lo in range(0, len(columns[0]), chunk):
+        yield from zip(*(c[lo:lo + chunk].tolist() for c in columns))
 
 
 def write_ledger_csv(ledger: DelayLedger, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(LEDGER_VERSION + "\n")
         fh.write(LEDGER_COLUMNS + "\n")
-        for uid, route, size, t_arrive, t_inject, d_w, d_s, d in _records(ledger, COLUMNS):
+        for uid, route, size, t_arrive, t_inject, d_w, d_s, d in _records(
+                [getattr(ledger, c) for c in COLUMNS]):
             fh.write(f"{uid},{route},{size!r},{t_arrive!r},{t_inject!r},{d_w!r},{d_s!r},{d!r}\n")
 
 
 def write_hop_table_jsonl(ledger: DelayLedger, routes: list[Route], path: str) -> None:
-    """Per-flow per-queue timestamps, one JSON object per line."""
-    by_id = {r.id: r for r in routes}
+    """Per-flow per-queue timestamps, one JSON object per line, in
+    `hop_columns` order."""
+    names = {r.id: [str(q) for q in r.queue_path] for r in routes}
+    nodes = (node for route in ledger.route.tolist() for node in names[route])
+    hops = hop_columns(ledger)
+    cols = (hops.uid, hops.tau, hops.delta, hops.a, hops.s_slot * ledger.epsilon, hops.delta_slot)
     with open(path, "w") as fh:
         fh.write(json.dumps({"format": "dcflow-hops", "version": 1}) + "\n")
-        for uid, route, t_inject in _records(ledger, ("uid", "route", "t_inject")):
-            qpath = by_id[route].queue_path
-            for q, (tau, delta, a, s_slot, d_slot) in zip(qpath, ledger.trail.hops(uid, t_inject)):
-                fh.write(
-                    json.dumps(
-                        {
-                            "uid": uid,
-                            "node": str(q),
-                            "tau": tau,
-                            "delta": delta,
-                            "A": a,
-                            "S": s_slot * ledger.epsilon,
-                            "delta_slot": d_slot,
-                        }
-                    )
-                    + "\n"
-                )
+        for node, (uid, tau, delta, a, s, d_slot) in zip(nodes, _records(cols)):
+            fh.write(json.dumps({"uid": uid, "node": node, "tau": tau, "delta": delta,
+                                 "A": a, "S": s, "delta_slot": d_slot}) + "\n")

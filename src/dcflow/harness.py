@@ -262,9 +262,8 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
 
     nb = run_emulation(stream, routes, profile=plan.profile)
     del stream   # freed before the engines run
-    injections = nb.schedule()
-    ct = run_ct(injections, routes, types, plan.eps)
-    dt = run_dt(ct, injections, routes, types, plan.eps, arrive_times=nb.t_arrive)
+    ct = run_ct(nb.schedule(), routes, types, plan.eps)
+    dt = run_dt(ct, routes, types, plan.eps, arrive_times=nb.t_arrive)
     stats = summarize(dt.ledger, config.burn_in * config.horizon, plan.profile, plan.eps,
                       extra_wait=plan.extra_wait)
 
@@ -279,7 +278,7 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
         artifacts["injections"] = inj_path
         if config.emit_hop_tables:
             ct_path = os.path.join(out_dir, "ct_table.csv")
-            write_ct_table(ct, types, routes, nb.type_of, ct_path)
+            write_ct_table(ct, types, routes, ct_path)
             artifacts["ct_table"] = ct_path
             hops_path = os.path.join(out_dir, "hops.jsonl")
             write_hop_table_jsonl(dt.ledger, routes, hops_path)

@@ -150,6 +150,7 @@ class NbRunResult:
     def __len__(self) -> int:
         return len(self.uid)
 
+    # the benchmark's stage tracer reads these two mappings (ROADMAP item 1)
     @property
     def injections(self) -> dict[int, float]:
         """uid -> eligibility instant, built when read."""
@@ -160,14 +161,9 @@ class NbRunResult:
         """uid -> arrival into the virtual net, built when read."""
         return dict(zip(self.uid.tolist(), self.t_enter.tolist()))
 
-    @property
-    def type_of(self) -> dict[int, int]:
-        """uid -> type index, built when read."""
-        return dict(zip(self.uid.tolist(), self.type.tolist()))
-
     def schedule(self) -> np.ndarray:
-        """The injections as `run_ct` and `run_dt` take them: one
-        (t, type index, uid) record per flow, stream order."""
+        """The injections as `run_ct` takes them: one (t, type index, uid)
+        record per flow, stream order, the order of `t_arrive`."""
         rows = np.empty(len(self), dtype=INJECTION)
         rows["t"], rows["ti"], rows["uid"] = self.t_inject, self.type, self.uid
         return rows

@@ -65,7 +65,8 @@ def run_ct_stack(injections, routes, types, eps) -> CtResult:
     paths = [route_paths[t.route] for t in types]
     service = [eps.x_eps[t.size] for t in types]
 
-    arrivals = sorted(injections, key=lambda e: (e[0], e[2]))
+    order = sorted(range(len(injections)), key=lambda i: (injections[i][0], injections[i][2]))
+    arrivals = [injections[i] for i in order]
     index = {uid: f for f, (_, _, uid) in enumerate(arrivals)}
     offsets = array("q", accumulate((len(paths[ti]) for _, ti, _ in arrivals), initial=0))
     taus = array("d", [0.0]) * offsets[-1]
@@ -91,4 +92,6 @@ def run_ct_stack(injections, routes, types, eps) -> CtResult:
                 taus[o + 1] = deltas[o]
 
     return CtResult(uid=np.array([uid for _, _, uid in arrivals], dtype=np.int64),
+                    ti=np.array([ti for _, ti, _ in arrivals], dtype=np.int64),
+                    order=np.array(order, dtype=np.int64),
                     offsets=offsets, tau=taus, delta=deltas)

@@ -6,8 +6,9 @@ packet, which is the definition the per-queue `dt_network.run_dt`
 must reproduce.  It can log every transmission and iterate the queues in
 any order, so tests can check slot capacity and packet conservation
 directly and show that the queue order is immaterial.  It records each
-flow's per-queue trail as it goes and checks that the ledger, which both
-engines build from their departure slots, reports that same trail.
+flow's per-queue trail as it goes and checks, hop by hop, that the
+ledger's hop columns, which both engines build from their departure
+slots, report that same trail.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import heapq
 from array import array
 
 from dcflow.ct_network import slot_ceil
-from dcflow.dt_network import DtRunResult, _ledger
+from dcflow.dt_network import DtRunResult, _ledger, hop_columns
 from dcflow.errors import EmulationInfeasibilityError, InternalConsistencyError
 from dcflow.topology import queue_paths
 
@@ -34,7 +35,7 @@ class _Flow:
         self.trail = []        # (tau, delta, a, s_slot, delta_slot) per queue left
 
 
-def run_dt_per_slot(ct, injections, routes, types, eps, arrive_times=None, node_order=None):
+def run_dt_per_slot(ct, routes, types, eps, arrive_times=None, node_order=None):
     """Same arguments and result as `run_dt`, plus `node_order` (a
     permutation of the routes' queues, fixing the per-slot iteration order).
     Returns (result, log) with one (slot, queue, uid, packet index) entry
@@ -57,17 +58,12 @@ def run_dt_per_slot(ct, injections, routes, types, eps, arrive_times=None, node_
     eligible = [[] for _ in queues]
     activations = []  # (slot, queue index, uid, tau, flow)
     flows = {}
-    for t_inject, ti, uid in injections:
-        f = ct.index[uid]
-        if ct.offsets[f + 1] - ct.offsets[f] != len(paths[ti]):
-            raise InternalConsistencyError(f"flow {uid} is missing hop records")
-        fl = _Flow(uid, ti, ct.offsets[f], t_inject)
-        act = activation(fl)
-        if t_inject > act[0] * epsv + 1e-9 * max(1.0, abs(t_inject)):
-            raise EmulationInfeasibilityError(f"flow {uid} injected after its first schedule time")
+    for uid, ti, offset in zip(ct.uid.tolist(), ct.ti.tolist(), ct.offsets):
+        # a flow is injected at its reference arrival at its first queue
+        fl = _Flow(uid, ti, offset, ct.tau[offset])
         fl.remaining = pkts[ti]
         flows[uid] = fl
-        heapq.heappush(activations, act)
+        heapq.heappush(activations, activation(fl))
 
     log = []
     delta_slots = array("q", [0]) * ct.offsets[-1]
@@ -125,10 +121,14 @@ def run_dt_per_slot(ct, injections, routes, types, eps, arrive_times=None, node_
 
     if n_done != len(flows):
         raise InternalConsistencyError("some flows never drained from the slot engine")
-    ledger = _ledger(ct, injections, types, epsv, delta_slots, arrive_times)
-    for row in ledger.rows:
-        if row.hops != tuple(flows[row.uid].trail):
-            raise AssertionError(f"ledger trail of flow {row.uid} differs from the per-slot run")
+    ledger = _ledger(ct, types, epsv, delta_slots, arrive_times)
+    hops = hop_columns(ledger)
+    engine = zip(hops.uid.tolist(), hops.tau.tolist(), hops.delta.tolist(), hops.a.tolist(),
+                 hops.s_slot.tolist(), hops.delta_slot.tolist())
+    trail = (hop for uid in ledger.uid.tolist() for hop in flows[uid].trail)
+    for (uid, *hop), want in zip(engine, trail, strict=True):
+        if tuple(hop) != want:
+            raise AssertionError(f"ledger trail of flow {uid} differs from the per-slot run")
     result = DtRunResult(
         ledger=ledger,
         n_slots_processed=n_slots_processed,

@@ -97,9 +97,8 @@ def sweep_runs():
         stream = gen_poisson(types, horizon, seed=5)
         nb = run_emulation(stream, routes)
         eps = choose_epsilon(profile, 2.0)
-        injections = nb.schedule()
-        ct = run_ct(injections, routes, types, eps)
-        dt = run_dt(ct, injections, routes, types, eps, arrive_times=nb.t_arrive)
+        ct = run_ct(nb.schedule(), routes, types, eps)
+        dt = run_dt(ct, routes, types, eps, arrive_times=nb.t_arrive)
         stats = summarize(dt.ledger, 0.2 * horizon, profile, eps)
         out[rho] = {
             "profile": profile,
@@ -225,10 +224,11 @@ def test_criterion_06_reference_network_delay_law():
             stream = gen_poisson(types, horizon, seed=int(f_target * 100) + route.hop_count)
             ct = run_ct(list(stream.events), [route], types, eps)
             burn = 0.2 * horizon
-            sample = [ct.sojourn(uid) for t, _, uid in stream.events if t >= burn]
+            last = np.asarray(ct.offsets)[1:] - 1
+            sample = (np.asarray(ct.delta)[last] - ct.t_inject)[ct.t_inject >= burn]
             assert len(sample) >= 90_000
             oracle = oracle_table(profile, eps)[(0, 1.0)].oracle_ds
-            rel = abs(statistics.mean(sample) - oracle) / oracle
+            rel = abs(sample.mean() - oracle) / oracle
             worst = max(worst, rel)
             assert rel <= 0.05, f"hops={route.hop_count} f={f_target}: off by {rel:.2%}"
     report(6, f"six load points, worst deviation {worst:.2%} (<=5%), ~1e5 flows each")
@@ -245,13 +245,14 @@ def test_criterion_07_emulation_invariants(sweep_runs):
         run = sweep_runs[rho]
         epsv = run["eps"].epsilon
         ledger = run["ledger"]
-        ct = ledger.trail.ct
+        ct = ledger.ct
         offsets = np.frombuffer(ct.offsets, dtype=np.int64)
         # the ledger's rows hold every flow of the reference run once
-        assert np.array_equal(np.sort(offsets[ct.flows(ledger.uid)]), offsets[:-1])
+        assert np.array_equal(np.sort(ledger.flow), np.arange(len(ct.uid)))
+        assert np.array_equal(ct.uid[ledger.flow], ledger.uid)
         tau = np.frombuffer(ct.tau, dtype=np.float64)
         delta = np.frombuffer(ct.delta, dtype=np.float64)
-        d_slot = np.frombuffer(ledger.trail.delta_slots, dtype=np.int64)
+        d_slot = np.frombuffer(ledger.delta_slots, dtype=np.int64)
         assert np.all(d_slot <= slot_ceil(delta, epsv))
         # a flow arrives downstream in the slot it departs upstream
         onward = np.ones(len(tau), dtype=bool)
@@ -264,10 +265,9 @@ def test_criterion_07_emulation_invariants(sweep_runs):
     # to the end of its departure slot there; at one instant departures
     # count first
     ledger = adversarial["ledger"]
-    ct = ledger.trail.ct
-    first = np.frombuffer(ct.offsets, dtype=np.int64)[ct.flows(ledger.uid)]
+    first = np.frombuffer(ledger.ct.offsets, dtype=np.int64)[ledger.flow]
     epsv = adversarial["eps"].epsilon
-    leave = np.frombuffer(ledger.trail.delta_slots, dtype=np.int64)[first] * epsv
+    leave = np.frombuffer(ledger.delta_slots, dtype=np.int64)[first] * epsv
     at = np.concatenate((ledger.t_inject, leave))
     step = np.repeat([1, -1], len(ledger))
     order = np.lexsort((step, at))

@@ -1,5 +1,4 @@
 import math
-import statistics
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from dcflow.errors import ConfigError, StabilityViolationError
 from dcflow.flow_gen import FlowType, gen_poisson
 from dcflow.metrics import oracle_table
 from dcflow.topology import compute_loads, make_route
+from columns import assert_same_run, per_flow
 from lcfs_oracle import lcfs_sweep
 from slot_oracle import run_dt_per_slot
 
@@ -128,9 +128,9 @@ def test_lone_flow_hops(two_hop_route):
     profile = compute_loads([two_hop_route], {(0, 1.0): 0.1})
     eps = choose_epsilon(profile, 2.0, override=0.5)   # x_eps = 1.0
     ct = run_ct([(0.0, 0, 0)], [two_hop_route], types, eps)
-    assert ct.taus[0] == [0.0, 1.0]
-    assert ct.deltas[0] == [1.0, 2.0]
-    assert ct.sojourn(0) == pytest.approx(2.0)
+    assert per_flow(ct, ct.tau) == {0: [0.0, 1.0]}
+    assert per_flow(ct, ct.delta) == {0: [1.0, 2.0]}
+    assert ct.t_inject.tolist() == [0.0]
 
 
 def test_preemption_resume(chain_tree):
@@ -140,8 +140,9 @@ def test_preemption_resume(chain_tree):
     eps = choose_epsilon(profile, 2.0, override=0.5)
     # flow 0 starts at 0; flow 1 lands at 0.6 and preempts (remaining 0.4)
     ct = run_ct([(0.0, 0, 0), (0.6, 0, 1)], [route], types, eps)
-    assert ct.deltas[1][0] == pytest.approx(1.6)
-    assert ct.deltas[0][0] == pytest.approx(2.0)  # 0.6 + 1.0 + 0.4
+    deltas = per_flow(ct, ct.delta)
+    assert deltas[1][0] == pytest.approx(1.6)
+    assert deltas[0][0] == pytest.approx(2.0)  # 0.6 + 1.0 + 0.4
 
 
 def test_simultaneous_events_order(star_tree):
@@ -151,7 +152,7 @@ def test_simultaneous_events_order(star_tree):
     types = (FlowType(0, 1.0, 0.1),)
     eps = choose_epsilon(compute_loads(routes, {(0, 1.0): 0.1}), 2.0, override=0.5)
     ct = run_ct([(0.0, 0, 0), (1.0, 0, 1)], routes, types, eps)
-    assert ct.deltas == {0: [1.0], 1: [2.0]}
+    assert per_flow(ct, ct.delta) == {0: [1.0], 1: [2.0]}
 
     # equal arrivals at a queue stack in uid order: both flows leave
     # their first queue at 1.0 and meet at r/down, where flow 1, the
@@ -161,8 +162,8 @@ def test_simultaneous_events_order(star_tree):
     profile = compute_loads(routes, {(0, 1.0): 0.1, (1, 1.0): 0.1})
     eps = choose_epsilon(profile, 2.0, override=0.5)
     ct = run_ct([(0.0, 1, 1), (0.0, 0, 0)], routes, types, eps)
-    assert ct.taus == {0: [0.0, 1.0, 3.0], 1: [0.0, 1.0, 2.0]}
-    assert ct.deltas == {0: [1.0, 3.0, 4.0], 1: [1.0, 2.0, 3.0]}
+    assert per_flow(ct, ct.tau) == {0: [0.0, 1.0, 3.0], 1: [0.0, 1.0, 2.0]}
+    assert per_flow(ct, ct.delta) == {0: [1.0, 3.0, 4.0], 1: [1.0, 2.0, 3.0]}
 
 
 def test_equal_arrivals_from_two_queues_stack_by_uid(star_tree):
@@ -175,13 +176,15 @@ def test_equal_arrivals_from_two_queues_stack_by_uid(star_tree):
                          override=0.5)
     injections = [(0.0, 0, 5), (0.5, 1, 3)]
     ct = run_ct(injections, routes, types, eps)
-    assert ct.taus == {5: [0.0, 1.0, 2.0], 3: [0.5, 1.0, 2.5]}
-    assert ct.deltas == {5: [1.0, 2.0, 3.0], 3: [1.0, 2.5, 3.0]}
-    dt = run_dt(ct, injections, routes, types, eps)
-    at_r_down = {row.uid: row.hops[1] for row in dt.ledger.rows}
-    assert {uid: (h[3], h[4]) for uid, h in at_r_down.items()} == {5: (2, 4), 3: (2, 5)}
-    oracle, _ = run_dt_per_slot(ct, injections, routes, types, eps)
-    assert dt == oracle
+    assert per_flow(ct, ct.tau) == {5: [0.0, 1.0, 2.0], 3: [0.5, 1.0, 2.5]}
+    assert per_flow(ct, ct.delta) == {5: [1.0, 2.0, 3.0], 3: [1.0, 2.5, 3.0]}
+    dt = run_dt(ct, routes, types, eps)
+    s_slots = per_flow(ct, slot_ceil(np.asarray(ct.tau), eps.epsilon))
+    d_slots = per_flow(ct, dt.ledger.delta_slots)
+    at_r_down = {uid: (s_slots[uid][1], d_slots[uid][1]) for uid in (5, 3)}
+    assert at_r_down == {5: (2, 4), 3: (2, 5)}
+    oracle, _ = run_dt_per_slot(ct, routes, types, eps)
+    assert_same_run(dt, oracle)
 
 
 def test_completion_at_an_arrival_instant_departs(chain_tree):
@@ -192,8 +195,7 @@ def test_completion_at_an_arrival_instant_departs(chain_tree):
     eps = choose_epsilon(compute_loads(routes, {(0, 1.0): 0.1, (1, 0.5): 0.1}), 2.0,
                          override=0.5)
     ct = run_ct([(0.0, 0, 1), (0.5, 1, 2)], routes, types, eps)
-    assert ct.deltas[2] == [1.0]
-    assert ct.deltas[1] == [1.0, 2.0]
+    assert per_flow(ct, ct.delta) == {1: [1.0, 2.0], 2: [1.0]}
 
 
 def test_float_noise_keeps_a_completion_tie(star_tree):
@@ -205,9 +207,10 @@ def test_float_noise_keeps_a_completion_tie(star_tree):
     types = (FlowType(0, 0.5, 0.1),)
     eps = choose_epsilon(compute_loads(routes, {(0, 0.5): 0.1}), 2.0, override=0.995)
     ct = run_ct([(0.0, 0, uid) for uid in range(3)], routes, types, eps)
-    assert ct.taus[0][2] == pytest.approx(3.98, rel=1e-12)
-    assert ct.deltas[1][2] == ct.taus[0][2]   # departs at the arrival it did not wait for
-    assert ct.deltas[0][2] == pytest.approx(4.975, rel=1e-12)
+    taus, deltas = per_flow(ct, ct.tau), per_flow(ct, ct.delta)
+    assert taus[0][2] == pytest.approx(3.98, rel=1e-12)
+    assert deltas[1][2] == taus[0][2]   # departs at the arrival it did not wait for
+    assert deltas[0][2] == pytest.approx(4.975, rel=1e-12)
 
 
 LCFS_NETWORKS = {
@@ -232,10 +235,11 @@ def queue_logs(ct, routes, types, injections):
     per-hop instants; at one instant departures come first, then
     arrivals in uid order, as in run_ct."""
     by_id = {r.id: r for r in routes}
+    taus, deltas = per_flow(ct, ct.tau), per_flow(ct, ct.delta)
     logs = {}
     for _, ti, uid in injections:
         path = by_id[types[ti].route].queue_path
-        for q, tau, delta in zip(path, ct.taus[uid], ct.deltas[uid]):
+        for q, tau, delta in zip(path, taus[uid], deltas[uid]):
             logs.setdefault(q, []).extend([(tau, 1, uid), (delta, 0, uid)])
     return {q: [(t, "arr" if k else "dep", uid) for t, k, uid in sorted(log)]
             for q, log in logs.items()}
@@ -292,9 +296,7 @@ def test_work_conservation_per_hop(two_hop_route):
     stream = gen_poisson(types, 1_000.0, seed=33)
     ct = run_ct(list(stream.events), [two_hop_route], types, eps)
     xe = eps.x_eps[1.0]
-    for uid in ct.taus:
-        for tau, delta in zip(ct.taus[uid], ct.deltas[uid]):
-            assert delta - tau >= xe - 1e-9
+    assert np.all(np.asarray(ct.delta) - np.asarray(ct.tau) >= xe - 1e-9)
 
 
 def test_ergodic_sojourn_matches_oracle(chain_tree):
@@ -304,9 +306,10 @@ def test_ergodic_sojourn_matches_oracle(chain_tree):
     stream = gen_poisson(types, 40_000.0, seed=34)
     ct = run_ct(list(stream.events), routes, types, eps)
     burn = 8_000.0
-    soj = [ct.sojourn(uid) for t, ti, uid in stream.events if t >= burn]
+    offsets = np.asarray(ct.offsets)
+    soj = (np.asarray(ct.delta)[offsets[1:] - 1] - ct.t_inject)[ct.t_inject >= burn]
     want = reference_oracle(eps, profile, 0, 1.0)
-    assert statistics.mean(soj) == pytest.approx(want, rel=0.08)
+    assert soj.mean() == pytest.approx(want, rel=0.08)
 
 
 def stack_run(arrive, work):

@@ -7,12 +7,13 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from dcflow.ct_network import choose_epsilon, run_ct, slot_ceil
-from dcflow.dt_network import _ledger, run_dt, write_ledger_csv
-from dcflow.errors import DcflowError, EmulationInfeasibilityError, InternalConsistencyError
+from dcflow.dt_network import COLUMNS, _ledger, hop_columns, run_dt, write_ledger_csv
+from dcflow.errors import DcflowError, EmulationInfeasibilityError
 from dcflow.flow_gen import FlowType, gen_poisson
 from dcflow.metrics import oracle_table
 from dcflow.topology import TreeSpec, compute_loads, make_route
 from dcflow.virtual_bandwidth_net import run_emulation
+from columns import assert_same_run, per_flow
 from slot_oracle import run_dt_per_slot
 
 
@@ -21,7 +22,7 @@ def pipeline(routes, types, injections, c0=2.0, override=None, **kwargs):
     profile = compute_loads(routes, lam)
     eps = choose_epsilon(profile, c0, override=override)
     ct = run_ct(injections, routes, types, eps)
-    dt = run_dt(ct, injections, routes, types, eps, **kwargs)
+    dt = run_dt(ct, routes, types, eps, **kwargs)
     return profile, eps, ct, dt
 
 
@@ -31,13 +32,29 @@ def test_lone_flow_single_node_base_case(chain_tree):
     route = make_route(chain_tree, "a", "r", route_id=0)
     types = (FlowType(0, 1.0, 0.1),)
     _, eps, ct, dt = pipeline([route], types, [(0.0, 0, 0)], override=0.5)
-    row = dt.ledger.rows[0]
-    (tau, delta, a, s_slot, d_slot) = row.hops[0]
-    assert s_slot == 0
-    assert d_slot == 2
-    assert delta == pytest.approx(1.0)
-    assert d_slot == slot_ceil(delta, eps.epsilon)
-    assert row.d_s == pytest.approx(1.0)
+    hops = hop_columns(dt.ledger)
+    assert hops.s_slot.tolist() == [0]
+    assert hops.delta_slot.tolist() == [2]
+    assert hops.delta[0] == pytest.approx(1.0)
+    assert hops.delta_slot[0] == slot_ceil(hops.delta[0], eps.epsilon)
+    assert dt.ledger.d_s[0] == pytest.approx(1.0)
+
+
+def test_injection_within_the_guard_band_of_slot_zero():
+    # with eps > 1, slot_ceil snaps an instant within 1e-9 * eps of 0 to
+    # slot 0; the flow is injected at its own first reference arrival,
+    # so it is on time there whatever the slot length
+    tree = TreeSpec(nodes=("r", "a"), root="r", parent={"a": "r"})
+    route = make_route(tree, "r", "a", route_id=0)
+    types = (FlowType(0, 1.0, 0.1),)
+    _, eps, ct, dt = pipeline([route], types, [(1.5e-9, 0, 0)], override=2.0)
+    assert slot_ceil(1.5e-9, eps.epsilon) == 0
+    ledger = dt.ledger
+    # two queues, r/down and a/down, one two-unit slot each
+    assert [getattr(ledger, c).tolist() for c in COLUMNS] == [
+        [0], [0], [1.0], [1.5e-9], [1.5e-9], [0.0], [4.0 - 1.5e-9], [4.0 - 1.5e-9]]
+    hops = hop_columns(ledger)
+    assert (hops.s_slot.tolist(), hops.delta_slot.tolist()) == ([0, 1], [1, 2])
 
 
 def test_two_flow_busy_cycle_case_two(chain_tree):
@@ -51,13 +68,14 @@ def test_two_flow_busy_cycle_case_two(chain_tree):
     _, eps, ct, dt = pipeline([route], types, injections, override=1.0)
     assert eps.epsilon == 1.0
     # reference run: opener departs at 3.5, the short flow at 2.7
-    assert ct.deltas[1][0] == pytest.approx(3.5)
-    assert ct.deltas[2][0] == pytest.approx(2.7)
-    by_uid = {r.uid: r for r in dt.ledger.rows}
-    assert by_uid[2].hops[0][4] == 3   # short flow leaves in slot 3
-    assert by_uid[1].hops[0][4] == 4   # opener: S=1 plus both sizes
-    assert by_uid[1].hops[0][3] == 1   # schedule slot of opener
-    assert by_uid[1].hops[0][4] == slot_ceil(3.5, 1.0)
+    deltas = per_flow(ct, ct.delta)
+    assert deltas[1][0] == pytest.approx(3.5)
+    assert deltas[2][0] == pytest.approx(2.7)
+    d_slots = per_flow(ct, dt.ledger.delta_slots)
+    assert d_slots[2] == [3]   # short flow leaves in slot 3
+    assert d_slots[1] == [4]   # opener: S=1 plus both sizes
+    assert per_flow(ct, slot_ceil(np.asarray(ct.tau), 1.0))[1] == [1]   # schedule slot of opener
+    assert d_slots[1] == [slot_ceil(3.5, 1.0)]
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
@@ -69,11 +87,11 @@ def test_lcfs_ties_at_one_schedule_slot(chain_tree, order):
     flows = [(0.25, 0, 5), (0.5, 0, 3), (0.5, 0, 7)]
     injections = [flows[i] for i in order]
     _, eps, ct, dt = pipeline([route], types, injections, override=1.0)
-    hops = {row.uid: row.hops[0] for row in dt.ledger.rows}
-    assert {uid: h[3] for uid, h in hops.items()} == {5: 1, 3: 1, 7: 1}
-    assert {uid: h[4] for uid, h in hops.items()} == {7: 2, 3: 3, 5: 4}
-    oracle, _ = run_dt_per_slot(ct, injections, [route], types, eps)
-    assert dt == oracle
+    hops = hop_columns(dt.ledger)
+    assert dict(zip(hops.uid.tolist(), hops.s_slot.tolist())) == {5: 1, 3: 1, 7: 1}
+    assert dict(zip(hops.uid.tolist(), hops.delta_slot.tolist())) == {7: 2, 3: 3, 5: 4}
+    oracle, _ = run_dt_per_slot(ct, [route], types, eps)
+    assert_same_run(dt, oracle)
 
 
 def test_random_run_invariants_and_capacity(star_tree):
@@ -86,9 +104,9 @@ def test_random_run_invariants_and_capacity(star_tree):
     profile = compute_loads([r0, r1], lam)
     eps = choose_epsilon(profile, 2.0)
     ct = run_ct(list(stream.events), [r0, r1], types, eps)
-    dt = run_dt(ct, list(stream.events), [r0, r1], types, eps)
-    oracle, transmissions = run_dt_per_slot(ct, list(stream.events), [r0, r1], types, eps)
-    assert dt == oracle
+    dt = run_dt(ct, [r0, r1], types, eps)
+    oracle, transmissions = run_dt_per_slot(ct, [r0, r1], types, eps)
+    assert_same_run(dt, oracle)
 
     # slot capacity: one packet per queue per slot
     seen = set()
@@ -103,17 +121,17 @@ def test_random_run_invariants_and_capacity(star_tree):
         key = (uid, str(q))
         per_flow_hop[key] = per_flow_hop.get(key, 0) + 1
     by_id = {r.id: r for r in [r0, r1]}
-    for row in dt.ledger.rows:
-        for q in by_id[row.route].queue_path:
-            assert per_flow_hop[(row.uid, str(q))] == eps.n_slots[row.size]
+    ledger = dt.ledger
+    for uid, route, size in zip(ledger.uid.tolist(), ledger.route.tolist(), ledger.size.tolist()):
+        for q in by_id[route].queue_path:
+            assert per_flow_hop[(uid, str(q))] == eps.n_slots[size]
     assert dt.n_transmissions == len(transmissions)
     assert dt.flow_hops_checked == len(per_flow_hop)
 
     # ledger invariants, exact in slot units
-    for row in dt.ledger.rows:
-        for (tau, delta, a, s_slot, d_slot) in row.hops:
-            assert a <= s_slot * eps.epsilon + 1e-9
-            assert d_slot <= slot_ceil(delta, eps.epsilon)
+    hops = hop_columns(ledger)
+    assert np.all(hops.a <= hops.s_slot * eps.epsilon + 1e-9)
+    assert np.all(hops.delta_slot <= slot_ceil(hops.delta, eps.epsilon))
 
 
 def test_node_iteration_order_is_immaterial(star_tree):
@@ -131,11 +149,10 @@ def test_node_iteration_order_is_immaterial(star_tree):
         for q in route.queue_path:
             if q not in queues:
                 queues.append(q)
-    fwd, _ = run_dt_per_slot(ct, list(stream.events), [r0, r1], types, eps, node_order=queues)
-    rev, _ = run_dt_per_slot(ct, list(stream.events), [r0, r1], types, eps,
-                             node_order=queues[::-1])
-    assert fwd == rev
-    assert run_dt(ct, list(stream.events), [r0, r1], types, eps) == fwd
+    fwd, _ = run_dt_per_slot(ct, [r0, r1], types, eps, node_order=queues)
+    rev, _ = run_dt_per_slot(ct, [r0, r1], types, eps, node_order=queues[::-1])
+    assert_same_run(fwd, rev)
+    assert_same_run(run_dt(ct, [r0, r1], types, eps), fwd)
 
 
 def test_rerun_is_deterministic(two_hop_route):
@@ -145,9 +162,9 @@ def test_rerun_is_deterministic(two_hop_route):
     profile = compute_loads([two_hop_route], lam)
     eps = choose_epsilon(profile, 2.0)
     ct = run_ct(list(stream.events), [two_hop_route], types, eps)
-    a = run_dt(ct, list(stream.events), [two_hop_route], types, eps)
-    b = run_dt(ct, list(stream.events), [two_hop_route], types, eps)
-    assert a.ledger.rows == b.ledger.rows
+    a = run_dt(ct, [two_hop_route], types, eps)
+    b = run_dt(ct, [two_hop_route], types, eps)
+    assert_same_run(a, b)
 
 
 def test_delay_decomposition_rows(two_hop_route):
@@ -160,11 +177,11 @@ def test_delay_decomposition_rows(two_hop_route):
     # inject later than arrival to give every flow a waiting component
     injections = [(t + 0.75, ti, uid) for t, ti, uid in stream.events]
     ct = run_ct(injections, [two_hop_route], types, eps)
-    dt = run_dt(ct, injections, [two_hop_route], types, eps, arrive_times=arrive)
-    for row in dt.ledger.rows:
-        assert row.d_w == pytest.approx(0.75)
-        assert row.d == pytest.approx(row.d_w + row.d_s)
-        assert row.d_s > 0
+    dt = run_dt(ct, [two_hop_route], types, eps, arrive_times=arrive)
+    ledger = dt.ledger
+    assert ledger.d_w == pytest.approx(np.full(len(ledger), 0.75))
+    assert ledger.d == pytest.approx(ledger.d_w + ledger.d_s)
+    assert np.all(ledger.d_s > 0)
 
 
 def test_dt_delay_bound_values(two_hop_route):
@@ -186,15 +203,15 @@ def test_ledger_csv_format(two_hop_route, tmp_path):
     profile = compute_loads([two_hop_route], lam)
     eps = choose_epsilon(profile, 2.0)
     ct = run_ct(list(stream.events), [two_hop_route], types, eps)
-    dt = run_dt(ct, list(stream.events), [two_hop_route], types, eps)
+    dt = run_dt(ct, [two_hop_route], types, eps)
     path = tmp_path / "ledger.csv"
     write_ledger_csv(dt.ledger, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "# dcflow ledger v1"
     assert lines[1] == "uid,route,size,t_arrive,t_inject,D_W,D_S,D"
-    assert len(lines) == 2 + len(dt.ledger.rows)
+    assert len(lines) == 2 + len(dt.ledger)
     first = lines[2].split(",")
-    assert int(first[0]) == dt.ledger.rows[0].uid
+    assert int(first[0]) == dt.ledger.uid[0]
 
 
 def test_violations_are_named_in_uid_order(two_hop_route):
@@ -204,33 +221,12 @@ def test_violations_are_named_in_uid_order(two_hop_route):
     eps = choose_epsilon(compute_loads([two_hop_route], {(0, 1.0): 0.1}), 2.0, override=0.5)
     injections = [(1.0, 0, 9), (10.0, 0, 2)]
     ct = run_ct(injections, [two_hop_route], types, eps)
-    ct.delta[ct.offsets[ct.index[9]]] -= 0.5
-    ct.delta[ct.offsets[ct.index[2]] + 1] -= 0.5
+    first = dict(zip(ct.uid.tolist(), ct.offsets))
+    ct.delta[first[9]] -= 0.5
+    ct.delta[first[2] + 1] -= 0.5
     with pytest.raises(EmulationInfeasibilityError,
                        match=r"^flow 2 left a/up in slot 24, reference bound is 23$"):
-        run_dt(ct, injections, [two_hop_route], types, eps)
-
-    # both injected after their first schedule time: flow 2 is named,
-    # though flow 9 comes first in injection order
-    ct = run_ct(injections, [two_hop_route], types, eps)
-    for uid in (9, 2):
-        ct.tau[ct.offsets[ct.index[uid]]] -= 1.0
-    with pytest.raises(EmulationInfeasibilityError,
-                       match=r"^flow 2 injected after its first schedule time$"):
-        run_dt(ct, injections, [two_hop_route], types, eps)
-
-
-def test_injection_unknown_to_the_reference_run_is_named(two_hop_route):
-    types = (FlowType(0, 1.0, 0.1),)
-    eps = choose_epsilon(compute_loads([two_hop_route], {(0, 1.0): 0.1}), 2.0, override=0.5)
-    ct = run_ct([(1.0, 0, 9), (10.0, 0, 2)], [two_hop_route], types, eps)
-    extra = [(1.0, 0, 9), (3.0, 0, 12), (10.0, 0, 2), (11.0, 0, -4)]
-    with pytest.raises(InternalConsistencyError,
-                       match=r"^flow -4 is unknown to the reference run$"):
-        run_dt(ct, extra, [two_hop_route], types, eps)
-    with pytest.raises(InternalConsistencyError,
-                       match=r"^flow 12 is unknown to the reference run$"):
-        run_dt(ct, extra[:2], [two_hop_route], types, eps)
+        run_dt(ct, [two_hop_route], types, eps)
 
 
 STAR = TreeSpec(nodes=("r", "a", "b"), root="r", parent={"a": "r", "b": "r"})
@@ -247,7 +243,8 @@ def test_engines_hold_little_memory_per_flow_hop():
     # sharing three queues at load 0.9.  Flat per-hop arrays keep the
     # engines near 100 B per flow-hop; per-flow objects with per-hop
     # lists and tuples take over 400 B here.  The ledger holds one array
-    # per column, 64 B per flow; one row object per flow took about 187 B.
+    # per column, 72 B per flow with its flow numbers; one row object per
+    # flow took about 187 B.
     # The virtual net's result holds one array per column, about 40 B per
     # flow; with five uid-keyed dicts and per-type departure lists it
     # held about 209 B.
@@ -267,17 +264,17 @@ def test_engines_hold_little_memory_per_flow_hop():
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         ct = run_ct(injections, routes, types, eps)
-        dt = run_dt(ct, injections, routes, types, eps, arrive_times=nb.t_arrive)
+        dt = run_dt(ct, routes, types, eps, arrive_times=nb.t_arrive)
         peak = tracemalloc.get_traced_memory()[1] - before
         # the ledger build alone, from the engine's departure slots
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        ledger = _ledger(ct, injections, types, eps.epsilon, dt.ledger.trail.delta_slots,
-                         nb.t_arrive)
+        ledger = _ledger(ct, types, eps.epsilon, dt.ledger.delta_slots, nb.t_arrive)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert ledger == dt.ledger
+    for name in ("flow",) + COLUMNS:
+        assert np.array_equal(getattr(ledger, name), getattr(dt.ledger, name)), name
     assert dt.flow_hops_checked == 5 * len(injections) > 5_000
     assert kept / len(nb) <= 80
     assert peak / dt.flow_hops_checked <= 200
@@ -319,9 +316,8 @@ def slot_runs(draw):
         # pull some reference instants earlier: a flow then reaches a
         # queue after its schedule slot, or leaves it after its bound
         for _ in range(draw(st.integers(1, 3))):
-            _, _, uid = draw(st.sampled_from(injections))
+            f = draw(st.integers(0, len(injections) - 1))
             table = draw(st.sampled_from((ct.tau, ct.delta)))
-            f = ct.index[uid]
             hop = draw(st.integers(0, ct.offsets[f + 1] - ct.offsets[f] - 1))
             table[ct.offsets[f] + hop] -= draw(st.sampled_from((0.05, 0.5, 2.0)))
     return ct, injections, routes, types, eps, tampered
@@ -332,17 +328,12 @@ def slot_runs(draw):
 def test_event_engine_matches_per_slot_oracle(run):
     ct, injections, routes, types, eps, tampered = run
     arrive = np.array([t - 0.1 for t, _, _ in injections])
-    got, got_exc = _outcome(lambda: run_dt(ct, injections, routes, types, eps, arrive))
-    want, want_exc = _outcome(
-        lambda: run_dt_per_slot(ct, injections, routes, types, eps, arrive)[0]
-    )
+    got, got_exc = _outcome(lambda: run_dt(ct, routes, types, eps, arrive))
+    want, want_exc = _outcome(lambda: run_dt_per_slot(ct, routes, types, eps, arrive)[0])
     event(f"outcome: {want_exc.__name__ if want_exc else 'ledger'}")
     assert got_exc == want_exc
     if not tampered:
         # the slot engine emulates an untampered reference run exactly
         assert want_exc is None
     if want is not None:
-        assert got.ledger.rows == want.ledger.rows
-        assert got.n_slots_processed == want.n_slots_processed
-        assert got.n_transmissions == want.n_transmissions
-        assert got.flow_hops_checked == want.flow_hops_checked
+        assert_same_run(got, want)

@@ -12,6 +12,7 @@ import pytest
 from dcflow import harness, selftest, sfa_core
 from dcflow.cli import main as cli_main
 from dcflow.ct_network import slot_ceil
+from dcflow.dt_network import hop_columns
 from dcflow.errors import ConfigError, InternalConsistencyError
 from dcflow.harness import (
     ExperimentConfig,
@@ -213,14 +214,15 @@ def test_smoke_reference_run_matches_stack_oracle():
     args = (injections, plan.routes, plan.types, plan.eps)
     got, want = harness.run_ct(*args), run_ct_stack(*args)
     assert got.uid.tolist() == want.uid.tolist() and got.offsets == want.offsets
+    assert got.ti.tolist() == want.ti.tolist() and got.order.tolist() == want.order.tolist()
     epsv = plan.eps.epsilon
     for g, w in ((got.tau, want.tau), (got.delta, want.delta)):
         g, w = np.asarray(g), np.asarray(w)
         assert np.all(np.abs(g - w) <= 1e-9 * np.abs(w))
         assert np.array_equal(slot_ceil(g, epsv), slot_ceil(w, epsv))
-    dt_got = harness.run_dt(got, *args, arrive_times=nb.t_arrive)
-    dt_want = harness.run_dt(want, *args, arrive_times=nb.t_arrive)
-    assert dt_got.ledger.trail.delta_slots == dt_want.ledger.trail.delta_slots
+    dt_got = harness.run_dt(got, *args[1:], arrive_times=nb.t_arrive)
+    dt_want = harness.run_dt(want, *args[1:], arrive_times=nb.t_arrive)
+    assert dt_got.ledger.delta_slots == dt_want.ledger.delta_slots
     assert (dt_got.n_slots_processed, dt_got.n_transmissions, dt_got.flow_hops_checked) == (
         dt_want.n_slots_processed, dt_want.n_transmissions, dt_want.flow_hops_checked)
 
@@ -353,22 +355,24 @@ def test_cli_regularized_run_writes_hop_tables(regularized_cli_runs):
     _, (a, b), ledger = regularized_cli_runs
     ledger_uids = [int(line.split(",")[0])
                    for line in (a / "ledger.csv").read_text().splitlines()[2:]]
-    assert ledger_uids == [r.uid for r in ledger.rows]
+    assert ledger_uids == ledger.uid.tolist()
     assert min(ledger_uids) < 0 < max(ledger_uids)  # dummies and real flows
 
     # ct_table.csv: one row per flow-hop, dummies included
+    hops = hop_columns(ledger)
     ct_rows = [line.split(",") for line in (a / "ct_table.csv").read_text().splitlines()[2:]]
-    assert len(ct_rows) == sum(len(r.hops) for r in ledger.rows) == 2 * len(ledger_uids)
+    assert len(ct_rows) == len(hops.uid) == 2 * len(ledger_uids)
     ct = {(int(uid), node): (float(tau), float(delta)) for uid, node, tau, delta in ct_rows}
 
     # hops.jsonl: one record per flow-hop in ledger order, matching the
-    # ledger's hop entries and the reference instants in ct_table.csv
+    # ledger's hop columns and the reference instants in ct_table.csv
     lines = (a / "hops.jsonl").read_text().splitlines()
     assert json.loads(lines[0]) == {"format": "dcflow-hops", "version": 1}
     records = [json.loads(line) for line in lines[1:]]
-    hop_entries = [(r.uid, hop) for r in ledger.rows for hop in r.hops]
-    assert len(records) == len(hop_entries)
-    for rec, (uid, (tau, delta, _, s_slot, d_slot)) in zip(records, hop_entries):
+    assert len(records) == len(hops.uid)
+    for rec, uid, tau, delta, s_slot, d_slot in zip(
+            records, hops.uid.tolist(), hops.tau.tolist(), hops.delta.tolist(),
+            hops.s_slot.tolist(), hops.delta_slot.tolist()):
         assert rec["uid"] == uid
         assert rec["delta_slot"] == d_slot
         assert rec["S"] == s_slot * ledger.epsilon

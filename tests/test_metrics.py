@@ -20,7 +20,7 @@ def small_run(two_hop_route, rate=0.4, horizon=2_000.0, seed=51):
     profile = compute_loads([two_hop_route], {(0, 1.0): rate})
     eps = choose_epsilon(profile, 2.0)
     ct = run_ct(list(stream.events), [two_hop_route], types, eps)
-    dt = run_dt(ct, list(stream.events), [two_hop_route], types, eps)
+    dt = run_dt(ct, [two_hop_route], types, eps)
     return profile, eps, dt.ledger
 
 
@@ -29,9 +29,8 @@ def test_summarize_decomposition_and_oracles(two_hop_route):
     stats = summarize(ledger, burn_in=0.0, profile=profile, eps=eps)
     assert len(stats) == 1
     s = stats[0]
-    assert s.count == len(ledger.rows)
-    for row in ledger.rows:
-        assert row.d == pytest.approx(row.d_w + row.d_s)
+    assert s.count == len(ledger)
+    assert ledger.d == pytest.approx(ledger.d_w + ledger.d_s)
     # oracle columns are pure functions of the config
     assert s.oracle_dw == pytest.approx(1.0 / (1 - 0.4) * 2)
     assert s.bound_dw == pytest.approx(1.0 * 2 / (1 - 0.4))

@@ -46,7 +46,7 @@ def test_two_flows_shared_resource_both_depart_at_two(star_tree):
     nb = run_emulation(stream, [r0, r1])
     assert nb.injections[0] == pytest.approx(2.0)
     assert nb.injections[1] == pytest.approx(2.0)
-    assert nb.type_of == {0: 0, 1: 1}
+    assert (nb.uid.tolist(), nb.type.tolist()) == ([0, 1], [0, 1])
     assert departure_process(nb, 0) == [nb.injections[0]]
     assert departure_process(nb, 1) == [nb.injections[1]]
 
@@ -260,7 +260,8 @@ def test_route_classes_drive_mixed_sizes_like_type_classes(star_tree):
     # run_emulation uses the route classes and still reports per type
     nb = run_emulation(stream, routes)
     assert nb.t_inject.tolist() == got.tolist()
-    assert nb.type_of == {uid: ti for _, ti, uid in stream.events}
+    assert nb.type.tolist() == [ti for _, ti, _ in stream.events]
+    assert nb.uid.tolist() == [uid for _, _, uid in stream.events]
     for ti in range(len(types)):
         assert departure_process(nb, ti) == sorted(got[nb.type == ti].tolist())
     # four types on two routes: the normalizer memo is 2-D, one axis per route
