@@ -29,16 +29,15 @@ which ends at k's departure.  In floats, a completion within 2**-50 of
 an arrival, relative to the instant, counts as at it, so a tie that
 float noise would otherwise turn into a preemption stays a tie.
 
-The instants are stored flat, one float array each for arrivals and
-departures indexed by flow-hop offset.  `run_ct` numbers the flows, once:
-the slot engine, its ledger and the hop tables all read `CtResult`'s
-per-flow columns by these numbers.
+`run_ct` takes the virtual net's flows as one `flow_gen.FLOW` array,
+t the injection instant.  The instants are stored flat, one float array
+each for arrivals and departures indexed by flow-hop offset.  `run_ct`
+numbers the flows, once: the slot engine, its ledger and the hop tables
+all read `CtResult`'s per-flow columns by these numbers.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,17 +139,16 @@ class CtResult:
     an arrival, and takes equal arrivals in uid order.
     """
 
-    uid: np.ndarray    # int64, one entry per flow
-    ti: np.ndarray     # int64, one entry per flow
-    order: np.ndarray  # int64, one entry per flow
-    offsets: array     # 'q', one entry per flow plus the total flow-hop count
-    tau: array         # 'd'
-    delta: array       # 'd'
+    uid: np.ndarray      # int64, one entry per flow
+    ti: np.ndarray       # int64, one entry per flow
+    order: np.ndarray    # int64, one entry per flow
+    offsets: np.ndarray  # int64, one entry per flow plus the total flow-hop count
+    tau: np.ndarray      # float64, one entry per flow-hop
+    delta: np.ndarray    # float64, one entry per flow-hop
 
     @property
     def t_inject(self) -> np.ndarray:
-        first = np.frombuffer(self.offsets, dtype=np.int64)[:-1]
-        return np.frombuffer(self.tau, dtype=np.float64)[first]
+        return self.tau[self.offsets[:-1]]
 
     @property
     def taus(self) -> dict[int, list[float]]:
@@ -209,17 +207,6 @@ def lcfs_pr(arrive: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return departs, np.flatnonzero(waits_for <= k)
 
 
-INJECTION = np.dtype([("t", "f8"), ("ti", "i8"), ("uid", "i8")])
-
-
-def injection_columns(injections) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(time, type_index, uid) injections, a list of rows or an `INJECTION`
-    array, as three arrays."""
-    if not isinstance(injections, np.ndarray):
-        injections = np.fromiter(injections, dtype=INJECTION, count=len(injections))
-    return injections["t"], injections["ti"], injections["uid"]
-
-
 class QueueSegments:
     """Where each queue's flow-hops sit, per (type, hop).
 
@@ -252,13 +239,13 @@ class QueueSegments:
 
 
 def run_ct(
-    injections: Sequence[tuple[float, int, int]] | np.ndarray,
+    injections: np.ndarray,
     routes: list[Route],
     types: tuple[FlowType, ...],
     eps: EpsilonConfig,
 ) -> CtResult:
-    """Simulate the reference network for (time, type_index, uid)
-    injections, given in any order as rows or as an `INJECTION` array.
+    """Simulate the reference network for injections given as a `FLOW`
+    array, t the injection instant, in any order.
 
     This is where flows get their numbers: arrival order, (t, uid).  The
     queues are served by `lcfs_pr` in index order, which serves each
@@ -268,19 +255,15 @@ def run_ct(
     queues, route_paths = queue_paths(routes)
     paths = [route_paths[t.route] for t in types]
 
-    t_inject, ti, uid = injection_columns(injections)
-    order = np.lexsort((uid, t_inject))
-    t_inject, ti, uid = t_inject[order], ti[order], uid[order]   # flows in arrival order
-    offsets = array("q", [0]) * (len(uid) + 1)
-    starts = np.frombuffer(offsets, dtype=np.int64)
-    np.cumsum(np.array([len(p) for p in paths], dtype=np.int64)[ti], out=starts[1:])
-    tau_buf = array("d", [0.0]) * int(starts[-1])
-    delta_buf = array("d", [0.0]) * int(starts[-1])
-    tau = np.frombuffer(tau_buf, dtype=np.float64)
-    delta = np.frombuffer(delta_buf, dtype=np.float64)
-    tau[starts[:-1]] = t_inject
+    order = np.lexsort((injections["uid"], injections["t"]))
+    ti, uid = injections["ti"][order], injections["uid"][order]   # flows in arrival order
+    offsets = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(np.array([len(p) for p in paths], dtype=np.int64)[ti], out=offsets[1:])
+    tau = np.zeros(offsets[-1])
+    delta = np.zeros(offsets[-1])
+    tau[offsets[:-1]] = injections["t"][order]
 
-    by_queue = QueueSegments(len(queues), paths, ti, uid, starts[:-1])
+    by_queue = QueueSegments(len(queues), paths, ti, uid, offsets[:-1])
     for q, segs in enumerate(by_queue.segments):
         if not segs:
             continue
@@ -291,7 +274,7 @@ def run_ct(
         onward = np.array([h + 1 < len(paths[k]) for k, h in segs])[seg]
         tau[offs[onward] + 1] = departs[onward]
 
-    return CtResult(uid=uid, ti=ti, order=order, offsets=offsets, tau=tau_buf, delta=delta_buf)
+    return CtResult(uid=uid, ti=ti, order=order, offsets=offsets, tau=tau, delta=delta)
 
 
 def write_ct_table(result: CtResult, types: tuple[FlowType, ...], routes: list[Route],
@@ -299,13 +282,12 @@ def write_ct_table(result: CtResult, types: tuple[FlowType, ...], routes: list[R
     """CSV table `uid,node,tau,delta`, one row per flow per hop."""
     by_id = {r.id: r for r in routes}
     qpaths = [by_id[t.route].queue_path for t in types]
-    offsets, taus, deltas = result.offsets, result.tau, result.delta
-    uids, tis = result.uid.tolist(), result.ti.tolist()
+    offsets, uids, tis = result.offsets.tolist(), result.uid.tolist(), result.ti.tolist()
     with open(path, "w") as fh:
         fh.write("# dcflow ct-table v1\n")
         fh.write("uid,node,tau,delta\n")
         for f in np.argsort(result.uid).tolist():
-            uid = uids[f]
-            o = offsets[f]
-            for hop, q in enumerate(qpaths[tis[f]]):
-                fh.write(f"{uid},{q},{taus[o + hop]!r},{deltas[o + hop]!r}\n")
+            a, b = offsets[f], offsets[f + 1]
+            for q, tau, delta in zip(qpaths[tis[f]], result.tau[a:b].tolist(),
+                                     result.delta[a:b].tolist()):
+                fh.write(f"{uids[f]},{q},{tau!r},{delta!r}\n")

@@ -46,7 +46,6 @@ The delay ledger is columnar: one array per column, rows in
 from __future__ import annotations
 
 import json
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -74,7 +73,7 @@ class DelayLedger:
 
     epsilon: float
     ct: CtResult = field(repr=False)
-    delta_slots: array = field(repr=False)
+    delta_slots: np.ndarray = field(repr=False)
     flow: np.ndarray
     uid: np.ndarray
     route: np.ndarray
@@ -104,19 +103,16 @@ class HopColumns(NamedTuple):
 
 def hop_columns(ledger: DelayLedger) -> HopColumns:
     """The per-queue trail of every ledger row, as flat columns."""
-    ct, eps = ledger.ct, ledger.epsilon
-    offsets = np.frombuffer(ct.offsets, dtype=np.int64)
-    n_hops = np.diff(offsets)[ledger.flow]
+    ct, eps, slots = ledger.ct, ledger.epsilon, ledger.delta_slots
+    n_hops = np.diff(ct.offsets)[ledger.flow]
     row = np.repeat(np.arange(len(ledger)), n_hops)
     hop = np.arange(len(row)) - np.repeat(np.cumsum(n_hops) - n_hops, n_hops)
-    offs = offsets[ledger.flow][row] + hop
-    tau = np.frombuffer(ct.tau, dtype=np.float64)[offs]
-    slots = np.frombuffer(ledger.delta_slots, dtype=np.int64)
+    offs = ct.offsets[ledger.flow][row] + hop
+    tau = ct.tau[offs]
     # a flow is present at its first queue from its injection, its reference
     # arrival there, and at each next one when its last packet's slot ends
     a = np.where(hop == 0, tau, slots[offs - 1] * eps)
-    return HopColumns(uid=ledger.uid[row], tau=tau,
-                      delta=np.frombuffer(ct.delta, dtype=np.float64)[offs], a=a,
+    return HopColumns(uid=ledger.uid[row], tau=tau, delta=ct.delta[offs], a=a,
                       s_slot=slot_ceil(tau, eps), delta_slot=slots[offs])
 
 
@@ -132,7 +128,7 @@ class DtRunResult:
     flow_hops_checked: int
 
 
-def _ledger(ct: CtResult, types: tuple[FlowType, ...], eps: float, delta_slots: array,
+def _ledger(ct: CtResult, types: tuple[FlowType, ...], eps: float, delta_slots: np.ndarray,
             arrive_times: np.ndarray | None) -> DelayLedger:
     """The ledger of a slot engine's run.  `delta_slots` holds its
     departure slot at every flow-hop, at the reference run's flow-hop
@@ -143,9 +139,9 @@ def _ledger(ct: CtResult, types: tuple[FlowType, ...], eps: float, delta_slots: 
                                                                 dtype=np.float64)[ct.order]
     flow = np.lexsort((ct.uid, t_arrive))
     t_inject, t_arrive, ti = t_inject[flow], t_arrive[flow], ct.ti[flow]
-    last = np.frombuffer(ct.offsets, dtype=np.int64)[flow + 1] - 1
+    last = ct.offsets[flow + 1] - 1
     d_w = t_inject - t_arrive
-    d_s = np.frombuffer(delta_slots, dtype=np.int64)[last] * eps - t_inject
+    d_s = delta_slots[last] * eps - t_inject
     return DelayLedger(
         epsilon=eps,
         ct=ct,
@@ -179,13 +175,10 @@ def run_dt(
     epsv = eps.epsilon
     queues, route_paths = queue_paths(routes)
     paths = [route_paths[t.route] for t in types]
-    tau = np.frombuffer(ct.tau, dtype=np.float64)
-    delta = np.frombuffer(ct.delta, dtype=np.float64)
+    tau, delta = ct.tau, ct.delta
 
-    delta_slots = array("q", [0]) * len(ct.tau)
-    departed = np.frombuffer(delta_slots, dtype=np.int64)
-    by_queue = QueueSegments(len(queues), paths, ct.ti, ct.uid,
-                             np.frombuffer(ct.offsets, dtype=np.int64)[:-1])
+    departed = np.zeros(len(tau), dtype=np.int64)
+    by_queue = QueueSegments(len(queues), paths, ct.ti, ct.uid, ct.offsets[:-1])
     begins, ends = [], []   # every queue's busy periods
     faults = []             # (uid, hop, check, message): each queue's first violation
     for q, segs in enumerate(by_queue.segments):
@@ -229,10 +222,10 @@ def run_dt(
     n_slots = int(ends[-1] - begins[0] - gaps) if begins.size else 0
     del by_queue, begins, ends
     return DtRunResult(
-        ledger=_ledger(ct, types, epsv, delta_slots, arrive_times),
+        ledger=_ledger(ct, types, epsv, departed, arrive_times),
         n_slots_processed=n_slots,
         n_transmissions=n_trans,
-        flow_hops_checked=len(delta_slots),
+        flow_hops_checked=len(departed),
     )
 
 

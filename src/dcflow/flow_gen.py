@@ -4,20 +4,32 @@ Each flow type (route, size) gets its own counter-keyed random substream,
 so adding or removing a type never perturbs the arrivals of the others.
 Streams are deterministic functions of (types, horizon, seed).
 
-Dummy flows produced by the Poissonization regularizer carry negative
-uids; everything downstream treats uid < 0 as "consumes bandwidth, never
-counted in delay statistics".
+A flow is one `FLOW` record, (t, ti, uid): an instant, a type index and
+a uid.  A stream holds its flows as one `FLOW` array, and the virtual
+net hands the reference net the same record with t its injection
+instant.  Dummy flows produced by the Poissonization regularizer carry
+negative uids; everything downstream treats uid < 0 as "consumes
+bandwidth, never counted in delay statistics".
 """
 
 from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnstableRegularizerError
+
+FLOW = np.dtype([("t", "f8"), ("ti", "i8"), ("uid", "i8")])
+
+
+def flow_array(t, ti, uid) -> np.ndarray:
+    """A `FLOW` array from its three columns."""
+    flows = np.empty(len(t), dtype=FLOW)
+    flows["t"], flows["ti"], flows["uid"] = t, ti, uid
+    return flows
 
 
 @dataclass(frozen=True)
@@ -37,17 +49,17 @@ class FlowType:
 class ArrivalStream:
     """Time-ordered exogenous arrivals over a finite horizon.
 
-    events: list of (time, type_index, uid).  Times are nondecreasing and
-    ties are broken by type index.  For a regularized stream,
-    `external_times` maps a real flow's uid to its original arrival
-    instant (emission time otherwise).
+    `events` is a `FLOW` array: times nondecreasing, ties broken by type
+    index.  `t_arrive` gives each flow's external arrival instant, which
+    for a regularized stream's real flow is before its emission and for
+    every other flow is its time in `events`.
     """
 
     horizon: float
     rng_seed: int
     types: tuple[FlowType, ...]
-    events: list[tuple[float, int, int]]
-    external_times: dict[int, float] = field(default_factory=dict)
+    events: np.ndarray
+    t_arrive: np.ndarray
 
 
 def _float_bits(x: float) -> int:
@@ -83,24 +95,13 @@ def gen_poisson(types: list[FlowType] | tuple[FlowType, ...], horizon: float, se
     if len({(t.route, t.size) for t in types}) != len(types):
         raise ValueError("duplicate (route, size) flow type")
 
-    all_times: list[np.ndarray] = []
-    all_tids: list[np.ndarray] = []
-    for ti, ftype in enumerate(types):
-        ts = _poisson_times(_substream(seed, ftype), ftype.rate, horizon)
-        all_times.append(ts)
-        all_tids.append(np.full(len(ts), ti, dtype=np.int64))
-
-    if all_times:
-        times = np.concatenate(all_times)
-        tids = np.concatenate(all_tids)
-        order = np.lexsort((tids, times))
-        times, tids = times[order], tids[order]
-    else:
-        times = np.empty(0)
-        tids = np.empty(0, dtype=np.int64)
-
-    events = list(zip(times.tolist(), tids.tolist(), range(len(times))))
-    return ArrivalStream(horizon=float(horizon), rng_seed=int(seed), types=types, events=events)
+    times = [_poisson_times(_substream(seed, ftype), ftype.rate, horizon) for ftype in types]
+    t = np.concatenate([np.empty(0), *times])
+    ti = np.repeat(np.arange(len(types)), [len(ts) for ts in times])
+    order = np.lexsort((ti, t))
+    events = flow_array(t[order], ti[order], np.arange(len(t)))
+    return ArrivalStream(horizon=float(horizon), rng_seed=int(seed), types=types,
+                         events=events, t_arrive=events["t"])
 
 
 def regularize(stream: ArrivalStream, reg_rates: Sequence[float]) -> ArrivalStream:
@@ -110,7 +111,12 @@ def regularize(stream: ArrivalStream, reg_rates: Sequence[float]) -> ArrivalStre
     given rate; each epoch releases the oldest waiting real flow of that
     type (FIFO) or, if none has arrived yet, a dummy flow of the same
     size.  Real flows keep their uid and remember their original arrival
-    time; dummies get fresh negative uids.
+    time; dummies get fresh negative uids, -1, -2, ... in type order, then
+    emission order.  A real flow still waiting at the horizon is dropped.
+
+    FIFO in closed form: with s_i the first epoch at or after the i-th
+    arrival, that arrival leaves at epoch r_i = max(s_i, r_{i-1} + 1),
+    so r_i - i is the running maximum of s_k - k.
     """
     rates = list(reg_rates)
     if len(rates) != len(stream.types):
@@ -121,33 +127,26 @@ def regularize(stream: ArrivalStream, reg_rates: Sequence[float]) -> ArrivalStre
                 f"type {ti}: emission rate {rates[ti]} must exceed arrival rate {ftype.rate}"
             )
 
-    per_type_real: dict[int, list[tuple[float, int]]] = {ti: [] for ti in range(len(stream.types))}
-    for t, ti, uid in stream.events:
-        per_type_real[ti].append((t, uid))
-
-    out: list[tuple[float, int, int]] = []
-    external: dict[int, float] = {}
-    next_dummy = -1
+    parts, came = [np.zeros(0, dtype=FLOW)], [np.empty(0)]
+    n_dummies = 0
     for ti, ftype in enumerate(stream.types):
-        emit_times = _poisson_times(_substream(stream.rng_seed, ftype, salt=1), rates[ti], stream.horizon)
-        queue = per_type_real[ti]
-        head = 0
-        for emit in emit_times:
-            e = float(emit)
-            if head < len(queue) and queue[head][0] <= e:
-                t_arr, uid = queue[head]
-                head += 1
-                external[uid] = t_arr
-                out.append((e, ti, uid))
-            else:
-                out.append((e, ti, next_dummy))
-                next_dummy -= 1
+        emit = _poisson_times(_substream(stream.rng_seed, ftype, salt=1), rates[ti], stream.horizon)
+        real = stream.events[stream.events["ti"] == ti]
+        i = np.arange(len(real))
+        release = i + np.maximum.accumulate(np.searchsorted(emit, real["t"], "left") - i)
+        real = real[release < len(emit)]   # release increases: the flows sent are a prefix
+        release = release[:len(real)]
+        idle = np.ones(len(emit), dtype=bool)
+        idle[release] = False
+        uid = -n_dummies - np.cumsum(idle)
+        uid[release] = real["uid"]
+        n_dummies += len(emit) - len(real)
+        t_arrive = emit.copy()
+        t_arrive[release] = real["t"]
+        parts.append(flow_array(emit, np.full(len(emit), ti), uid))
+        came.append(t_arrive)
 
-    out.sort(key=lambda ev: (ev[0], ev[1]))
-    return ArrivalStream(
-        horizon=stream.horizon,
-        rng_seed=stream.rng_seed,
-        types=stream.types,
-        events=out,
-        external_times=external,
-    )
+    flows = np.concatenate(parts)
+    order = np.lexsort((flows["ti"], flows["t"]))
+    return ArrivalStream(horizon=stream.horizon, rng_seed=stream.rng_seed, types=stream.types,
+                         events=flows[order], t_arrive=np.concatenate(came)[order])

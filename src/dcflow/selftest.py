@@ -94,12 +94,12 @@ def check_processor_sharing(max_total: int = 30) -> CheckResult:
         for n2 in range(max_total + 1 - n1):
             if n1 + n2 == 0:
                 continue
-            alloc = phi_rate(spec, (n1, n2), exact=True)
+            phi = phi_rate(spec, (n1, n2), exact=True)
             want = Fraction(n1, n1 + n2)
-            if alloc.phi[0] != want:
+            if phi[0] != want:
                 return CheckResult(
                     "processor_sharing", False,
-                    f"phi_1({n1},{n2}) = {alloc.phi[0]} != {want}",
+                    f"phi_1({n1},{n2}) = {phi[0]} != {want}",
                 )
     return CheckResult(
         "processor_sharing", True,

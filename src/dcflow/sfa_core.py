@@ -98,14 +98,6 @@ class BandwidthNetworkSpec:
         return float(b) / float(c)
 
 
-@dataclass(frozen=True)
-class RateAllocation:
-    """Route rates phi(n) together with the occupancy that produced them."""
-
-    phi: tuple[float, ...]
-    n: tuple[int, ...]
-
-
 class _PhiEvaluator:
     """Memoized exact Mean Value Analysis for one spec.
 
@@ -286,12 +278,12 @@ def phi_big_bruteforce(spec: BandwidthNetworkSpec, n: tuple[int, ...], exact: bo
     return total
 
 
-def phi_rate(spec: BandwidthNetworkSpec, n: tuple[int, ...], exact: bool = False) -> RateAllocation:
+def phi_rate(spec: BandwidthNetworkSpec, n: tuple[int, ...], exact: bool = False) -> tuple[Number, ...]:
     """Allocated rate per route: phi_j(n) = Phi(n - e_j) / Phi(n)."""
     n = tuple(n)
     if len(n) != spec.n_routes:
         raise ValueError("occupancy dimension does not match route count")
-    return RateAllocation(phi=_evaluator(spec, exact).rates(n), n=n)
+    return _evaluator(spec, exact).rates(n)
 
 
 def _resource_loads(spec: BandwidthNetworkSpec, alpha) -> list[float]:

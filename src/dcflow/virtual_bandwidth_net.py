@@ -11,12 +11,15 @@ V + x, and the allocation changes only when the occupancy vector does.
 
 `serve` is the whole simulation: one flat event loop over plain locals,
 per class a flow count, V and a heap of (V + x, uid, event index).  The
-per-flow rates phi_j(n) / n_j are cached per occupancy n, and each
-occupancy's allocation is checked against the capacities when it enters
-that cache.  At one instant a departure goes before an arrival, and
-equal departure instants go in uid order.  The loop writes each flow's
-departure into one array; everything else about a run is read from
-`NbRunResult`'s columns afterwards.
+per-flow rates phi_j(n) / n_j are cached per occupancy n.  They need no
+capacity check: phi is the throughput of a closed network of
+processor-sharing stations (see `sfa_core`), so route loads on a
+resource sum to that station's utilization, at most 1.  At one instant
+a departure goes before an arrival, and equal departure instants go in
+uid order.  The loop reads the stream's `FLOW` columns as plain lists
+and writes each flow's departure into one list; everything else about a
+run is read from `NbRunResult`'s columns afterwards, and `schedule`
+hands the reference net the same `FLOW` record.
 
 The congestion-control rule is: a flow becomes eligible for the internal
 network exactly when it departs this virtual network.  Its external wait
@@ -29,15 +32,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ct_network import INJECTION, injection_columns
 from .errors import InternalConsistencyError
-from .flow_gen import ArrivalStream, FlowType
+from .flow_gen import ArrivalStream, FlowType, flow_array
 from .sfa_core import BandwidthNetworkSpec, _evaluator
 from .topology import LoadProfile, Route, compute_loads, queue_paths, require_admissible
 
@@ -49,36 +50,20 @@ def bandwidth_spec_for(routes: list[Route]) -> BandwidthNetworkSpec:
 
 
 def serve(spec: BandwidthNetworkSpec, classes: Sequence[int], sizes: Sequence[float],
-          events: Sequence[tuple[float, int, int]]) -> np.ndarray:
-    """Departure instant of every flow of `events`, in event order.
+          times: list[float], types: list[int], uids: list[int]) -> np.ndarray:
+    """Departure instant of every flow, in stream order.
 
-    `events` lists (time, type index, uid) with nondecreasing times; a
-    type-k flow joins class `classes[k]` with size `sizes[k]`.  An arrival
-    goes first only if it is strictly earlier than the next departure, and
-    equal departure instants go in uid order.
+    Flow i arrives at `times[i]`, nondecreasing, with type index
+    `types[i]` and uid `uids[i]`; a type-k flow joins class `classes[k]`
+    with size `sizes[k]`.  An arrival goes first only if it is strictly
+    earlier than the next departure, and equal departure instants go in
+    uid order.
     """
     n_classes = spec.n_routes
     ev = _evaluator(spec, exact=False)
-    cap = [float(c) + 1e-9 for c in spec.capacities]
-    users = [[(j, float(spec.consumption[j][spec.route_resources[j].index(l)]))
-              for j in spec.routes_using(l)] for l in range(spec.n_resources)]
     per_flow: dict[tuple[int, ...], tuple[float, ...]] = {}
-
-    def rates_at(key: tuple[int, ...]) -> tuple[float, ...]:
-        # each occupancy's allocation is checked once, when first met
-        phi = ev.rates(key)
-        for l, row in enumerate(users):
-            used = 0.0
-            for j, b in row:
-                if key[j]:
-                    used += b * phi[j]
-            if used > cap[l]:
-                raise InternalConsistencyError(
-                    f"allocation violates capacity of resource {l}: {used}")
-        rates = per_flow[key] = tuple(phi[j] / nj if nj else 0.0 for j, nj in enumerate(key))
-        return rates
-
-    out = array("d", bytes(8 * len(events)))
+    total = len(times)
+    out = [0.0] * total
     n = [0] * n_classes
     v = [0.0] * n_classes             # cumulative per-flow service
     heaps: list[list[tuple[float, int, int]]] = [[] for _ in range(n_classes)]
@@ -86,9 +71,8 @@ def serve(spec: BandwidthNetworkSpec, classes: Sequence[int], sizes: Sequence[fl
     clock = 0.0
     inf = math.inf
     push, pop = heapq.heappush, heapq.heappop
-    total = len(events)
     i = 0
-    t_next = events[0][0] if total else inf
+    t_next = times[0] if total else inf
     while True:
         # earliest completion under the current rates, ties toward the smaller uid
         t_dep, u_dep, c_dep = inf, 0, -1
@@ -114,12 +98,12 @@ def serve(spec: BandwidthNetworkSpec, classes: Sequence[int], sizes: Sequence[fl
                 v[j] += rate[j] * dt   # an empty class's rate is 0.0: v unchanged
             clock = t
         if t_next < t_dep:
-            _, k, uid = events[i]
+            k = types[i]
             c = classes[k]
-            push(heaps[c], (v[c] + sizes[k], uid, i))
+            push(heaps[c], (v[c] + sizes[k], uids[i], i))
             n[c] += 1
             i += 1
-            t_next = events[i][0] if i < total else inf
+            t_next = times[i] if i < total else inf
         else:
             thr, _, e = pop(heaps[c_dep])
             v[c_dep] = thr   # snap out accumulated rounding
@@ -129,8 +113,9 @@ def serve(spec: BandwidthNetworkSpec, classes: Sequence[int], sizes: Sequence[fl
         try:
             rate = per_flow[key]
         except KeyError:
-            rate = rates_at(key)
-    return np.frombuffer(out, dtype=np.float64)
+            phi = ev.rates(key)
+            rate = per_flow[key] = tuple(phi[j] / nj if nj else 0.0 for j, nj in enumerate(key))
+    return np.array(out)
 
 
 @dataclass(eq=False)
@@ -162,11 +147,9 @@ class NbRunResult:
         return dict(zip(self.uid.tolist(), self.t_enter.tolist()))
 
     def schedule(self) -> np.ndarray:
-        """The injections as `run_ct` takes them: one (t, type index, uid)
-        record per flow, stream order, the order of `t_arrive`."""
-        rows = np.empty(len(self), dtype=INJECTION)
-        rows["t"], rows["ti"], rows["uid"] = self.t_inject, self.type, self.uid
-        return rows
+        """The injections as `run_ct` takes them: a `FLOW` array, t the
+        injection instant, in stream order, the order of `t_arrive`."""
+        return flow_array(self.t_inject, self.type, self.uid)
 
     def _route(self) -> np.ndarray:
         return np.array([t.route for t in self.types], dtype=np.int64)[self.type]
@@ -216,26 +199,23 @@ def run_emulation(
         profile = compute_loads(routes, {(t.route, t.size): t.rate for t in types})
     require_admissible(profile)
 
-    events = stream.events
-    t_enter, ti, uid = (np.ascontiguousarray(c) for c in injection_columns(events))
+    t_enter, ti, uid = (np.ascontiguousarray(stream.events[c]) for c in ("t", "ti", "uid"))
     back = np.flatnonzero(t_enter[1:] < t_enter[:-1])
     if back.size:
         k = back[0]
         raise InternalConsistencyError(
             f"clock moved backwards at flow {uid[k + 1]}: {t_enter[k]} -> {t_enter[k + 1]}")
-    t_arrive = t_enter
-    if stream.external_times:
-        t_arrive = np.fromiter(map(stream.external_times.get, uid.tolist(), t_enter.tolist()),
-                               dtype=np.float64, count=len(uid))
-        early = np.flatnonzero(t_enter < t_arrive)
-        if early.size:
-            raise InternalConsistencyError(
-                f"flow {uid[early[0]]} entered the virtual net before it arrived")
+    t_arrive = np.ascontiguousarray(stream.t_arrive)
+    early = np.flatnonzero(t_enter < t_arrive)
+    if early.size:
+        raise InternalConsistencyError(
+            f"flow {uid[early[0]]} entered the virtual net before it arrived")
 
     spec = bandwidth_spec_for(routes)
-    t_inject = serve(spec, [t.route for t in types], [t.size for t in types], events)
+    t_inject = serve(spec, [t.route for t in types], [t.size for t in types],
+                     t_enter.tolist(), ti.tolist(), uid.tolist())
     return NbRunResult(types=types, spec=spec, uid=uid, type=ti, t_enter=t_enter,
-                       t_arrive=t_arrive, t_inject=t_inject, n_events=2 * len(events))
+                       t_arrive=t_arrive, t_inject=t_inject, n_events=2 * len(uid))
 
 
 def departure_process(result: NbRunResult, type_index: int, burn_in: float = 0.0) -> list[float]:

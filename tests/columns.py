@@ -1,8 +1,9 @@
 """Views of the engines' flat columns, for tests.
 
-`per_flow` reads any per-flow-hop column of a reference run, one list per
-flow; `assert_same_run` compares two slot-engine results column by
-column, including every flow-hop of their ledgers' hop trails.
+`as_flows` builds a `FLOW` array from (t, ti, uid) rows; `per_flow` reads
+any per-flow-hop column of a reference run, one list per flow;
+`assert_same_run` compares two slot-engine results column by column,
+including every flow-hop of their ledgers' hop trails.
 """
 
 from __future__ import annotations
@@ -10,6 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from dcflow.dt_network import COLUMNS, hop_columns
+from dcflow.flow_gen import FLOW
+
+
+def as_flows(rows) -> np.ndarray:
+    """A `FLOW` array of (t, type index, uid) rows, as `run_ct` takes it."""
+    return np.array(list(rows), dtype=FLOW)
 
 
 def per_flow(ct, column) -> dict[int, list]:

@@ -10,7 +10,6 @@ two sum the same works in a different order.
 
 from __future__ import annotations
 
-from array import array
 from itertools import accumulate
 
 import numpy as np
@@ -61,6 +60,7 @@ def lcfs_sweep(offs, arrive, out, begins, ends) -> None:
 def run_ct_stack(injections, routes, types, eps) -> CtResult:
     """Same arguments and result as `run_ct`, with every queue served by
     `lcfs_sweep` in index order."""
+    injections = injections.tolist()   # (t, ti, uid) rows
     queues, route_paths = queue_paths(routes)
     paths = [route_paths[t.route] for t in types]
     service = [eps.x_eps[t.size] for t in types]
@@ -68,9 +68,9 @@ def run_ct_stack(injections, routes, types, eps) -> CtResult:
     order = sorted(range(len(injections)), key=lambda i: (injections[i][0], injections[i][2]))
     arrivals = [injections[i] for i in order]
     index = {uid: f for f, (_, _, uid) in enumerate(arrivals)}
-    offsets = array("q", accumulate((len(paths[ti]) for _, ti, _ in arrivals), initial=0))
-    taus = array("d", [0.0]) * offsets[-1]
-    deltas = array("d", [0.0]) * offsets[-1]   # work on entry, departure after the sweep
+    offsets = list(accumulate((len(paths[ti]) for _, ti, _ in arrivals), initial=0))
+    taus = [0.0] * offsets[-1]
+    deltas = [0.0] * offsets[-1]   # work on entry, departure after the sweep
     last_hop = bytearray(offsets[-1])
     at_queue = [[] for _ in queues]            # flow-hop offsets, flows in uid order
 
@@ -94,4 +94,5 @@ def run_ct_stack(injections, routes, types, eps) -> CtResult:
     return CtResult(uid=np.array([uid for _, _, uid in arrivals], dtype=np.int64),
                     ti=np.array([ti for _, ti, _ in arrivals], dtype=np.int64),
                     order=np.array(order, dtype=np.int64),
-                    offsets=offsets, tau=taus, delta=deltas)
+                    offsets=np.array(offsets, dtype=np.int64), tau=np.array(taus),
+                    delta=np.array(deltas))

@@ -14,7 +14,8 @@ slots, report that same trail.
 from __future__ import annotations
 
 import heapq
-from array import array
+
+import numpy as np
 
 from dcflow.ct_network import slot_ceil
 from dcflow.dt_network import DtRunResult, _ledger, hop_columns
@@ -50,23 +51,25 @@ def run_dt_per_slot(ct, routes, types, eps, arrive_times=None, node_order=None):
         queues = list(node_order)
     qidx = {q: i for i, q in enumerate(queues)}
 
+    taus, deltas = ct.tau.tolist(), ct.delta.tolist()
+
     def activation(fl):
         # the flow's reference arrival at its current queue, read once
-        tau = ct.tau[fl.offset + fl.hop]
+        tau = taus[fl.offset + fl.hop]
         return (slot_ceil(tau, epsv), qidx[paths[fl.ti][fl.hop]], fl.uid, tau, fl)
 
     eligible = [[] for _ in queues]
     activations = []  # (slot, queue index, uid, tau, flow)
     flows = {}
-    for uid, ti, offset in zip(ct.uid.tolist(), ct.ti.tolist(), ct.offsets):
+    for uid, ti, offset in zip(ct.uid.tolist(), ct.ti.tolist(), ct.offsets.tolist()):
         # a flow is injected at its reference arrival at its first queue
-        fl = _Flow(uid, ti, offset, ct.tau[offset])
+        fl = _Flow(uid, ti, offset, taus[offset])
         fl.remaining = pkts[ti]
         flows[uid] = fl
         heapq.heappush(activations, activation(fl))
 
     log = []
-    delta_slots = array("q", [0]) * ct.offsets[-1]
+    delta_slots = np.zeros(len(taus), dtype=np.int64)
     n_done = n_checked = n_slots_processed = 0
     k = -1
     any_eligible = False
@@ -94,7 +97,7 @@ def run_dt_per_slot(ct, routes, types, eps, arrive_times=None, node_order=None):
                 continue
             _, _, _, s, tau, _ = heapq.heappop(heap)
             delta_slot = k + 1
-            delta = ct.delta[fl.offset + fl.hop]
+            delta = deltas[fl.offset + fl.hop]
             limit = slot_ceil(delta, epsv)
             if delta_slot > limit:
                 raise EmulationInfeasibilityError(

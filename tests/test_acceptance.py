@@ -222,10 +222,9 @@ def test_criterion_06_reference_network_delay_law():
             assert eps.f_eps[route.queue_path[0]] == pytest.approx(f_target)
             horizon = 120_000 / f_target
             stream = gen_poisson(types, horizon, seed=int(f_target * 100) + route.hop_count)
-            ct = run_ct(list(stream.events), [route], types, eps)
+            ct = run_ct(stream.events, [route], types, eps)
             burn = 0.2 * horizon
-            last = np.asarray(ct.offsets)[1:] - 1
-            sample = (np.asarray(ct.delta)[last] - ct.t_inject)[ct.t_inject >= burn]
+            sample = (ct.delta[ct.offsets[1:] - 1] - ct.t_inject)[ct.t_inject >= burn]
             assert len(sample) >= 90_000
             oracle = oracle_table(profile, eps)[(0, 1.0)].oracle_ds
             rel = abs(sample.mean() - oracle) / oracle
@@ -246,13 +245,11 @@ def test_criterion_07_emulation_invariants(sweep_runs):
         epsv = run["eps"].epsilon
         ledger = run["ledger"]
         ct = ledger.ct
-        offsets = np.frombuffer(ct.offsets, dtype=np.int64)
+        offsets = ct.offsets
         # the ledger's rows hold every flow of the reference run once
         assert np.array_equal(np.sort(ledger.flow), np.arange(len(ct.uid)))
         assert np.array_equal(ct.uid[ledger.flow], ledger.uid)
-        tau = np.frombuffer(ct.tau, dtype=np.float64)
-        delta = np.frombuffer(ct.delta, dtype=np.float64)
-        d_slot = np.frombuffer(ledger.delta_slots, dtype=np.int64)
+        tau, delta, d_slot = ct.tau, ct.delta, ledger.delta_slots
         assert np.all(d_slot <= slot_ceil(delta, epsv))
         # a flow arrives downstream in the slot it departs upstream
         onward = np.ones(len(tau), dtype=bool)
@@ -265,9 +262,9 @@ def test_criterion_07_emulation_invariants(sweep_runs):
     # to the end of its departure slot there; at one instant departures
     # count first
     ledger = adversarial["ledger"]
-    first = np.frombuffer(ledger.ct.offsets, dtype=np.int64)[ledger.flow]
+    first = ledger.ct.offsets[ledger.flow]
     epsv = adversarial["eps"].epsilon
-    leave = np.frombuffer(ledger.delta_slots, dtype=np.int64)[first] * epsv
+    leave = ledger.delta_slots[first] * epsv
     at = np.concatenate((ledger.t_inject, leave))
     step = np.repeat([1, -1], len(ledger))
     order = np.lexsort((step, at))

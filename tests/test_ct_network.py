@@ -11,7 +11,7 @@ from dcflow.errors import ConfigError, StabilityViolationError
 from dcflow.flow_gen import FlowType, gen_poisson
 from dcflow.metrics import oracle_table
 from dcflow.topology import compute_loads, make_route
-from columns import assert_same_run, per_flow
+from columns import as_flows, assert_same_run, per_flow
 from lcfs_oracle import lcfs_sweep
 from slot_oracle import run_dt_per_slot
 
@@ -127,7 +127,7 @@ def test_lone_flow_hops(two_hop_route):
     types = (FlowType(0, 1.0, 0.1),)
     profile = compute_loads([two_hop_route], {(0, 1.0): 0.1})
     eps = choose_epsilon(profile, 2.0, override=0.5)   # x_eps = 1.0
-    ct = run_ct([(0.0, 0, 0)], [two_hop_route], types, eps)
+    ct = run_ct(as_flows([(0.0, 0, 0)]), [two_hop_route], types, eps)
     assert per_flow(ct, ct.tau) == {0: [0.0, 1.0]}
     assert per_flow(ct, ct.delta) == {0: [1.0, 2.0]}
     assert ct.t_inject.tolist() == [0.0]
@@ -139,7 +139,7 @@ def test_preemption_resume(chain_tree):
     profile = compute_loads([route], {(0, 1.0): 0.1})
     eps = choose_epsilon(profile, 2.0, override=0.5)
     # flow 0 starts at 0; flow 1 lands at 0.6 and preempts (remaining 0.4)
-    ct = run_ct([(0.0, 0, 0), (0.6, 0, 1)], [route], types, eps)
+    ct = run_ct(as_flows([(0.0, 0, 0), (0.6, 0, 1)]), [route], types, eps)
     deltas = per_flow(ct, ct.delta)
     assert deltas[1][0] == pytest.approx(1.6)
     assert deltas[0][0] == pytest.approx(2.0)  # 0.6 + 1.0 + 0.4
@@ -151,7 +151,7 @@ def test_simultaneous_events_order(star_tree):
     routes = [make_route(star_tree, "a", "r", route_id=0)]
     types = (FlowType(0, 1.0, 0.1),)
     eps = choose_epsilon(compute_loads(routes, {(0, 1.0): 0.1}), 2.0, override=0.5)
-    ct = run_ct([(0.0, 0, 0), (1.0, 0, 1)], routes, types, eps)
+    ct = run_ct(as_flows([(0.0, 0, 0), (1.0, 0, 1)]), routes, types, eps)
     assert per_flow(ct, ct.delta) == {0: [1.0], 1: [2.0]}
 
     # equal arrivals at a queue stack in uid order: both flows leave
@@ -161,7 +161,7 @@ def test_simultaneous_events_order(star_tree):
     types = (FlowType(0, 1.0, 0.1), FlowType(1, 1.0, 0.1))
     profile = compute_loads(routes, {(0, 1.0): 0.1, (1, 1.0): 0.1})
     eps = choose_epsilon(profile, 2.0, override=0.5)
-    ct = run_ct([(0.0, 1, 1), (0.0, 0, 0)], routes, types, eps)
+    ct = run_ct(as_flows([(0.0, 1, 1), (0.0, 0, 0)]), routes, types, eps)
     assert per_flow(ct, ct.tau) == {0: [0.0, 1.0, 3.0], 1: [0.0, 1.0, 2.0]}
     assert per_flow(ct, ct.delta) == {0: [1.0, 3.0, 4.0], 1: [1.0, 2.0, 3.0]}
 
@@ -174,12 +174,11 @@ def test_equal_arrivals_from_two_queues_stack_by_uid(star_tree):
     types = (FlowType(0, 1.0, 0.1), FlowType(1, 0.5, 0.1))
     eps = choose_epsilon(compute_loads(routes, {(0, 1.0): 0.1, (1, 0.5): 0.1}), 2.0,
                          override=0.5)
-    injections = [(0.0, 0, 5), (0.5, 1, 3)]
-    ct = run_ct(injections, routes, types, eps)
+    ct = run_ct(as_flows([(0.0, 0, 5), (0.5, 1, 3)]), routes, types, eps)
     assert per_flow(ct, ct.tau) == {5: [0.0, 1.0, 2.0], 3: [0.5, 1.0, 2.5]}
     assert per_flow(ct, ct.delta) == {5: [1.0, 2.0, 3.0], 3: [1.0, 2.5, 3.0]}
     dt = run_dt(ct, routes, types, eps)
-    s_slots = per_flow(ct, slot_ceil(np.asarray(ct.tau), eps.epsilon))
+    s_slots = per_flow(ct, slot_ceil(ct.tau, eps.epsilon))
     d_slots = per_flow(ct, dt.ledger.delta_slots)
     at_r_down = {uid: (s_slots[uid][1], d_slots[uid][1]) for uid in (5, 3)}
     assert at_r_down == {5: (2, 4), 3: (2, 5)}
@@ -194,7 +193,7 @@ def test_completion_at_an_arrival_instant_departs(chain_tree):
     types = (FlowType(0, 1.0, 0.1), FlowType(1, 0.5, 0.1))
     eps = choose_epsilon(compute_loads(routes, {(0, 1.0): 0.1, (1, 0.5): 0.1}), 2.0,
                          override=0.5)
-    ct = run_ct([(0.0, 0, 1), (0.5, 1, 2)], routes, types, eps)
+    ct = run_ct(as_flows([(0.0, 0, 1), (0.5, 1, 2)]), routes, types, eps)
     assert per_flow(ct, ct.delta) == {1: [1.0, 2.0], 2: [1.0]}
 
 
@@ -206,7 +205,7 @@ def test_float_noise_keeps_a_completion_tie(star_tree):
     routes = [make_route(star_tree, "a", "b", route_id=0)]
     types = (FlowType(0, 0.5, 0.1),)
     eps = choose_epsilon(compute_loads(routes, {(0, 0.5): 0.1}), 2.0, override=0.995)
-    ct = run_ct([(0.0, 0, uid) for uid in range(3)], routes, types, eps)
+    ct = run_ct(as_flows([(0.0, 0, uid) for uid in range(3)]), routes, types, eps)
     taus, deltas = per_flow(ct, ct.tau), per_flow(ct, ct.delta)
     assert taus[0][2] == pytest.approx(3.98, rel=1e-12)
     assert deltas[1][2] == taus[0][2]   # departs at the arrival it did not wait for
@@ -237,7 +236,7 @@ def queue_logs(ct, routes, types, injections):
     by_id = {r.id: r for r in routes}
     taus, deltas = per_flow(ct, ct.tau), per_flow(ct, ct.delta)
     logs = {}
-    for _, ti, uid in injections:
+    for _, ti, uid in injections.tolist():
         path = by_id[types[ti].route].queue_path
         for q, tau, delta in zip(path, taus[uid], deltas[uid]):
             logs.setdefault(q, []).extend([(tau, 1, uid), (delta, 0, uid)])
@@ -248,7 +247,7 @@ def queue_logs(ct, routes, types, injections):
 @pytest.mark.parametrize("network", sorted(LCFS_NETWORKS))
 def test_lcfs_pr_sample_path(network, chain_tree, star_tree):
     routes, types, eps = lcfs_network(network, chain_tree, star_tree)
-    inj = list(gen_poisson(types, 2_000.0, seed=31).events)
+    inj = gen_poisson(types, 2_000.0, seed=31).events
     ct = run_ct(inj, routes, types, eps)
     # replay each queue's log as a pure stack: every departure must pop
     # the most recent arrival among still-present flows
@@ -268,9 +267,9 @@ def test_busy_cycle_identity(network, chain_tree, star_tree):
     # within one busy cycle the opener departs last, after the summed
     # rounded sizes of every flow in the cycle
     routes, types, eps = lcfs_network(network, chain_tree, star_tree)
-    inj = list(gen_poisson(types, 3_000.0, seed=32).events)
+    inj = gen_poisson(types, 3_000.0, seed=32).events
     ct = run_ct(inj, routes, types, eps)
-    x_eps = {uid: eps.x_eps[types[ti].size] for _, ti, uid in inj}
+    x_eps = {uid: eps.x_eps[types[ti].size] for _, ti, uid in inj.tolist()}
     for q, log in queue_logs(ct, routes, types, inj).items():
         depth = 0
         opener = None
@@ -294,9 +293,9 @@ def test_work_conservation_per_hop(two_hop_route):
     profile = compute_loads([two_hop_route], {(0, 1.0): 0.5})
     eps = choose_epsilon(profile, 2.0)
     stream = gen_poisson(types, 1_000.0, seed=33)
-    ct = run_ct(list(stream.events), [two_hop_route], types, eps)
+    ct = run_ct(stream.events, [two_hop_route], types, eps)
     xe = eps.x_eps[1.0]
-    assert np.all(np.asarray(ct.delta) - np.asarray(ct.tau) >= xe - 1e-9)
+    assert np.all(ct.delta - ct.tau >= xe - 1e-9)
 
 
 def test_ergodic_sojourn_matches_oracle(chain_tree):
@@ -304,10 +303,9 @@ def test_ergodic_sojourn_matches_oracle(chain_tree):
     types = (FlowType(0, 1.0, 0.5),)
     eps = choose_epsilon(profile, 2.0, override=0.25)
     stream = gen_poisson(types, 40_000.0, seed=34)
-    ct = run_ct(list(stream.events), routes, types, eps)
+    ct = run_ct(stream.events, routes, types, eps)
     burn = 8_000.0
-    offsets = np.asarray(ct.offsets)
-    soj = (np.asarray(ct.delta)[offsets[1:] - 1] - ct.t_inject)[ct.t_inject >= burn]
+    soj = (ct.delta[ct.offsets[1:] - 1] - ct.t_inject)[ct.t_inject >= burn]
     want = reference_oracle(eps, profile, 0, 1.0)
     assert soj.mean() == pytest.approx(want, rel=0.08)
 

@@ -13,7 +13,7 @@ from dcflow.flow_gen import FlowType, gen_poisson
 from dcflow.metrics import oracle_table
 from dcflow.topology import TreeSpec, compute_loads, make_route
 from dcflow.virtual_bandwidth_net import run_emulation
-from columns import assert_same_run, per_flow
+from columns import as_flows, assert_same_run, per_flow
 from slot_oracle import run_dt_per_slot
 
 
@@ -21,7 +21,7 @@ def pipeline(routes, types, injections, c0=2.0, override=None, **kwargs):
     lam = {(t.route, t.size): t.rate for t in types}
     profile = compute_loads(routes, lam)
     eps = choose_epsilon(profile, c0, override=override)
-    ct = run_ct(injections, routes, types, eps)
+    ct = run_ct(as_flows(injections), routes, types, eps)
     dt = run_dt(ct, routes, types, eps, **kwargs)
     return profile, eps, ct, dt
 
@@ -74,7 +74,7 @@ def test_two_flow_busy_cycle_case_two(chain_tree):
     d_slots = per_flow(ct, dt.ledger.delta_slots)
     assert d_slots[2] == [3]   # short flow leaves in slot 3
     assert d_slots[1] == [4]   # opener: S=1 plus both sizes
-    assert per_flow(ct, slot_ceil(np.asarray(ct.tau), 1.0))[1] == [1]   # schedule slot of opener
+    assert per_flow(ct, slot_ceil(ct.tau, 1.0))[1] == [1]   # schedule slot of opener
     assert d_slots[1] == [slot_ceil(3.5, 1.0)]
 
 
@@ -103,7 +103,7 @@ def test_random_run_invariants_and_capacity(star_tree):
     lam = {(t.route, t.size): t.rate for t in types}
     profile = compute_loads([r0, r1], lam)
     eps = choose_epsilon(profile, 2.0)
-    ct = run_ct(list(stream.events), [r0, r1], types, eps)
+    ct = run_ct(stream.events, [r0, r1], types, eps)
     dt = run_dt(ct, [r0, r1], types, eps)
     oracle, transmissions = run_dt_per_slot(ct, [r0, r1], types, eps)
     assert_same_run(dt, oracle)
@@ -142,7 +142,7 @@ def test_node_iteration_order_is_immaterial(star_tree):
     lam = {(t.route, t.size): t.rate for t in types}
     profile = compute_loads([r0, r1], lam)
     eps = choose_epsilon(profile, 2.0)
-    ct = run_ct(list(stream.events), [r0, r1], types, eps)
+    ct = run_ct(stream.events, [r0, r1], types, eps)
 
     queues = []
     for route in (r0, r1):
@@ -161,7 +161,7 @@ def test_rerun_is_deterministic(two_hop_route):
     lam = {(0, 1.0): 0.5}
     profile = compute_loads([two_hop_route], lam)
     eps = choose_epsilon(profile, 2.0)
-    ct = run_ct(list(stream.events), [two_hop_route], types, eps)
+    ct = run_ct(stream.events, [two_hop_route], types, eps)
     a = run_dt(ct, [two_hop_route], types, eps)
     b = run_dt(ct, [two_hop_route], types, eps)
     assert_same_run(a, b)
@@ -170,12 +170,13 @@ def test_rerun_is_deterministic(two_hop_route):
 def test_delay_decomposition_rows(two_hop_route):
     types = (FlowType(0, 1.0, 0.4),)
     stream = gen_poisson(types, 300.0, seed=44)
-    arrive = np.array([t for t, _, _ in stream.events])
+    arrive = stream.events["t"]
     lam = {(0, 1.0): 0.4}
     profile = compute_loads([two_hop_route], lam)
     eps = choose_epsilon(profile, 2.0)
     # inject later than arrival to give every flow a waiting component
-    injections = [(t + 0.75, ti, uid) for t, ti, uid in stream.events]
+    injections = stream.events.copy()
+    injections["t"] += 0.75
     ct = run_ct(injections, [two_hop_route], types, eps)
     dt = run_dt(ct, [two_hop_route], types, eps, arrive_times=arrive)
     ledger = dt.ledger
@@ -202,7 +203,7 @@ def test_ledger_csv_format(two_hop_route, tmp_path):
     lam = {(0, 1.0): 0.3}
     profile = compute_loads([two_hop_route], lam)
     eps = choose_epsilon(profile, 2.0)
-    ct = run_ct(list(stream.events), [two_hop_route], types, eps)
+    ct = run_ct(stream.events, [two_hop_route], types, eps)
     dt = run_dt(ct, [two_hop_route], types, eps)
     path = tmp_path / "ledger.csv"
     write_ledger_csv(dt.ledger, str(path))
@@ -219,9 +220,8 @@ def test_violations_are_named_in_uid_order(two_hop_route):
     # the error names the smaller uid, whatever the queue order
     types = (FlowType(0, 1.0, 0.1),)
     eps = choose_epsilon(compute_loads([two_hop_route], {(0, 1.0): 0.1}), 2.0, override=0.5)
-    injections = [(1.0, 0, 9), (10.0, 0, 2)]
-    ct = run_ct(injections, [two_hop_route], types, eps)
-    first = dict(zip(ct.uid.tolist(), ct.offsets))
+    ct = run_ct(as_flows([(1.0, 0, 9), (10.0, 0, 2)]), [two_hop_route], types, eps)
+    first = dict(zip(ct.uid.tolist(), ct.offsets.tolist()))
     ct.delta[first[9]] -= 0.5
     ct.delta[first[2] + 1] -= 0.5
     with pytest.raises(EmulationInfeasibilityError,
@@ -305,8 +305,8 @@ def slot_runs(draw):
     times = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
     uids = draw(st.lists(st.integers(-30, 60), min_size=n, max_size=n, unique=True))
     tis = draw(st.lists(st.integers(0, len(types) - 1), min_size=n, max_size=n))
-    injections = [(0.25 * t, ti, uid) for t, ti, uid in zip(times, tis, uids)]
-    injections = draw(st.permutations(injections))
+    injections = as_flows(draw(st.permutations(
+        [(0.25 * t, ti, uid) for t, ti, uid in zip(times, tis, uids)])))
     override = draw(st.sampled_from((None, 0.1, 0.25, 0.4, 0.5, 1.0)))
     profile = compute_loads(routes, {(t.route, t.size): t.rate for t in types})
     eps = choose_epsilon(profile, 2.0, override=override)
@@ -318,7 +318,7 @@ def slot_runs(draw):
         for _ in range(draw(st.integers(1, 3))):
             f = draw(st.integers(0, len(injections) - 1))
             table = draw(st.sampled_from((ct.tau, ct.delta)))
-            hop = draw(st.integers(0, ct.offsets[f + 1] - ct.offsets[f] - 1))
+            hop = draw(st.integers(0, int(ct.offsets[f + 1] - ct.offsets[f]) - 1))
             table[ct.offsets[f] + hop] -= draw(st.sampled_from((0.05, 0.5, 2.0)))
     return ct, injections, routes, types, eps, tampered
 
@@ -327,7 +327,7 @@ def slot_runs(draw):
 @given(slot_runs())
 def test_event_engine_matches_per_slot_oracle(run):
     ct, injections, routes, types, eps, tampered = run
-    arrive = np.array([t - 0.1 for t, _, _ in injections])
+    arrive = injections["t"] - 0.1
     got, got_exc = _outcome(lambda: run_dt(ct, routes, types, eps, arrive))
     want, want_exc = _outcome(lambda: run_dt_per_slot(ct, routes, types, eps, arrive)[0])
     event(f"outcome: {want_exc.__name__ if want_exc else 'ledger'}")

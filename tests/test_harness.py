@@ -213,16 +213,16 @@ def test_smoke_reference_run_matches_stack_oracle():
     injections = nb.schedule()
     args = (injections, plan.routes, plan.types, plan.eps)
     got, want = harness.run_ct(*args), run_ct_stack(*args)
-    assert got.uid.tolist() == want.uid.tolist() and got.offsets == want.offsets
+    assert got.uid.tolist() == want.uid.tolist()
+    assert np.array_equal(got.offsets, want.offsets)
     assert got.ti.tolist() == want.ti.tolist() and got.order.tolist() == want.order.tolist()
     epsv = plan.eps.epsilon
     for g, w in ((got.tau, want.tau), (got.delta, want.delta)):
-        g, w = np.asarray(g), np.asarray(w)
         assert np.all(np.abs(g - w) <= 1e-9 * np.abs(w))
         assert np.array_equal(slot_ceil(g, epsv), slot_ceil(w, epsv))
     dt_got = harness.run_dt(got, *args[1:], arrive_times=nb.t_arrive)
     dt_want = harness.run_dt(want, *args[1:], arrive_times=nb.t_arrive)
-    assert dt_got.ledger.delta_slots == dt_want.ledger.delta_slots
+    assert np.array_equal(dt_got.ledger.delta_slots, dt_want.ledger.delta_slots)
     assert (dt_got.n_slots_processed, dt_got.n_transmissions, dt_got.flow_hops_checked) == (
         dt_want.n_slots_processed, dt_want.n_transmissions, dt_want.flow_hops_checked)
 
@@ -349,6 +349,20 @@ def test_cli_oracle_matches_regularized_summary(regularized_cli_runs, capsys):
                                     ("bound_total", "bound_D")):
         assert printed[oracle_key] == f"{float(summary[summary_key]):.4f}", oracle_key
     assert printed["wait"] == f"{1 / 0.15 + 2 / 0.55:.4f}"
+
+
+def test_regularized_run_is_pinned(regularized_cli_runs):
+    # a rewrite of the regularizer or of the stream it hands on must keep
+    # these digests, dummies and emission instants included
+    _, (a, _), _ = regularized_cli_runs
+    digests = {name: hashlib.sha256((a / name).read_bytes()).hexdigest()
+               for name in ("ledger.csv", "injections.csv", "ct_table.csv", "hops.jsonl")}
+    assert digests == {
+        "ledger.csv": "d98704cdb9c468ccabf82028c5ead6b513e9b9cd71623d8ccce4d96de62b59bd",
+        "injections.csv": "f9322c46a9bf6df40f8e22bdfb2e789fa2d9028be430c191a63e3fff43627436",
+        "ct_table.csv": "34cd38f000a8a0bfad4343bd5cf588640c691314384aad4db5f56ea02bb1c940",
+        "hops.jsonl": "56e98791d50f275fe57b72fb8816712b07e96dc27fb12138b367c5a527810b4b",
+    }
 
 
 def test_cli_regularized_run_writes_hop_tables(regularized_cli_runs):

@@ -48,8 +48,8 @@ def test_phi_shared_is_binomial():
 
 def test_rate_chain():
     for n in range(1, 10):
-        alloc = phi_rate(CHAIN2, (n,))
-        assert alloc.phi[0] == pytest.approx(n / (n + 1))
+        phi = phi_rate(CHAIN2, (n,))
+        assert phi[0] == pytest.approx(n / (n + 1))
 
 
 def test_rate_processor_sharing_exact():
@@ -57,15 +57,15 @@ def test_rate_processor_sharing_exact():
         for n2 in range(13):
             if n1 + n2 == 0:
                 continue
-            alloc = phi_rate(SHARED, (n1, n2), exact=True)
-            assert alloc.phi[0] == Fraction(n1, n1 + n2)
-            assert alloc.phi[1] == Fraction(n2, n1 + n2)
+            phi = phi_rate(SHARED, (n1, n2), exact=True)
+            assert phi[0] == Fraction(n1, n1 + n2)
+            assert phi[1] == Fraction(n2, n1 + n2)
 
 
 def test_rate_zero_for_empty_route():
-    alloc = phi_rate(SHARED, (0, 3))
-    assert alloc.phi[0] == 0.0
-    assert alloc.phi[1] == pytest.approx(1.0)
+    phi = phi_rate(SHARED, (0, 3))
+    assert phi[0] == 0.0
+    assert phi[1] == pytest.approx(1.0)
 
 
 def test_phi_matches_bruteforce_on_random_specs():
@@ -84,14 +84,14 @@ def test_allocation_respects_capacities():
     for _ in range(60):
         spec = random_spec(rng)
         for n in occupancies_within(spec.n_routes, 6):
-            alloc = phi_rate(spec, n)
+            phi = phi_rate(spec, n)
             # every active route gets bandwidth, every empty one none
-            assert [phi > 0.0 for phi in alloc.phi] == [nj > 0 for nj in n], (spec, n)
+            assert [x > 0.0 for x in phi] == [nj > 0 for nj in n], (spec, n)
             for l in range(spec.n_resources):
                 used = 0.0
                 for j in spec.routes_using(l):
                     k = spec.route_resources[j].index(l)
-                    used += float(spec.consumption[j][k]) * alloc.phi[j]
+                    used += float(spec.consumption[j][k]) * phi[j]
                 assert used <= float(spec.capacities[l]) + 1e-9
 
 
@@ -100,11 +100,11 @@ def test_per_route_rate_never_exceeds_capacity_ratio():
     for _ in range(20):
         spec = random_spec(rng)
         for n in occupancies_within(spec.n_routes, 3):
-            alloc = phi_rate(spec, n)
+            phi = phi_rate(spec, n)
             for j in range(spec.n_routes):
                 for k, l in enumerate(spec.route_resources[j]):
                     cap = float(spec.capacities[l]) / float(spec.consumption[j][k])
-                    assert alloc.phi[j] <= cap + 1e-9
+                    assert phi[j] <= cap + 1e-9
 
 
 def test_normalizer_monotone_on_unit_specs():

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from dcflow.errors import InternalConsistencyError, StabilityViolationError
-from dcflow.flow_gen import ArrivalStream, FlowType, gen_poisson
+from dcflow.flow_gen import FLOW, ArrivalStream, FlowType, gen_poisson
 from dcflow.sfa_core import (
     BandwidthNetworkSpec,
     _evaluator,
@@ -26,7 +26,15 @@ from vnet_oracle import serve_stepwise
 
 
 def manual_stream(types, events, horizon=1e9):
-    return ArrivalStream(horizon=horizon, rng_seed=0, types=tuple(types), events=list(events))
+    """A stream of (t, ti, uid) rows, each flow arriving when it enters."""
+    events = np.array(list(events), dtype=FLOW)
+    return ArrivalStream(horizon=horizon, rng_seed=0, types=tuple(types), events=events,
+                         t_arrive=events["t"].copy())
+
+
+def columns(events):
+    """A `FLOW` array's columns as the three lists `serve` takes."""
+    return [events[c].tolist() for c in ("t", "ti", "uid")]
 
 
 def test_single_flow_unit_resource_departs_at_one(chain_tree):
@@ -92,7 +100,7 @@ def test_next_departure_tie_breaks_by_uid(chain_tree):
     stream = manual_stream((FlowType(0, 1.0, 0.1),), [(0.0, 0, 5), (0.0, 0, 3)])
     nb = run_emulation(stream, [route])
     assert nb.injections == {5: pytest.approx(2.0), 3: pytest.approx(2.0)}
-    assert nb.t_inject.tolist() == serve_stepwise(nb.spec, [0], [1.0], stream.events).tolist()
+    assert nb.t_inject.tolist() == serve_stepwise(nb.spec, [0], [1.0], *columns(stream.events)).tolist()
 
 
 def test_arrival_only_increments_occupancy(chain_tree):
@@ -114,7 +122,7 @@ def test_work_conservation_from_event_log(two_hop_route):
     order = np.argsort(at, kind="stable")
     at = at[order]
     held = np.cumsum(np.repeat([1, -1], len(nb))[order])[:-1]   # flows during each gap
-    per_flow = np.array([phi_rate(nb.spec, (n,)).phi[0] / n if n else 0.0 for n in held])
+    per_flow = np.array([phi_rate(nb.spec, (n,))[0] / n if n else 0.0 for n in held])
     served = np.concatenate(([0.0], np.cumsum(per_flow * np.diff(at))))
     work = (served[np.searchsorted(at, nb.t_inject)] - served[np.searchsorted(at, nb.t_enter)])
     assert len(work) == len(stream.events) > 100
@@ -144,7 +152,7 @@ def test_wait_equals_sojourn(two_hop_route):
     types = (FlowType(0, 1.0, 0.3),)
     stream = gen_poisson(types, 500.0, seed=24)
     nb = run_emulation(stream, [two_hop_route])
-    assert nb.t_arrive.tolist() == nb.t_enter.tolist() == [t for t, _, _ in stream.events]
+    assert nb.t_arrive.tolist() == nb.t_enter.tolist() == stream.events["t"].tolist()
     assert np.all(nb.t_inject > nb.t_enter)
 
 
@@ -176,7 +184,7 @@ def test_flow_entering_before_its_arrival_is_refused(two_hop_route):
     # a regularizer that emitted a flow before its external arrival
     types = (FlowType(0, 1.0, 0.1),)
     stream = manual_stream(types, [(1.0, 0, 0), (2.0, 0, 1)])
-    stream.external_times[1] = 2.5
+    stream.t_arrive[1] = 2.5
     with pytest.raises(InternalConsistencyError, match="flow 1 entered"):
         run_emulation(stream, [two_hop_route])
 
@@ -234,8 +242,8 @@ def test_route_classes_lump_type_classes_exactly(case):
         totals = [0] * len(routes)
         for t, nj in zip(types, n):
             totals[t.route] += nj
-        per_type = phi_rate(by_type, n, exact=True).phi
-        per_route = phi_rate(by_route, tuple(totals), exact=True).phi
+        per_type = phi_rate(by_type, n, exact=True)
+        per_route = phi_rate(by_route, tuple(totals), exact=True)
         for t, nj, phi_j in zip(types, n, per_type):
             if nj:
                 assert phi_j / nj == per_route[t.route] / totals[t.route], (n, t)
@@ -250,8 +258,9 @@ def test_route_classes_drive_mixed_sizes_like_type_classes(star_tree):
              FlowType(1, 1.0, 0.15), FlowType(1, 2.0, 0.075))
     stream = gen_poisson(types, 3_000.0, seed=27)
     sizes = [t.size for t in types]
-    want = serve(per_type_spec(routes, types), range(len(types)), sizes, stream.events)
-    got = serve(bandwidth_spec_for(routes), [t.route for t in types], sizes, stream.events)
+    flows = columns(stream.events)
+    want = serve(per_type_spec(routes, types), range(len(types)), sizes, *flows)
+    got = serve(bandwidth_spec_for(routes), [t.route for t in types], sizes, *flows)
     assert len(got) == len(stream.events) > 1000
     # the same departure order, at the same instants up to rounding
     assert np.array_equal(np.lexsort((np.arange(len(got)), got)),
@@ -260,8 +269,8 @@ def test_route_classes_drive_mixed_sizes_like_type_classes(star_tree):
     # run_emulation uses the route classes and still reports per type
     nb = run_emulation(stream, routes)
     assert nb.t_inject.tolist() == got.tolist()
-    assert nb.type.tolist() == [ti for _, ti, _ in stream.events]
-    assert nb.uid.tolist() == [uid for _, _, uid in stream.events]
+    assert nb.type.tolist() == stream.events["ti"].tolist()
+    assert nb.uid.tolist() == stream.events["uid"].tolist()
     for ti in range(len(types)):
         assert departure_process(nb, ti) == sorted(got[nb.type == ti].tolist())
     # four types on two routes: the normalizer memo is 2-D, one axis per route
@@ -298,27 +307,6 @@ def test_far_occupancy_rates_positive_and_feasible(tree5hop_far):
     assert (x @ uses.T).max() <= 1.0 + 1e-12
 
 
-class _OverAllocating:
-    """Gives each active route rate 1 until two flows are present, then
-    rate 2, which no unit resource can carry."""
-
-    def rates(self, n):
-        scale = 2.0 if sum(n) >= 2 else 1.0
-        return tuple(scale if nj else 0.0 for nj in n)
-
-
-def test_infeasible_allocation_names_its_resource(two_hop_route, monkeypatch):
-    # the first occupancy is feasible and checked once; the second, a new
-    # occupancy, must be checked too
-    monkeypatch.setattr("dcflow.virtual_bandwidth_net._evaluator",
-                        lambda spec, exact: _OverAllocating())
-    types = (FlowType(0, 1.0, 0.1),)
-    stream = manual_stream(types, [(0.0, 0, 0), (0.25, 0, 1)])
-    with pytest.raises(InternalConsistencyError,
-                       match=r"allocation violates capacity of resource 0: 2\.0"):
-        run_emulation(stream, [two_hop_route])
-
-
 NETWORKS = {
     "star": (STAR, (("a", "b"), ("b", "a"), ("r", "a"), ("b", "r"))),
     "tree": (TREE, (("h1", "h3"), ("h2", "h4"), ("h1", "h2"), ("h3", "r"), ("r", "h2"))),
@@ -349,9 +337,9 @@ def virtual_runs(draw):
     events = sorted(((grid * t, ti, uid) for t, ti, uid in zip(times, tis, uids)),
                     key=lambda e: (e[0], e[1]))
     stream = manual_stream(types, events)
-    for t, _, uid in events:
+    for k, (t, _, uid) in enumerate(events):
         if uid >= 0 and draw(st.booleans()):
-            stream.external_times[uid] = t - draw(st.sampled_from((0.0, grid, 3.0)))
+            stream.t_arrive[k] = t - draw(st.sampled_from((0.0, grid, 3.0)))
     return routes, types, stream
 
 
@@ -363,14 +351,15 @@ def test_event_loop_matches_stepwise_oracle(run):
     routes, types, stream = run
     sizes = [t.size for t in types]
     nb = run_emulation(stream, routes)
-    want = serve_stepwise(nb.spec, [t.route for t in types], sizes, stream.events)
+    flows = columns(stream.events)
+    want = serve_stepwise(nb.spec, [t.route for t in types], sizes, *flows)
     assert nb.t_inject.tolist() == want.tolist()
     assert nb.n_events == 2 * len(stream.events)
     event(f"equal departures: {len(want) - len(set(want.tolist())) > 0}")
     # classes per type, which lump to the route classes
     spec = per_type_spec(routes, types)
-    got = serve(spec, range(len(types)), sizes, stream.events)
-    assert got.tolist() == serve_stepwise(spec, range(len(types)), sizes, stream.events).tolist()
+    got = serve(spec, range(len(types)), sizes, *flows)
+    assert got.tolist() == serve_stepwise(spec, range(len(types)), sizes, *flows).tolist()
     assert np.all(np.abs(got - want) <= 1e-9 * want)
 
 
@@ -394,6 +383,8 @@ def test_event_loop_orders_simultaneous_events_like_the_oracle(case):
     pairs = NETWORKS["star"][1][:n_routes]
     routes = [make_route(STAR, s, d, route_id=i) for i, (s, d) in enumerate(pairs)]
     types = tuple(FlowType(j, x, 0.01) for j, x in kinds)
-    nb = run_emulation(manual_stream(types, events), routes)
-    want = serve_stepwise(nb.spec, [t.route for t in types], [t.size for t in types], events)
+    stream = manual_stream(types, events)
+    nb = run_emulation(stream, routes)
+    want = serve_stepwise(nb.spec, [t.route for t in types], [t.size for t in types],
+                          *columns(stream.events))
     assert nb.t_inject.tolist() == want.tolist()

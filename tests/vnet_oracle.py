@@ -35,15 +35,6 @@ class NbState:
         self.heaps: list[list[tuple[float, int]]] = [[] for _ in range(spec.n_routes)]
         self.phi: tuple[float, ...] = (0.0,) * spec.n_routes
         self._ev = _evaluator(spec, exact=False)
-        self._feas_cap = [float(c) + 1e-9 for c in spec.capacities]
-        self._feasible: set[tuple[int, ...]] = set()  # occupancies checked
-        self._users = []  # per resource: [(class, consumption), ...]
-        for l in range(spec.n_resources):
-            row = []
-            for j in spec.routes_using(l):
-                k = spec.route_resources[j].index(l)
-                row.append((j, float(spec.consumption[j][k])))
-            self._users.append(row)
 
     def advance(self, t: float) -> None:
         dt = t - self.clock
@@ -58,20 +49,7 @@ class NbState:
             self.clock = t
 
     def _recompute(self) -> None:
-        n_now = tuple(self.n)
-        self.phi = phi = self._ev.rates(n_now)
-        if n_now in self._feasible:
-            return
-        for l, row in enumerate(self._users):
-            used = 0.0
-            for j, b in row:
-                if n_now[j]:
-                    used += b * phi[j]
-            if used > self._feas_cap[l]:
-                raise InternalConsistencyError(
-                    f"allocation violates capacity of resource {l}: {used}"
-                )
-        self._feasible.add(n_now)
+        self.phi = self._ev.rates(tuple(self.n))
 
     def apply_arrival(self, t: float, class_idx: int, uid: int, size: float) -> None:
         self.advance(t)
@@ -108,17 +86,17 @@ class NbState:
         self._recompute()
 
 
-def serve_stepwise(spec, classes, sizes, events) -> np.ndarray:
+def serve_stepwise(spec, classes, sizes, times, types, uids) -> np.ndarray:
     """Same arguments and result as `virtual_bandwidth_net.serve`, one
     `NbState` transition per event."""
     state = NbState(spec)
-    position = {uid: k for k, (_, _, uid) in enumerate(events)}
-    out = np.zeros(len(events))
+    position = {uid: k for k, uid in enumerate(uids)}
+    out = np.zeros(len(times))
     i = 0
     while True:
         nd = state.next_departure()
-        if i < len(events) and (nd is None or events[i][0] < nd[0]):
-            t, ti, uid = events[i]
+        if i < len(times) and (nd is None or times[i] < nd[0]):
+            t, ti, uid = times[i], types[i], uids[i]
             i += 1
             state.apply_arrival(t, classes[ti], uid, sizes[ti])
             continue
