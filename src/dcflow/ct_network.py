@@ -16,28 +16,19 @@ counts, so both networks order ties alike: at one instant a completion
 comes first, then equal arrivals stack in uid order, the larger uid on
 top.
 
-The closed form is the Lindley workload recursion (Lindley 1952) read
-the LCFS-PR way (Kleinrock, "Queueing Systems" vol. 1).  Take a queue's
-arrivals in priority order, k = 0, 1, ..., at instants t_k with works
-x_k, and let W_k = x_0 + ... + x_k.  Everything that arrives while k is
-present is served before k resumes, so k departs at
-t_k + (W_{j-1} - W_{k-1}) for the first later arrival j that finds that
-work done, t_j >= t_k + (W_{j-1} - W_{k-1}); with no such j, k leaves
-when the queue drains.  The queue is empty when k arrives exactly when
-no earlier flow waits past k's arrival: k then opens a busy period,
-which ends at k's departure.  In floats, a completion within 2**-50 of
-an arrival, relative to the instant, counts as at it, so a tie that
-float noise would otherwise turn into a preemption stays a tie.
-
-`run_ct` takes the virtual net's flows as one `flow_gen.FLOW` array,
-t the injection instant.  The instants are stored flat, one float array
-each for arrivals and departures indexed by flow-hop offset.  `run_ct`
-numbers the flows, once: the slot engine, its ledger and the hop tables
-all read `CtResult`'s per-flow columns by these numbers.
+Every instant lies on an exact lattice.  Works are whole slots and a
+departure is an arrival plus whole works, so each instant of a flow is
+its residual r = fmod(t_inject, eps), exact in IEEE arithmetic, plus a
+whole number I of slots.  `run_ct` ranks the run's distinct residuals,
+0 first, and keys each instant by the int64 I * R + rank, R ranks in
+all, with works of n_slots * R.  A flow keeps its rank along its route,
+so keys order instants exactly, and the first slot boundary at or after
+an instant, I + (r > 0), is the key divided by R and rounded up.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,21 +37,13 @@ from .errors import ConfigError, InternalConsistencyError, StabilityViolationErr
 from .topology import LoadProfile, QueueNode, Route, queue_paths, require_admissible
 from .flow_gen import FlowType
 
-_GUARD = 1e-9
-_TIE = 2.0 ** -50   # relative: four to eight units in the last place
 
-
-def slot_ceil(t, eps: float):
-    """Smallest slot index k with k*eps >= t, with a relative guard band.
-
-    A ratio within 1e-9 of an integer snaps to that integer before the
-    ceiling, so boundary values survive float noise.  `t` is a number, for
-    which a Python int is returned, or an array, for which an int64 array
-    is returned elementwise.
-    """
-    r = np.divide(t, eps)
-    k = np.maximum(np.ceil(r - _GUARD * np.maximum(r, 1.0)), 0.0).astype(np.int64)
-    return k if k.ndim else int(k)
+def slot_ceil(t: float, eps: float) -> int:
+    """Smallest slot index k >= 0 with k*eps >= t, where a ratio t/eps
+    within 1e-9 of an integer snaps to it: a size that is whole slots in
+    exact arithmetic keeps that packet count through float noise."""
+    r = t / eps
+    return max(math.ceil(r - 1e-9 * max(r, 1.0)), 0)
 
 
 @dataclass(frozen=True)
@@ -130,70 +113,80 @@ def choose_epsilon(profile: LoadProfile, c0: float, override: float | None = Non
 class CtResult:
     """Per-flow, per-hop arrival/departure instants along each route.
 
-    Flows are numbered in arrival order, (t, uid), and every later stage
-    reads them by these numbers: flow f has uid `uid[f]`, type index
-    `ti[f]`, and stood at position `order[f]` in the injections `run_ct`
-    was given.  Its instants at the hop-th queue of its route are
-    `tau[offsets[f] + hop]` and `delta[offsets[f] + hop]`, as `lcfs_pr`
-    left them: at one instant a queue completes its head before it takes
-    an arrival, and takes equal arrivals in uid order.
+    Flows are numbered in arrival order, (t, uid), here and nowhere else:
+    flow f has uid `uid[f]`, type index `ti[f]`, the injection instant
+    `t_inject[f]` it was given, and stood at position `order[f]` in the
+    injections.  Its instants at the hop-th queue of its route have the
+    lattice keys `tau_key[offsets[f] + hop]` and `delta_key[offsets[f] +
+    hop]`; key k stands for I * epsilon + residue[rank], with I, rank =
+    divmod(k, len(residue)).
     """
 
-    uid: np.ndarray      # int64, one entry per flow
-    ti: np.ndarray       # int64, one entry per flow
-    order: np.ndarray    # int64, one entry per flow
-    offsets: np.ndarray  # int64, one entry per flow plus the total flow-hop count
-    tau: np.ndarray      # float64, one entry per flow-hop
-    delta: np.ndarray    # float64, one entry per flow-hop
+    epsilon: float
+    uid: np.ndarray        # int64, one entry per flow
+    ti: np.ndarray         # int64, one entry per flow
+    order: np.ndarray      # int64, one entry per flow
+    offsets: np.ndarray    # int64, one entry per flow plus the total flow-hop count
+    t_inject: np.ndarray   # float64, one entry per flow
+    residue: np.ndarray    # float64, one entry per rank
+    tau_key: np.ndarray    # int64, one entry per flow-hop
+    delta_key: np.ndarray  # int64, one entry per flow-hop
+
+    def slot(self, key: np.ndarray) -> np.ndarray:
+        """The first slot boundary at or after each keyed instant, I + (r > 0)."""
+        return -(-key // len(self.residue))
+
+    def instant(self, key: np.ndarray) -> np.ndarray:
+        """The float instant of each key, I * eps + r."""
+        whole, rank = np.divmod(key, len(self.residue))
+        return whole * self.epsilon + self.residue[rank]
 
     @property
-    def t_inject(self) -> np.ndarray:
-        return self.tau[self.offsets[:-1]]
+    def tau(self) -> np.ndarray:
+        return self.instant(self.tau_key)
+
+    @property
+    def delta(self) -> np.ndarray:
+        return self.instant(self.delta_key)
 
     @property
     def taus(self) -> dict[int, list[float]]:
-        """uid -> arrival instant at each queue, built when read.  Only the
-        benchmark's stage tracer reads it, to count flow-hops; it goes
-        when the tracer reads `len(tau)` instead (ROADMAP item 1)."""
-        tau = self.tau.tolist()
-        bounds = self.offsets.tolist()
+        """uid -> arrival instant at each queue.  Only the benchmark's stage
+        tracer reads it, to count flow-hops (ROADMAP items 3 and 4)."""
+        tau, bounds = self.tau.tolist(), self.offsets.tolist()
         return {u: tau[a:b] for u, a, b in zip(self.uid.tolist(), bounds, bounds[1:])}
 
 
 def lcfs_pr(arrive: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Serve one queue preemptive-LCFS, in either network, in closed form.
+    """Serve one queue preemptive-LCFS, in either network, in closed form:
+    the Lindley workload recursion (Lindley 1952) read the LCFS-PR way
+    (Kleinrock, "Queueing Systems" vol. 1).
 
-    `arrive` lists the queue's arrival instants in priority order:
-    ascending, equal arrivals in ascending uid, so each arrival outranks
-    every flow already waiting.  `work` gives their works, in floats or
-    in integers alike.  Returns each arrival's departure and the indices
-    of the arrivals that open a busy period; a busy period ends at its
-    opener's departure.
+    `arrive` lists the queue's arrival instants in priority order, as
+    int64 lattice keys or slot indices: ascending, equal arrivals in
+    ascending uid, so each arrival outranks every flow already waiting.
+    `work` gives their int64 works in the same units.  Returns each
+    arrival's departure and the indices of the arrivals that open a busy
+    period; a busy period ends at its opener's departure.
 
-    With `done[k]` the work of the arrivals before k, flow k departs at
-    `arrive[k] + (done[j] - done[k])` for the first later j that arrives
-    no earlier than that, or j = n, the queue draining, when there is
-    none.  At one instant the head finishes before an arrival is taken;
-    in floats a finish within `_TIE` of the arrival, relative to the
-    instant, counts as at it and departs at the arrival instant, so float
-    noise does not turn a tie into a preemption.  The search jumps
-    pointers: a candidate j that fails hands over its own candidate, since
-    every arrival it skipped comes too early for it, and so for k.  Flow k
-    opens a busy period when no earlier flow is still waiting at its
-    arrival.
+    Everything that arrives while flow k is present is served before k
+    resumes.  So, with `done[k]` the work of the arrivals before k, flow
+    k departs at `arrive[k] + (done[j] - done[k])` for the first later j
+    that arrives no earlier than that, or j = n, the queue draining, when
+    there is none: at one instant the head finishes before an arrival is
+    taken.  The search jumps pointers: a candidate j that fails hands over
+    its own candidate, since every arrival it skipped comes too early for
+    it, and so for k.  Flow k opens a busy period when no earlier flow is
+    still waiting at its arrival.
     """
     n = len(arrive)
-    done = np.zeros(n + 1, dtype=work.dtype)
+    done = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(work, out=done[1:])
-    top = np.inf if arrive.dtype.kind == "f" else np.iinfo(arrive.dtype).max
-    at = np.append(arrive, top)   # arrival n stands for the queue draining
+    at = np.append(arrive, np.iinfo(np.int64).max)   # arrival n stands for the queue draining
 
     def finished_by(k, j):
         """Whether flow k, preempted by the flows k+1..j-1, is done when j arrives."""
-        finish = arrive[k] + (done[j] - done[k])
-        if finish.dtype.kind == "f":
-            finish -= _TIE * np.abs(finish)
-        return at[j] >= finish
+        return at[j] >= arrive[k] + (done[j] - done[k])
 
     k = np.arange(n)
     ender = k + 1
@@ -201,7 +194,7 @@ def lcfs_pr(arrive: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarra
     while open_.size:
         ender[open_] = ender[ender[open_]]
         open_ = open_[~finished_by(open_, ender[open_])]
-    departs = np.minimum(arrive + (done[ender] - done[:-1]), at[ender])
+    departs = arrive + (done[ender] - done[:-1])
     # the furthest arrival that a flow before k waits for
     waits_for = np.maximum.accumulate(np.append(0, ender))[:-1]
     return departs, np.flatnonzero(waits_for <= k)
@@ -214,9 +207,9 @@ class QueueSegments:
     `uid` and first flow-hop offsets `first`.  The flows of type k have
     their first flow-hop at offsets `self.first[k]` and uids
     `self.uids[k]`; their hop-h flow-hops are `self.first[k] + h`.
-    `gather(q, tau)` collects queue q's flow-hops and returns them in priority
-    order, ascending `tau`, then uid: offsets, uids and, for each, the
-    index of its (type, hop) pair in `segments[q]`.
+    `gather(q, key)` collects queue q's flow-hops and returns them in
+    priority order, ascending arrival `key`, then uid: offsets, uids and,
+    for each, the index of its (type, hop) pair in `segments[q]`.
     """
 
     def __init__(self, n_queues: int, paths: list[tuple[int, ...]],
@@ -229,12 +222,12 @@ class QueueSegments:
         self.first = [first[f] for f in of_type]
         self.uids = [uid[f] for f in of_type]
 
-    def gather(self, q: int, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def gather(self, q: int, key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         segs = self.segments[q]
         offs = np.concatenate([self.first[k] + h for k, h in segs])
         uids = np.concatenate([self.uids[k] for k, _ in segs])
         seg = np.repeat(np.arange(len(segs)), [len(self.first[k]) for k, _ in segs])
-        order = np.lexsort((uids, tau[offs]))
+        order = np.lexsort((uids, key[offs]))
         return offs[order], uids[order], seg[order]
 
 
@@ -245,36 +238,48 @@ def run_ct(
     eps: EpsilonConfig,
 ) -> CtResult:
     """Simulate the reference network for injections given as a `FLOW`
-    array, t the injection instant, in any order.
+    array, t >= 0 the injection instant, in any order.
 
     This is where flows get their numbers: arrival order, (t, uid).  The
     queues are served by `lcfs_pr` in index order, which serves each
     after every queue that feeds it; a flow arrives at its next queue the
-    instant it leaves one.
+    instant it leaves one.  Raises ConfigError for an injection before 0
+    or a run spanning more slots than int64 lattice keys can hold.
     """
     queues, route_paths = queue_paths(routes)
     paths = [route_paths[t.route] for t in types]
 
     order = np.lexsort((injections["uid"], injections["t"]))
     ti, uid = injections["ti"][order], injections["uid"][order]   # flows in arrival order
+    t_inject = injections["t"][order]
+    residual = np.fmod(t_inject, eps.epsilon)
+    whole = np.rint((t_inject - residual) / eps.epsilon)
+    residue, rank = np.unique(np.append(0.0, residual), return_inverse=True)
+    n_ranks = len(residue)
+    pkts = np.array([eps.n_slots[t.size] for t in types], dtype=np.int64)
+    hops = np.array([len(p) for p in paths], dtype=np.int64)
+    # no key exceeds the last injection plus every packet of the run
+    if len(order) and (t_inject[0] < 0 or
+                       (whole[-1] + float((pkts * hops)[ti].sum()) + 1) * n_ranks >= 2.0 ** 63):
+        raise ConfigError(f"injections before 0 or past int64 keys at slot length {eps.epsilon}")
     offsets = np.zeros(len(order) + 1, dtype=np.int64)
-    np.cumsum(np.array([len(p) for p in paths], dtype=np.int64)[ti], out=offsets[1:])
-    tau = np.zeros(offsets[-1])
-    delta = np.zeros(offsets[-1])
-    tau[offsets[:-1]] = injections["t"][order]
+    np.cumsum(hops[ti], out=offsets[1:])
+    tau, delta = np.zeros((2, offsets[-1]), dtype=np.int64)
+    tau[offsets[:-1]] = whole.astype(np.int64) * n_ranks + rank[1:]
 
     by_queue = QueueSegments(len(queues), paths, ti, uid, offsets[:-1])
     for q, segs in enumerate(by_queue.segments):
         if not segs:
             continue
         offs, _, seg = by_queue.gather(q, tau)
-        work = np.array([eps.x_eps[types[k].size] for k, _ in segs])[seg]
+        work = (pkts[[k for k, _ in segs]] * n_ranks)[seg]
         departs, _ = lcfs_pr(tau[offs], work)
         delta[offs] = departs
         onward = np.array([h + 1 < len(paths[k]) for k, h in segs])[seg]
         tau[offs[onward] + 1] = departs[onward]
 
-    return CtResult(uid=uid, ti=ti, order=order, offsets=offsets, tau=tau, delta=delta)
+    return CtResult(epsilon=eps.epsilon, uid=uid, ti=ti, order=order, offsets=offsets,
+                    t_inject=t_inject, residue=residue, tau_key=tau, delta_key=delta)
 
 
 def write_ct_table(result: CtResult, types: tuple[FlowType, ...], routes: list[Route],
@@ -283,11 +288,11 @@ def write_ct_table(result: CtResult, types: tuple[FlowType, ...], routes: list[R
     by_id = {r.id: r for r in routes}
     qpaths = [by_id[t.route].queue_path for t in types]
     offsets, uids, tis = result.offsets.tolist(), result.uid.tolist(), result.ti.tolist()
+    taus, deltas = result.tau.tolist(), result.delta.tolist()
     with open(path, "w") as fh:
         fh.write("# dcflow ct-table v1\n")
         fh.write("uid,node,tau,delta\n")
         for f in np.argsort(result.uid).tolist():
             a, b = offsets[f], offsets[f + 1]
-            for q, tau, delta in zip(qpaths[tis[f]], result.tau[a:b].tolist(),
-                                     result.delta[a:b].tolist()):
+            for q, tau, delta in zip(qpaths[tis[f]], taus[a:b], deltas[a:b]):
                 fh.write(f"{uids[f]},{q},{tau!r},{delta!r}\n")

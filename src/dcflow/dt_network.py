@@ -5,9 +5,10 @@ packet per slot.  Scheduling is preemptive LCFS keyed not on a flow's
 actual arrival instant but on its schedule time S = eps * ceil(tau / eps),
 where tau is the flow's arrival instant at the same queue in the
 continuous reference run; ties prefer the larger tau, then the larger
-uid.  Packets of a flow only become transmittable once the whole flow is
-present, and a packet sent during slot k is available at the next queue
-when the slot ends.
+uid.  On the reference run's exact lattice tau = I * eps + r, 0 <= r < eps,
+so the schedule slot is I + (r > 0) at every horizon.  Packets of a flow
+only become transmittable once the whole flow is present, and a packet
+sent during slot k is available at the next queue when the slot ends.
 
 The queues never interact.  A flow becomes transmittable at a queue at
 its schedule slot there, which depends only on its reference arrival tau
@@ -18,9 +19,7 @@ sorted by tau, come in priority order, so the reference network's closed
 form, `ct_network.lcfs_pr`, serves it, with schedule slots for instants
 and packet counts for work: a flow leaves at its schedule slot plus the
 packets of every activation it waits under, its own included.  Sent
-packets then equal demanded packets by construction.  Departure slots
-go into one integer array at the reference run's flow-hop offsets, and
-the engine reads every flow by the number `run_ct` gave it.
+packets then equal demanded packets by construction.
 
 What couples the queues is checked, not simulated.  Two sample-path
 invariants are asserted for every flow at every queue, as exact integer
@@ -37,10 +36,6 @@ slot comes, so activating it there is what the coupled network does, and
 the per-queue runs are that network's run.  A violation raises
 EmulationInfeasibilityError naming the flow and queue; of several, the
 one met first in uid order, and within a flow in route order.
-
-The delay ledger is columnar: one array per column, rows in
-(t_arrive, uid) order, each row carrying its reference flow number.
-`hop_columns` lays out every row's per-queue trail as flat columns.
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ct_network import CtResult, EpsilonConfig, QueueSegments, lcfs_pr, slot_ceil
+from .ct_network import CtResult, EpsilonConfig, QueueSegments, lcfs_pr
 from .errors import EmulationInfeasibilityError
 from .flow_gen import FlowType
 from .topology import Route, queue_paths
@@ -69,9 +64,9 @@ class DelayLedger:
 
     `flow` holds each row's flow number in the reference run `ct`, and
     `delta_slots` the slot engine's departure slot at every flow-hop, at
-    `ct`'s flow-hop offsets; `hop_columns` reads both."""
+    `ct`'s flow-hop offsets; `hop_columns` reads both.  The slot length
+    is `ct.epsilon`."""
 
-    epsilon: float
     ct: CtResult = field(repr=False)
     delta_slots: np.ndarray = field(repr=False)
     flow: np.ndarray
@@ -103,17 +98,17 @@ class HopColumns(NamedTuple):
 
 def hop_columns(ledger: DelayLedger) -> HopColumns:
     """The per-queue trail of every ledger row, as flat columns."""
-    ct, eps, slots = ledger.ct, ledger.epsilon, ledger.delta_slots
+    ct, slots = ledger.ct, ledger.delta_slots
     n_hops = np.diff(ct.offsets)[ledger.flow]
     row = np.repeat(np.arange(len(ledger)), n_hops)
     hop = np.arange(len(row)) - np.repeat(np.cumsum(n_hops) - n_hops, n_hops)
     offs = ct.offsets[ledger.flow][row] + hop
-    tau = ct.tau[offs]
+    tau = ct.instant(ct.tau_key[offs])
     # a flow is present at its first queue from its injection, its reference
     # arrival there, and at each next one when its last packet's slot ends
-    a = np.where(hop == 0, tau, slots[offs - 1] * eps)
-    return HopColumns(uid=ledger.uid[row], tau=tau, delta=ct.delta[offs], a=a,
-                      s_slot=slot_ceil(tau, eps), delta_slot=slots[offs])
+    a = np.where(hop == 0, tau, slots[offs - 1] * ct.epsilon)
+    return HopColumns(uid=ledger.uid[row], tau=tau, delta=ct.instant(ct.delta_key[offs]), a=a,
+                      s_slot=ct.slot(ct.tau_key[offs]), delta_slot=slots[offs])
 
 
 @dataclass(eq=False)
@@ -128,7 +123,7 @@ class DtRunResult:
     flow_hops_checked: int
 
 
-def _ledger(ct: CtResult, types: tuple[FlowType, ...], eps: float, delta_slots: np.ndarray,
+def _ledger(ct: CtResult, types: tuple[FlowType, ...], delta_slots: np.ndarray,
             arrive_times: np.ndarray | None) -> DelayLedger:
     """The ledger of a slot engine's run.  `delta_slots` holds its
     departure slot at every flow-hop, at the reference run's flow-hop
@@ -141,9 +136,8 @@ def _ledger(ct: CtResult, types: tuple[FlowType, ...], eps: float, delta_slots: 
     t_inject, t_arrive, ti = t_inject[flow], t_arrive[flow], ct.ti[flow]
     last = ct.offsets[flow + 1] - 1
     d_w = t_inject - t_arrive
-    d_s = delta_slots[last] * eps - t_inject
+    d_s = delta_slots[last] * ct.epsilon - t_inject
     return DelayLedger(
-        epsilon=eps,
         ct=ct,
         delta_slots=delta_slots,
         flow=flow,
@@ -172,10 +166,9 @@ def run_dt(
     queue is served alone in its flows' schedule order, and the two checks
     that couple the queues run on its flow-hops.
     """
-    epsv = eps.epsilon
     queues, route_paths = queue_paths(routes)
     paths = [route_paths[t.route] for t in types]
-    tau, delta = ct.tau, ct.delta
+    tau, delta = ct.tau_key, ct.delta_key
 
     departed = np.zeros(len(tau), dtype=np.int64)
     by_queue = QueueSegments(len(queues), paths, ct.ti, ct.uid, ct.offsets[:-1])
@@ -185,9 +178,9 @@ def run_dt(
         if not segs:
             continue
         offs, uids, seg = by_queue.gather(q, tau)
-        # slot_ceil is monotone, so ascending tau is ascending (S, tau, uid):
-        # each activation outranks every flow already waiting
-        s_slot = slot_ceil(tau[offs], epsv)
+        # rounding up is monotone, so ascending key is ascending (S, tau,
+        # uid): each activation outranks every flow already waiting
+        s_slot = ct.slot(tau[offs])
         pkts = np.array([eps.n_slots[types[k].size] for k, _ in segs], dtype=np.int64)[seg]
         out, opens = lcfs_pr(s_slot, pkts)
         departed[offs] = out
@@ -197,7 +190,7 @@ def run_dt(
         # a route visits a queue once, so a queue's first violation in uid
         # order is its first in (uid, hop) order too
         hop = np.array([h for _, h in segs], dtype=np.int64)[seg]
-        limit = slot_ceil(delta[offs], epsv)
+        limit = ct.slot(delta[offs])
         left_late = np.flatnonzero(out > limit)
         if left_late.size:
             i = left_late[np.argmin(uids[left_late])]
@@ -222,7 +215,7 @@ def run_dt(
     n_slots = int(ends[-1] - begins[0] - gaps) if begins.size else 0
     del by_queue, begins, ends
     return DtRunResult(
-        ledger=_ledger(ct, types, epsv, departed, arrive_times),
+        ledger=_ledger(ct, types, departed, arrive_times),
         n_slots_processed=n_slots,
         n_transmissions=n_trans,
         flow_hops_checked=len(departed),
@@ -255,7 +248,8 @@ def write_hop_table_jsonl(ledger: DelayLedger, routes: list[Route], path: str) -
     names = {r.id: [str(q) for q in r.queue_path] for r in routes}
     nodes = (node for route in ledger.route.tolist() for node in names[route])
     hops = hop_columns(ledger)
-    cols = (hops.uid, hops.tau, hops.delta, hops.a, hops.s_slot * ledger.epsilon, hops.delta_slot)
+    cols = (hops.uid, hops.tau, hops.delta, hops.a, hops.s_slot * ledger.ct.epsilon,
+            hops.delta_slot)
     with open(path, "w") as fh:
         fh.write(json.dumps({"format": "dcflow-hops", "version": 1}) + "\n")
         for node, (uid, tau, delta, a, s, d_slot) in zip(nodes, _records(cols)):

@@ -6,8 +6,9 @@ point, the full pipeline
     arrivals -> virtual bandwidth net -> reference net -> slotted net -> stats
 
 and writes `ledger.csv`, `summary.csv`, a human-readable `report.txt` and
-a machine-readable `verdict.json`.  Everything an experiment produces is
-a pure function of its config.
+a machine-readable `verdict.json`; with `emit_hop_tables` on, each point
+also writes its traces `injections.csv`, `ct_table.csv` and `hops.jsonl`.
+Everything an experiment produces is a pure function of its config.
 """
 
 from __future__ import annotations
@@ -273,10 +274,10 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
         ledger_path = os.path.join(out_dir, "ledger.csv")
         write_ledger_csv(dt.ledger, ledger_path)
         artifacts["ledger"] = ledger_path
-        inj_path = os.path.join(out_dir, "injections.csv")
-        write_injection_trace(nb, inj_path)
-        artifacts["injections"] = inj_path
         if config.emit_hop_tables:
+            inj_path = os.path.join(out_dir, "injections.csv")
+            write_injection_trace(nb, inj_path)
+            artifacts["injections"] = inj_path
             ct_path = os.path.join(out_dir, "ct_table.csv")
             write_ct_table(ct, types, routes, ct_path)
             artifacts["ct_table"] = ct_path

@@ -33,7 +33,7 @@ def assert_same_run(got, want) -> None:
     assert (got.n_slots_processed, got.n_transmissions, got.flow_hops_checked) == (
         want.n_slots_processed, want.n_transmissions, want.flow_hops_checked)
     a, b = got.ledger, want.ledger
-    assert a.epsilon == b.epsilon
+    assert a.ct.epsilon == b.ct.epsilon
     for name in ("flow",) + COLUMNS:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     for name, x, y in zip(hop_columns(a)._fields, hop_columns(a), hop_columns(b)):

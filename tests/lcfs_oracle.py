@@ -2,19 +2,20 @@
 
 `lcfs_sweep` serves one queue event by event with an explicit LCFS
 stack; `run_ct_stack` drives it over the reference network the way
-`ct_network.run_ct` drives the closed-form `lcfs_pr`.  The two share no
-arithmetic, so tests can check the closed form against them: exactly on
-integer and dyadic inputs, and to rounding on general floats, where the
-two sum the same works in a different order.
+`ct_network.run_ct` drives the closed-form `lcfs_pr`, in exact rational
+arithmetic.  The two share no arithmetic, so tests can check the closed
+form against them exactly: on integers, and on `run_ct`'s slot lattice,
+whose keys `lattice_instants` reads back as exact rationals.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
-from dcflow.ct_network import CtResult
 from dcflow.topology import queue_paths
 
 
@@ -57,26 +58,36 @@ def lcfs_sweep(offs, arrive, out, begins, ends) -> None:
             ends.append(started)
 
 
-def run_ct_stack(injections, routes, types, eps) -> CtResult:
-    """Same arguments and result as `run_ct`, with every queue served by
-    `lcfs_sweep` in index order."""
+class StackRun(NamedTuple):
+    """Flows in arrival order, (t, uid), as `run_ct` numbers them, and
+    the exact instants of every flow-hop at the same offsets."""
+
+    uid: list[int]
+    offsets: list[int]
+    tau: list[Fraction]
+    delta: list[Fraction]
+
+
+def run_ct_stack(injections, routes, types, eps) -> StackRun:
+    """Same arguments as `run_ct`; every queue is served by `lcfs_sweep`
+    in index order, in `Fraction` arithmetic: each injection instant and
+    the slot length are taken exactly, and a work is n_slots slots."""
     injections = injections.tolist()   # (t, ti, uid) rows
     queues, route_paths = queue_paths(routes)
     paths = [route_paths[t.route] for t in types]
-    service = [eps.x_eps[t.size] for t in types]
+    service = [Fraction(eps.epsilon) * eps.n_slots[t.size] for t in types]
 
-    order = sorted(range(len(injections)), key=lambda i: (injections[i][0], injections[i][2]))
-    arrivals = [injections[i] for i in order]
+    arrivals = sorted(injections, key=lambda e: (e[0], e[2]))
     index = {uid: f for f, (_, _, uid) in enumerate(arrivals)}
     offsets = list(accumulate((len(paths[ti]) for _, ti, _ in arrivals), initial=0))
-    taus = [0.0] * offsets[-1]
-    deltas = [0.0] * offsets[-1]   # work on entry, departure after the sweep
+    taus = [Fraction(0)] * offsets[-1]
+    deltas = [Fraction(0)] * offsets[-1]   # work on entry, departure after the sweep
     last_hop = bytearray(offsets[-1])
     at_queue = [[] for _ in queues]            # flow-hop offsets, flows in uid order
 
     for t_inject, ti, uid in sorted(injections, key=lambda e: e[2]):
         o = offsets[index[uid]]
-        taus[o] = t_inject
+        taus[o] = Fraction(t_inject)
         for q in paths[ti]:
             deltas[o] = service[ti]
             at_queue[q].append(o)
@@ -91,8 +102,12 @@ def run_ct_stack(injections, routes, types, eps) -> CtResult:
             if not last_hop[o]:
                 taus[o + 1] = deltas[o]
 
-    return CtResult(uid=np.array([uid for _, _, uid in arrivals], dtype=np.int64),
-                    ti=np.array([ti for _, ti, _ in arrivals], dtype=np.int64),
-                    order=np.array(order, dtype=np.int64),
-                    offsets=np.array(offsets, dtype=np.int64), tau=np.array(taus),
-                    delta=np.array(deltas))
+    return StackRun(uid=[uid for _, _, uid in arrivals], offsets=offsets, tau=taus,
+                    delta=deltas)
+
+
+def lattice_instants(ct, keys) -> list[Fraction]:
+    """The exact instants I * eps + r of a reference run's lattice keys."""
+    whole, rank = np.divmod(np.asarray(keys), len(ct.residue))
+    eps = Fraction(ct.epsilon)
+    return [i * eps + Fraction(r) for i, r in zip(whole.tolist(), ct.residue[rank].tolist())]

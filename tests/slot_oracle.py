@@ -17,7 +17,6 @@ import heapq
 
 import numpy as np
 
-from dcflow.ct_network import slot_ceil
 from dcflow.dt_network import DtRunResult, _ledger, hop_columns
 from dcflow.errors import EmulationInfeasibilityError, InternalConsistencyError
 from dcflow.topology import queue_paths
@@ -52,14 +51,22 @@ def run_dt_per_slot(ct, routes, types, eps, arrive_times=None, node_order=None):
     qidx = {q: i for i, q in enumerate(queues)}
 
     taus, deltas = ct.tau.tolist(), ct.delta.tolist()
+    keys, delta_keys = ct.tau_key.tolist(), ct.delta_key.tolist()
+    residue, n_ranks = ct.residue.tolist(), len(ct.residue)
+
+    def first_slot(key):
+        # the instant I * eps + r lies in slot I; the first boundary at or
+        # after it is I, or I + 1 when r > 0
+        whole, rank = divmod(key, n_ranks)
+        return whole + (residue[rank] > 0)
 
     def activation(fl):
         # the flow's reference arrival at its current queue, read once
-        tau = taus[fl.offset + fl.hop]
-        return (slot_ceil(tau, epsv), qidx[paths[fl.ti][fl.hop]], fl.uid, tau, fl)
+        key = keys[fl.offset + fl.hop]
+        return (first_slot(key), qidx[paths[fl.ti][fl.hop]], fl.uid, key, fl)
 
     eligible = [[] for _ in queues]
-    activations = []  # (slot, queue index, uid, tau, flow)
+    activations = []  # (slot, queue index, uid, arrival key, flow)
     flows = {}
     for uid, ti, offset in zip(ct.uid.tolist(), ct.ti.tolist(), ct.offsets.tolist()):
         # a flow is injected at its reference arrival at its first queue
@@ -83,29 +90,29 @@ def run_dt_per_slot(ct, routes, types, eps, arrive_times=None, node_order=None):
         else:
             break
         while activations and activations[0][0] <= k:
-            s, qi, _, tau, fl = heapq.heappop(activations)
-            heapq.heappush(eligible[qi], (-s, -tau, -fl.uid, s, tau, fl))
+            s, qi, _, key, fl = heapq.heappop(activations)
+            heapq.heappush(eligible[qi], (-s, -key, -fl.uid, s, fl))
         n_slots_processed += 1
 
         for qi, heap in enumerate(eligible):
             if not heap:
                 continue
-            fl = heap[0][5]
+            fl = heap[0][4]
             fl.remaining -= 1
             log.append((k, queues[qi], fl.uid, pkts[fl.ti] - fl.remaining))
             if fl.remaining:
                 continue
-            _, _, _, s, tau, _ = heapq.heappop(heap)
+            _, _, _, s, _ = heapq.heappop(heap)
             delta_slot = k + 1
-            delta = deltas[fl.offset + fl.hop]
-            limit = slot_ceil(delta, epsv)
+            o = fl.offset + fl.hop
+            limit = first_slot(delta_keys[o])
             if delta_slot > limit:
                 raise EmulationInfeasibilityError(
                     f"flow {fl.uid} left {queues[qi]} in slot {delta_slot}, "
                     f"reference bound is {limit}"
                 )
-            delta_slots[fl.offset + fl.hop] = delta_slot
-            fl.trail.append((tau, delta, fl.a, s, delta_slot))
+            delta_slots[o] = delta_slot
+            fl.trail.append((taus[o], deltas[o], fl.a, s, delta_slot))
             n_checked += 1
             fl.hop += 1
             if fl.hop < len(paths[fl.ti]):
@@ -124,7 +131,7 @@ def run_dt_per_slot(ct, routes, types, eps, arrive_times=None, node_order=None):
 
     if n_done != len(flows):
         raise InternalConsistencyError("some flows never drained from the slot engine")
-    ledger = _ledger(ct, types, epsv, delta_slots, arrive_times)
+    ledger = _ledger(ct, types, delta_slots, arrive_times)
     hops = hop_columns(ledger)
     engine = zip(hops.uid.tolist(), hops.tau.tolist(), hops.delta.tolist(), hops.a.tolist(),
                  hops.s_slot.tolist(), hops.delta_slot.tolist())

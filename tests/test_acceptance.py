@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from dcflow.ct_network import choose_epsilon, run_ct, slot_ceil
+from dcflow.ct_network import choose_epsilon, run_ct
 from dcflow.dt_network import run_dt
 from dcflow.flow_gen import FlowType, gen_poisson
 from dcflow.harness import ExperimentConfig, run_experiment
@@ -242,20 +242,19 @@ def test_criterion_07_emulation_invariants(sweep_runs):
     checked = 0
     for rho in SWEEP_RHOS:
         run = sweep_runs[rho]
-        epsv = run["eps"].epsilon
         ledger = run["ledger"]
         ct = ledger.ct
         offsets = ct.offsets
         # the ledger's rows hold every flow of the reference run once
         assert np.array_equal(np.sort(ledger.flow), np.arange(len(ct.uid)))
         assert np.array_equal(ct.uid[ledger.flow], ledger.uid)
-        tau, delta, d_slot = ct.tau, ct.delta, ledger.delta_slots
-        assert np.all(d_slot <= slot_ceil(delta, epsv))
+        d_slot = ledger.delta_slots
+        assert np.all(d_slot <= ct.slot(ct.delta_key))
         # a flow arrives downstream in the slot it departs upstream
-        onward = np.ones(len(tau), dtype=bool)
+        onward = np.ones(len(d_slot), dtype=bool)
         onward[offsets[:-1]] = False
-        assert np.all(d_slot[:-1][onward[1:]] <= slot_ceil(tau, epsv)[onward])
-        checked += len(tau)
+        assert np.all(d_slot[:-1][onward[1:]] <= ct.slot(ct.tau_key)[onward])
+        checked += len(d_slot)
     # no upward backlog trend at the bottleneck of the adversarial run:
     # compare time-average occupancy between the two halves.  Every flow
     # is present at the shared root queue, its first, from its injection

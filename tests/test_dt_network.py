@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from dcflow.ct_network import choose_epsilon, run_ct, slot_ceil
+from dcflow.ct_network import choose_epsilon, run_ct
 from dcflow.dt_network import COLUMNS, _ledger, hop_columns, run_dt, write_ledger_csv
 from dcflow.errors import DcflowError, EmulationInfeasibilityError
 from dcflow.flow_gen import FlowType, gen_poisson
@@ -14,6 +14,7 @@ from dcflow.metrics import oracle_table
 from dcflow.topology import TreeSpec, compute_loads, make_route
 from dcflow.virtual_bandwidth_net import run_emulation
 from columns import as_flows, assert_same_run, per_flow
+from lcfs_oracle import lattice_instants, run_ct_stack
 from slot_oracle import run_dt_per_slot
 
 
@@ -36,25 +37,26 @@ def test_lone_flow_single_node_base_case(chain_tree):
     assert hops.s_slot.tolist() == [0]
     assert hops.delta_slot.tolist() == [2]
     assert hops.delta[0] == pytest.approx(1.0)
-    assert hops.delta_slot[0] == slot_ceil(hops.delta[0], eps.epsilon)
+    assert hops.delta_slot.tolist() == ct.slot(ct.delta_key).tolist()
     assert dt.ledger.d_s[0] == pytest.approx(1.0)
 
 
-def test_injection_within_the_guard_band_of_slot_zero():
-    # with eps > 1, slot_ceil snaps an instant within 1e-9 * eps of 0 to
-    # slot 0; the flow is injected at its own first reference arrival,
-    # so it is on time there whatever the slot length
+def test_injection_just_after_slot_zero_is_scheduled_in_slot_one():
+    # an instant 1.5e-9 past slot 0's start is not on its boundary, however
+    # large the slot: the flow is injected after slot 0 begins, so its
+    # schedule slot is 1, and every later instant keeps that residual
     tree = TreeSpec(nodes=("r", "a"), root="r", parent={"a": "r"})
     route = make_route(tree, "r", "a", route_id=0)
     types = (FlowType(0, 1.0, 0.1),)
     _, eps, ct, dt = pipeline([route], types, [(1.5e-9, 0, 0)], override=2.0)
-    assert slot_ceil(1.5e-9, eps.epsilon) == 0
+    assert ct.residue.tolist() == [0.0, 1.5e-9]
     ledger = dt.ledger
     # two queues, r/down and a/down, one two-unit slot each
     assert [getattr(ledger, c).tolist() for c in COLUMNS] == [
-        [0], [0], [1.0], [1.5e-9], [1.5e-9], [0.0], [4.0 - 1.5e-9], [4.0 - 1.5e-9]]
+        [0], [0], [1.0], [1.5e-9], [1.5e-9], [0.0], [6.0 - 1.5e-9], [6.0 - 1.5e-9]]
     hops = hop_columns(ledger)
-    assert (hops.s_slot.tolist(), hops.delta_slot.tolist()) == ([0, 1], [1, 2])
+    assert (hops.s_slot.tolist(), hops.delta_slot.tolist()) == ([1, 2], [2, 3])
+    assert ct.slot(ct.delta_key).tolist() == [2, 3]
 
 
 def test_two_flow_busy_cycle_case_two(chain_tree):
@@ -74,8 +76,8 @@ def test_two_flow_busy_cycle_case_two(chain_tree):
     d_slots = per_flow(ct, dt.ledger.delta_slots)
     assert d_slots[2] == [3]   # short flow leaves in slot 3
     assert d_slots[1] == [4]   # opener: S=1 plus both sizes
-    assert per_flow(ct, slot_ceil(ct.tau, 1.0))[1] == [1]   # schedule slot of opener
-    assert d_slots[1] == [slot_ceil(3.5, 1.0)]
+    assert per_flow(ct, ct.slot(ct.tau_key))[1] == [1]   # schedule slot of opener
+    assert d_slots[1] == per_flow(ct, ct.slot(ct.delta_key))[1] == [4]
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
@@ -131,7 +133,7 @@ def test_random_run_invariants_and_capacity(star_tree):
     # ledger invariants, exact in slot units
     hops = hop_columns(ledger)
     assert np.all(hops.a <= hops.s_slot * eps.epsilon + 1e-9)
-    assert np.all(hops.delta_slot <= slot_ceil(hops.delta, eps.epsilon))
+    assert np.all(ledger.delta_slots <= ct.slot(ct.delta_key))
 
 
 def test_node_iteration_order_is_immaterial(star_tree):
@@ -222,8 +224,9 @@ def test_violations_are_named_in_uid_order(two_hop_route):
     eps = choose_epsilon(compute_loads([two_hop_route], {(0, 1.0): 0.1}), 2.0, override=0.5)
     ct = run_ct(as_flows([(1.0, 0, 9), (10.0, 0, 2)]), [two_hop_route], types, eps)
     first = dict(zip(ct.uid.tolist(), ct.offsets.tolist()))
-    ct.delta[first[9]] -= 0.5
-    ct.delta[first[2] + 1] -= 0.5
+    # one slot earlier each
+    ct.delta_key[first[9]] -= len(ct.residue)
+    ct.delta_key[first[2] + 1] -= len(ct.residue)
     with pytest.raises(EmulationInfeasibilityError,
                        match=r"^flow 2 left a/up in slot 24, reference bound is 23$"):
         run_dt(ct, [two_hop_route], types, eps)
@@ -238,6 +241,41 @@ NETWORKS = {
 }
 
 
+def tree5hop():
+    """The tree5hop-0.9 benchmark point: two 5-queue routes sharing three
+    queues at load 0.9."""
+    routes = [make_route(TREE, "h1", "h3", route_id=0), make_route(TREE, "h2", "h4", route_id=1)]
+    types = (FlowType(0, 1.0, 0.45), FlowType(1, 1.0, 0.45))
+    profile = compute_loads(routes, {(t.route, t.size): t.rate for t in types})
+    return routes, types, profile, choose_epsilon(profile, 2.0)
+
+
+@pytest.fixture(scope="module")
+def tree5hop_run():
+    """A short tree5hop-0.9 run: its injections and both engines' runs."""
+    routes, types, profile, eps = tree5hop()
+    injections = run_emulation(gen_poisson(types, 2_000.0, seed=1), routes,
+                               profile=profile).schedule()
+    ct = run_ct(injections, routes, types, eps)
+    return routes, types, eps, injections, ct, run_dt(ct, routes, types, eps)
+
+
+@pytest.mark.parametrize("k", [10**6, 2 * 10**7, 2 * 10**8])
+def test_injecting_k_slots_later_moves_every_slot_by_k(tree5hop_run, k):
+    # every instant of a flow is its injection's residual plus whole
+    # slots, so a run injected k slots later is the same run k slots
+    # later, however large k is: no tolerance grows with the horizon
+    routes, types, eps, injections, ct, dt = tree5hop_run
+    later = injections.copy()
+    later["t"] += k * eps.epsilon
+    ct_later = run_ct(later, routes, types, eps)
+    dt_later = run_dt(ct_later, routes, types, eps)
+    assert np.array_equal(ct_later.uid, ct.uid)
+    assert np.array_equal(ct_later.slot(ct_later.tau_key), ct.slot(ct.tau_key) + k)
+    assert np.array_equal(dt_later.ledger.delta_slots, dt.ledger.delta_slots + k)
+    assert dt_later.flow_hops_checked == dt.flow_hops_checked == 5 * len(injections)
+
+
 def test_engines_hold_little_memory_per_flow_hop():
     # the tree5hop-0.9 benchmark point, shortened: two 5-queue routes
     # sharing three queues at load 0.9.  Flat per-hop arrays keep the
@@ -248,10 +286,7 @@ def test_engines_hold_little_memory_per_flow_hop():
     # The virtual net's result holds one array per column, about 40 B per
     # flow; with five uid-keyed dicts and per-type departure lists it
     # held about 209 B.
-    routes = [make_route(TREE, "h1", "h3", route_id=0), make_route(TREE, "h2", "h4", route_id=1)]
-    types = (FlowType(0, 1.0, 0.45), FlowType(1, 1.0, 0.45))
-    profile = compute_loads(routes, {(t.route, t.size): t.rate for t in types})
-    eps = choose_epsilon(profile, 2.0)
+    routes, types, profile, eps = tree5hop()
     stream = gen_poisson(types, 2_000.0, seed=1)
     # a first run fills the normalizer memo, which outlives any one run
     run_emulation(stream, routes, profile=profile)
@@ -269,7 +304,7 @@ def test_engines_hold_little_memory_per_flow_hop():
         # the ledger build alone, from the engine's departure slots
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        ledger = _ledger(ct, types, eps.epsilon, dt.ledger.delta_slots, nb.t_arrive)
+        ledger = _ledger(ct, types, dt.ledger.delta_slots, nb.t_arrive)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -289,10 +324,10 @@ def _outcome(engine):
 
 
 @st.composite
-def slot_runs(draw):
-    """A random network, flow types, injections and slot length, and
-    optionally a tampered reference run that breaks an invariant; the
-    last item says whether it was tampered."""
+def slot_runs(draw, tamper=True):
+    """A random network, flow types, injections and slot length, and,
+    if `tamper`, optionally a tampered reference run that breaks an
+    invariant; the last item says whether it was tampered."""
     tree, pairs = NETWORKS[draw(st.sampled_from(sorted(NETWORKS)))]
     n_routes = draw(st.integers(1, len(pairs)))
     routes = [make_route(tree, s, d, route_id=i) for i, (s, d) in enumerate(pairs[:n_routes])]
@@ -311,15 +346,16 @@ def slot_runs(draw):
     profile = compute_loads(routes, {(t.route, t.size): t.rate for t in types})
     eps = choose_epsilon(profile, 2.0, override=override)
     ct = run_ct(injections, routes, types, eps)
-    tampered = draw(st.booleans())
+    tampered = tamper and draw(st.booleans())
     if tampered:
-        # pull some reference instants earlier: a flow then reaches a
-        # queue after its schedule slot, or leaves it after its bound
+        # pull some reference instants whole slots earlier: a flow then
+        # reaches a queue after its schedule slot, or leaves it after its
+        # bound
         for _ in range(draw(st.integers(1, 3))):
             f = draw(st.integers(0, len(injections) - 1))
-            table = draw(st.sampled_from((ct.tau, ct.delta)))
+            table = draw(st.sampled_from((ct.tau_key, ct.delta_key)))
             hop = draw(st.integers(0, int(ct.offsets[f + 1] - ct.offsets[f]) - 1))
-            table[ct.offsets[f] + hop] -= draw(st.sampled_from((0.05, 0.5, 2.0)))
+            table[ct.offsets[f] + hop] -= draw(st.sampled_from((1, 2, 5))) * len(ct.residue)
     return ct, injections, routes, types, eps, tampered
 
 
@@ -337,3 +373,17 @@ def test_event_engine_matches_per_slot_oracle(run):
         assert want_exc is None
     if want is not None:
         assert_same_run(got, want)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(slot_runs(tamper=False))
+def test_reference_run_is_exact_on_the_lattice(run):
+    # the stack sweep in rational arithmetic, with the slot length and
+    # every injection taken exactly: each instant of the closed-form run,
+    # I * eps + r on its lattice, is that exact instant, so no tie at a
+    # queue is decided by float noise
+    ct, injections, routes, types, eps, _ = run
+    want = run_ct_stack(injections, routes, types, eps)
+    assert ct.uid.tolist() == want.uid
+    assert lattice_instants(ct, ct.tau_key) == want.tau
+    assert lattice_instants(ct, ct.delta_key) == want.delta
