@@ -1,20 +1,19 @@
-"""Continuous-time reference network with preemptive LCFS at every queue.
+"""Continuous-time reference network with preemptive LCFS at every queue,
+and the slotted engine that emulates it, served in one pass.
 
 Flows enter at their injection instants, require a slot-rounded service
 x_eps = eps * ceil(x / eps) at every queue on their route, and hop with
 zero transfer latency.  The newest arrival at a queue always preempts;
 preempted work resumes where it left off.  The per-flow, per-queue
 arrival and departure instants recorded here drive the discrete-time
-emulation and its invariant checks.
+emulation and its invariant check.
 
 A queue's arrivals are its flows' injections or their departures from
 the queue before it, so `run_ct` sweeps the queues one at a time in
 index order: `topology.queue_paths` numbers every queue after each queue
-that feeds it.  `lcfs_pr` serves one queue in closed form, on arrays;
-the slot engine in `dt_network` runs it on slot indices and packet
-counts, so both networks order ties alike: at one instant a completion
-comes first, then equal arrivals stack in uid order, the larger uid on
-top.
+that feeds it.  `lcfs_pr` serves one queue in closed form, on arrays.
+At one instant a completion comes first, then equal arrivals stack in
+uid order, the larger uid on top.
 
 Every instant lies on an exact lattice.  Works are whole slots and a
 departure is an arrival plus whole works, so each instant of a flow is
@@ -24,6 +23,15 @@ whole number I of slots.  `run_ct` ranks the run's distinct residuals,
 all, with works of n_slots * R.  A flow keeps its rank along its route,
 so keys order instants exactly, and the first slot boundary at or after
 an instant, I + (r > 0), is the key divided by R and rounded up.
+
+The slot engine (see `dt_network`) is the same LCFS-PR schedule read on
+those slot ceilings: at each queue a flow is activated at the slot
+ceiling of its reference arrival and sends its packets there.  Rounding
+up is monotone, so the queue's order by key is the engine's order too,
+and `run_ct` serves each queue once: one gather and one sort, then
+`lcfs_pr` on the keys with works n_slots * R, and on their slot
+ceilings with packet counts.  It keeps the engine's departure slot at
+every flow-hop and marks the flow-hops that open its busy periods.
 """
 
 from __future__ import annotations
@@ -111,7 +119,8 @@ def choose_epsilon(profile: LoadProfile, c0: float, override: float | None = Non
 
 @dataclass(eq=False)
 class CtResult:
-    """Per-flow, per-hop arrival/departure instants along each route.
+    """Per-flow, per-hop arrival/departure instants along each route, and
+    the slot engine's run on them.
 
     Flows are numbered in arrival order, (t, uid), here and nowhere else:
     flow f has uid `uid[f]`, type index `ti[f]`, the injection instant
@@ -119,7 +128,9 @@ class CtResult:
     injections.  Its instants at the hop-th queue of its route have the
     lattice keys `tau_key[offsets[f] + hop]` and `delta_key[offsets[f] +
     hop]`; key k stands for I * epsilon + residue[rank], with I, rank =
-    divmod(k, len(residue)).
+    divmod(k, len(residue)).  The slot engine's flow leaves that queue
+    when slot `delta_slot[offsets[f] + hop]` begins, and `opens` marks the
+    flow-hops that open one of the engine's busy periods at their queue.
     """
 
     epsilon: float
@@ -131,6 +142,8 @@ class CtResult:
     residue: np.ndarray    # float64, one entry per rank
     tau_key: np.ndarray    # int64, one entry per flow-hop
     delta_key: np.ndarray  # int64, one entry per flow-hop
+    delta_slot: np.ndarray  # int64, one entry per flow-hop
+    opens: np.ndarray      # bool, one entry per flow-hop
 
     def slot(self, key: np.ndarray) -> np.ndarray:
         """The first slot boundary at or after each keyed instant, I + (r > 0)."""
@@ -143,7 +156,12 @@ class CtResult:
 
     @property
     def tau(self) -> np.ndarray:
-        return self.instant(self.tau_key)
+        """Arrival instants.  A flow arrives at its first queue at the
+        injection instant it was given, which its key, I * eps + r, can
+        miss by an ulp."""
+        tau = self.instant(self.tau_key)
+        tau[self.offsets[:-1]] = self.t_inject
+        return tau
 
     @property
     def delta(self) -> np.ndarray:
@@ -200,37 +218,6 @@ def lcfs_pr(arrive: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return departs, np.flatnonzero(waits_for <= k)
 
 
-class QueueSegments:
-    """Where each queue's flow-hops sit, per (type, hop).
-
-    Built from per-flow columns in flow order: type indices `ti`, uids
-    `uid` and first flow-hop offsets `first`.  The flows of type k have
-    their first flow-hop at offsets `self.first[k]` and uids
-    `self.uids[k]`; their hop-h flow-hops are `self.first[k] + h`.
-    `gather(q, key)` collects queue q's flow-hops and returns them in
-    priority order, ascending arrival `key`, then uid: offsets, uids and,
-    for each, the index of its (type, hop) pair in `segments[q]`.
-    """
-
-    def __init__(self, n_queues: int, paths: list[tuple[int, ...]],
-                 ti: np.ndarray, uid: np.ndarray, first: np.ndarray):
-        self.segments: list[list[tuple[int, int]]] = [[] for _ in range(n_queues)]
-        for k, path in enumerate(paths):
-            for h, q in enumerate(path):
-                self.segments[q].append((k, h))
-        of_type = [np.flatnonzero(ti == k) for k in range(len(paths))]
-        self.first = [first[f] for f in of_type]
-        self.uids = [uid[f] for f in of_type]
-
-    def gather(self, q: int, key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        segs = self.segments[q]
-        offs = np.concatenate([self.first[k] + h for k, h in segs])
-        uids = np.concatenate([self.uids[k] for k, _ in segs])
-        seg = np.repeat(np.arange(len(segs)), [len(self.first[k]) for k, _ in segs])
-        order = np.lexsort((uids, key[offs]))
-        return offs[order], uids[order], seg[order]
-
-
 def run_ct(
     injections: np.ndarray,
     routes: list[Route],
@@ -238,7 +225,8 @@ def run_ct(
     eps: EpsilonConfig,
 ) -> CtResult:
     """Simulate the reference network for injections given as a `FLOW`
-    array, t >= 0 the injection instant, in any order.
+    array, t >= 0 the injection instant, in any order, and the slot
+    engine on it.
 
     This is where flows get their numbers: arrival order, (t, uid).  The
     queues are served by `lcfs_pr` in index order, which serves each
@@ -264,22 +252,37 @@ def run_ct(
         raise ConfigError(f"injections before 0 or past int64 keys at slot length {eps.epsilon}")
     offsets = np.zeros(len(order) + 1, dtype=np.int64)
     np.cumsum(hops[ti], out=offsets[1:])
-    tau, delta = np.zeros((2, offsets[-1]), dtype=np.int64)
+    tau, delta, delta_slot = np.zeros((3, offsets[-1]), dtype=np.int64)
+    opens = np.zeros(offsets[-1], dtype=bool)
+    ct = CtResult(epsilon=eps.epsilon, uid=uid, ti=ti, order=order, offsets=offsets,
+                  t_inject=t_inject, residue=residue, tau_key=tau, delta_key=delta,
+                  delta_slot=delta_slot, opens=opens)
     tau[offsets[:-1]] = whole.astype(np.int64) * n_ranks + rank[1:]
 
-    by_queue = QueueSegments(len(queues), paths, ti, uid, offsets[:-1])
-    for q, segs in enumerate(by_queue.segments):
-        if not segs:
+    # each queue's (type, hop) pairs; the flows of type k have their hop-h
+    # flow-hops at first[k] + h
+    visits: list[list[tuple[int, int]]] = [[] for _ in queues]
+    for k, path in enumerate(paths):
+        for h, q in enumerate(path):
+            visits[q].append((k, h))
+    of_type = [np.flatnonzero(ti == k) for k in range(len(types))]
+    first, uids = [offsets[f] for f in of_type], [uid[f] for f in of_type]
+    for pairs in visits:
+        if not pairs:
             continue
-        offs, _, seg = by_queue.gather(q, tau)
-        work = (pkts[[k for k, _ in segs]] * n_ranks)[seg]
-        departs, _ = lcfs_pr(tau[offs], work)
+        # the queue's flow-hops in priority order: ascending key, then uid
+        offs = np.concatenate([first[k] + h for k, h in pairs])
+        by_key = np.lexsort((np.concatenate([uids[k] for k, _ in pairs]), tau[offs]))
+        pair = np.repeat(np.arange(len(pairs)), [len(first[k]) for k, _ in pairs])[by_key]
+        offs = offs[by_key]
+        arrive, n_pkts = tau[offs], pkts[[k for k, _ in pairs]][pair]
+        departs, _ = lcfs_pr(arrive, n_pkts * n_ranks)
         delta[offs] = departs
-        onward = np.array([h + 1 < len(paths[k]) for k, h in segs])[seg]
+        delta_slot[offs], opener = lcfs_pr(ct.slot(arrive), n_pkts)
+        opens[offs[opener]] = True
+        onward = np.array([h + 1 < len(paths[k]) for k, h in pairs])[pair]
         tau[offs[onward] + 1] = departs[onward]
-
-    return CtResult(epsilon=eps.epsilon, uid=uid, ti=ti, order=order, offsets=offsets,
-                    t_inject=t_inject, residue=residue, tau_key=tau, delta_key=delta)
+    return ct
 
 
 def write_ct_table(result: CtResult, types: tuple[FlowType, ...], routes: list[Route],

@@ -13,27 +13,31 @@ sent during slot k is available at the next queue when the slot ends.
 The queues never interact.  A flow becomes transmittable at a queue at
 its schedule slot there, which depends only on its reference arrival tau
 at that queue, not on when its last packet left the previous queue.  So
-each queue is an LCFS server driven by its own reference arrivals alone,
-and the engine serves the queues one at a time.  A queue's activations,
-sorted by tau, come in priority order, so the reference network's closed
-form, `ct_network.lcfs_pr`, serves it, with schedule slots for instants
-and packet counts for work: a flow leaves at its schedule slot plus the
-packets of every activation it waits under, its own included.  Sent
-packets then equal demanded packets by construction.
+each queue is an LCFS server driven by its own reference arrivals alone.
+A queue's activations, sorted by tau, come in priority order, so the
+reference network's closed form, `ct_network.lcfs_pr`, serves it, with
+schedule slots for instants and packet counts for work: a flow leaves at
+its schedule slot plus the packets of every activation it waits under,
+its own included.  Sent packets then equal demanded packets by
+construction.  `ct_network.run_ct` serves both networks in one pass per
+queue, and this module checks the engine's run and reports it.
 
 What couples the queues is checked, not simulated.  Two sample-path
-invariants are asserted for every flow at every queue, as exact integer
-slot comparisons:
+invariants hold for every flow at every queue:
 
   * the flow has fully arrived by its schedule time (A <= S), and
   * it departs no later than the slot boundary that covers its
     continuous-time departure (Delta <= eps * ceil(delta / eps)).
 
-At a flow's first queue the first holds by construction: its reference
-arrival there is its injection, which the schedule slot rounds up.  If
-the first holds everywhere, every flow is present when its schedule
-slot comes, so activating it there is what the coupled network does, and
-the per-queue runs are that network's run.  A violation raises
+The first is the second read one hop on.  Hops take no time, so a flow's
+reference arrival at its next queue is its reference departure from this
+one, and its schedule slot there is the very slot ceiling that bounds
+Delta here.  At a flow's first queue its reference arrival is its
+injection, which the schedule slot rounds up.  So `run_dt` compares the
+engine's departure slot with that ceiling at every flow-hop, exactly in
+integers; if none is late, every flow is present when its schedule slot
+comes, activating it there is what the coupled network does, and the
+per-queue runs are that network's run.  A violation raises
 EmulationInfeasibilityError naming the flow and queue; of several, the
 one met first in uid order, and within a flow in route order.
 """
@@ -47,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ct_network import CtResult, EpsilonConfig, QueueSegments, lcfs_pr
+from .ct_network import CtResult
 from .errors import EmulationInfeasibilityError
 from .flow_gen import FlowType
 from .topology import Route, queue_paths
@@ -103,7 +107,7 @@ def hop_columns(ledger: DelayLedger) -> HopColumns:
     row = np.repeat(np.arange(len(ledger)), n_hops)
     hop = np.arange(len(row)) - np.repeat(np.cumsum(n_hops) - n_hops, n_hops)
     offs = ct.offsets[ledger.flow][row] + hop
-    tau = ct.instant(ct.tau_key[offs])
+    tau = ct.tau[offs]
     # a flow is present at its first queue from its injection, its reference
     # arrival there, and at each next one when its last packet's slot ends
     a = np.where(hop == 0, tau, slots[offs - 1] * ct.epsilon)
@@ -114,8 +118,8 @@ def hop_columns(ledger: DelayLedger) -> HopColumns:
 @dataclass(eq=False)
 class DtRunResult:
     """`n_slots_processed` counts slots in which at least one queue sends
-    a packet; `flow_hops_checked` counts flow-hops that passed both
-    sample-path checks."""
+    a packet; `flow_hops_checked` counts flow-hops that passed the
+    departure check, and with it the arrival check one hop on."""
 
     ledger: DelayLedger
     n_slots_processed: int
@@ -156,69 +160,37 @@ def run_dt(
     ct: CtResult,
     routes: list[Route],
     types: tuple[FlowType, ...],
-    eps: EpsilonConfig,
     arrive_times: np.ndarray | None = None,
 ) -> DtRunResult:
-    """Run the slot engine against a finished reference run.
+    """Check and report the slot engine's run that `run_ct` made.
 
     `arrive_times` holds each flow's external arrival, in the order of
-    the injections `run_ct` took (defaults to its injection time).  Each
-    queue is served alone in its flows' schedule order, and the two checks
-    that couple the queues run on its flow-hops.
+    the injections `run_ct` took (defaults to its injection time).
     """
-    queues, route_paths = queue_paths(routes)
-    paths = [route_paths[t.route] for t in types]
-    tau, delta = ct.tau_key, ct.delta_key
+    late = np.flatnonzero(ct.delta_slot > ct.slot(ct.delta_key))
+    if late.size:
+        # late flow-hops ascend, so the first with the least uid is the
+        # first in (uid, hop) order
+        flow = np.searchsorted(ct.offsets, late, side="right") - 1
+        i = np.argmin(ct.uid[flow])
+        f, o = flow[i], late[i]
+        queues, route_paths = queue_paths(routes)
+        q = queues[route_paths[types[ct.ti[f]].route][o - ct.offsets[f]]]
+        raise EmulationInfeasibilityError(f"flow {ct.uid[f]} left {q} in slot {ct.delta_slot[o]}, "
+                                          f"reference bound is {ct.slot(ct.delta_key[o])}")
 
-    departed = np.zeros(len(tau), dtype=np.int64)
-    by_queue = QueueSegments(len(queues), paths, ct.ti, ct.uid, ct.offsets[:-1])
-    begins, ends = [], []   # every queue's busy periods
-    faults = []             # (uid, hop, check, message): each queue's first violation
-    for q, segs in enumerate(by_queue.segments):
-        if not segs:
-            continue
-        offs, uids, seg = by_queue.gather(q, tau)
-        # rounding up is monotone, so ascending key is ascending (S, tau,
-        # uid): each activation outranks every flow already waiting
-        s_slot = ct.slot(tau[offs])
-        pkts = np.array([eps.n_slots[types[k].size] for k, _ in segs], dtype=np.int64)[seg]
-        out, opens = lcfs_pr(s_slot, pkts)
-        departed[offs] = out
-        begins.append(s_slot[opens])
-        ends.append(out[opens])
-
-        # a route visits a queue once, so a queue's first violation in uid
-        # order is its first in (uid, hop) order too
-        hop = np.array([h for _, h in segs], dtype=np.int64)[seg]
-        limit = ct.slot(delta[offs])
-        left_late = np.flatnonzero(out > limit)
-        if left_late.size:
-            i = left_late[np.argmin(uids[left_late])]
-            faults.append((uids[i], hop[i], 0, f"flow {uids[i]} left {queues[q]} in slot "
-                           f"{out[i]}, reference bound is {limit[i]}"))
-        came = departed[offs - 1]   # the previous hop's departure, read at hop 0 too
-        came_late = np.flatnonzero((hop > 0) & (came > s_slot))
-        if came_late.size:
-            i = came_late[np.argmin(uids[came_late])]
-            faults.append((uids[i], hop[i] - 1, 1, f"flow {uids[i]} reached {queues[q]} in "
-                           f"slot {came[i]}, after its schedule slot {s_slot[i]}"))
-    if faults:
-        raise EmulationInfeasibilityError(min(faults)[3])
-
-    # The union of the busy periods.  Sorted apart, the i-th end is never
-    # before the i-th begin, and the slots no queue sends in are the gaps
-    # from the i-th end to the (i+1)-th begin.
-    begins = np.sort(np.concatenate(begins)) if begins else np.zeros(0, dtype=np.int64)
-    ends = np.sort(np.concatenate(ends)) if ends else np.zeros(0, dtype=np.int64)
-    n_trans = int(ends.sum() - begins.sum())
+    # The union of every queue's busy periods.  Sorted apart, the i-th end
+    # is never before the i-th begin, and the slots no queue sends in are
+    # the gaps from the i-th end to the (i+1)-th begin.
+    opener = np.flatnonzero(ct.opens)
+    begins = np.sort(ct.slot(ct.tau_key[opener]))
+    ends = np.sort(ct.delta_slot[opener])
     gaps = np.maximum(begins[1:] - ends[:-1], 0).sum()
-    n_slots = int(ends[-1] - begins[0] - gaps) if begins.size else 0
-    del by_queue, begins, ends
     return DtRunResult(
-        ledger=_ledger(ct, types, departed, arrive_times),
-        n_slots_processed=n_slots,
-        n_transmissions=n_trans,
-        flow_hops_checked=len(departed),
+        ledger=_ledger(ct, types, ct.delta_slot, arrive_times),
+        n_slots_processed=int(ends[-1] - begins[0] - gaps) if opener.size else 0,
+        n_transmissions=int(ends.sum() - begins.sum()),
+        flow_hops_checked=len(ct.delta_slot),
     )
 
 

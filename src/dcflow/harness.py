@@ -245,7 +245,7 @@ class PointResult:
     mult: float
     stats: list[TypeStats]
     n_flows: int
-    flow_hops_checked: int     # flow-hops that passed both sample-path checks
+    flow_hops_checked: int     # flow-hops that passed the sample-path checks
     flow_hops_expected: int    # route hop counts summed over the ledger's flows
     artifacts: dict[str, str] = field(default_factory=dict)
 
@@ -264,7 +264,7 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
     nb = run_emulation(stream, routes, profile=plan.profile)
     del stream   # freed before the engines run
     ct = run_ct(nb.schedule(), routes, types, plan.eps)
-    dt = run_dt(ct, routes, types, plan.eps, arrive_times=nb.t_arrive)
+    dt = run_dt(ct, routes, types, arrive_times=nb.t_arrive)
     stats = summarize(dt.ledger, config.burn_in * config.horizon, plan.profile, plan.eps,
                       extra_wait=plan.extra_wait)
 

@@ -2,10 +2,14 @@
 
 `run_dt_per_slot` steps every slot in which some queue holds a
 transmittable flow and lets the head of each queue's LCFS heap send one
-packet, which is the definition the per-queue `dt_network.run_dt`
-must reproduce.  It can log every transmission and iterate the queues in
-any order, so tests can check slot capacity and packet conservation
-directly and show that the queue order is immaterial.  It records each
+packet.  That is the definition the slot engine must reproduce, which
+`ct_network.run_ct` runs queue by queue and `dt_network.run_dt` checks
+and reports.  It checks both sample-path invariants as it goes, A <= S
+and Delta <= eps * ceil(delta / eps), so `run_dt`'s one departure check
+must raise where this pair does.  It can log every transmission and
+iterate the queues in any order, so tests can check slot capacity and
+packet conservation directly and show that the queue order is
+immaterial.  It records each
 flow's per-queue trail as it goes and checks, hop by hop, that the
 ledger's hop columns, which both engines build from their departure
 slots, report that same trail.
@@ -36,8 +40,9 @@ class _Flow:
 
 
 def run_dt_per_slot(ct, routes, types, eps, arrive_times=None, node_order=None):
-    """Same arguments and result as `run_dt`, plus `node_order` (a
-    permutation of the routes' queues, fixing the per-slot iteration order).
+    """Same arguments and result as `run_dt`, plus `eps`, whose packet
+    counts it serves, and `node_order` (a permutation of the routes'
+    queues, fixing the per-slot iteration order).
     Returns (result, log) with one (slot, queue, uid, packet index) entry
     per transmission."""
     epsv = eps.epsilon

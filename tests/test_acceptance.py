@@ -98,7 +98,7 @@ def sweep_runs():
         nb = run_emulation(stream, routes)
         eps = choose_epsilon(profile, 2.0)
         ct = run_ct(nb.schedule(), routes, types, eps)
-        dt = run_dt(ct, routes, types, eps, arrive_times=nb.t_arrive)
+        dt = run_dt(ct, routes, types, arrive_times=nb.t_arrive)
         stats = summarize(dt.ledger, 0.2 * horizon, profile, eps)
         out[rho] = {
             "profile": profile,

@@ -159,7 +159,7 @@ def test_equal_arrivals_from_two_queues_stack_by_uid(star_tree):
     ct = run_ct(as_flows([(0.0, 0, 5), (0.5, 1, 3)]), routes, types, eps)
     assert per_flow(ct, ct.tau) == {5: [0.0, 1.0, 2.0], 3: [0.5, 1.0, 2.5]}
     assert per_flow(ct, ct.delta) == {5: [1.0, 2.0, 3.0], 3: [1.0, 2.5, 3.0]}
-    dt = run_dt(ct, routes, types, eps)
+    dt = run_dt(ct, routes, types)
     s_slots = per_flow(ct, ct.slot(ct.tau_key))
     d_slots = per_flow(ct, dt.ledger.delta_slots)
     at_r_down = {uid: (s_slots[uid][1], d_slots[uid][1]) for uid in (5, 3)}

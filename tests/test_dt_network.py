@@ -23,7 +23,7 @@ def pipeline(routes, types, injections, c0=2.0, override=None, **kwargs):
     profile = compute_loads(routes, lam)
     eps = choose_epsilon(profile, c0, override=override)
     ct = run_ct(as_flows(injections), routes, types, eps)
-    dt = run_dt(ct, routes, types, eps, **kwargs)
+    dt = run_dt(ct, routes, types, **kwargs)
     return profile, eps, ct, dt
 
 
@@ -106,7 +106,7 @@ def test_random_run_invariants_and_capacity(star_tree):
     profile = compute_loads([r0, r1], lam)
     eps = choose_epsilon(profile, 2.0)
     ct = run_ct(stream.events, [r0, r1], types, eps)
-    dt = run_dt(ct, [r0, r1], types, eps)
+    dt = run_dt(ct, [r0, r1], types)
     oracle, transmissions = run_dt_per_slot(ct, [r0, r1], types, eps)
     assert_same_run(dt, oracle)
 
@@ -154,7 +154,7 @@ def test_node_iteration_order_is_immaterial(star_tree):
     fwd, _ = run_dt_per_slot(ct, [r0, r1], types, eps, node_order=queues)
     rev, _ = run_dt_per_slot(ct, [r0, r1], types, eps, node_order=queues[::-1])
     assert_same_run(fwd, rev)
-    assert_same_run(run_dt(ct, [r0, r1], types, eps), fwd)
+    assert_same_run(run_dt(ct, [r0, r1], types), fwd)
 
 
 def test_rerun_is_deterministic(two_hop_route):
@@ -164,8 +164,8 @@ def test_rerun_is_deterministic(two_hop_route):
     profile = compute_loads([two_hop_route], lam)
     eps = choose_epsilon(profile, 2.0)
     ct = run_ct(stream.events, [two_hop_route], types, eps)
-    a = run_dt(ct, [two_hop_route], types, eps)
-    b = run_dt(ct, [two_hop_route], types, eps)
+    a = run_dt(ct, [two_hop_route], types)
+    b = run_dt(ct, [two_hop_route], types)
     assert_same_run(a, b)
 
 
@@ -180,7 +180,7 @@ def test_delay_decomposition_rows(two_hop_route):
     injections = stream.events.copy()
     injections["t"] += 0.75
     ct = run_ct(injections, [two_hop_route], types, eps)
-    dt = run_dt(ct, [two_hop_route], types, eps, arrive_times=arrive)
+    dt = run_dt(ct, [two_hop_route], types, arrive_times=arrive)
     ledger = dt.ledger
     assert ledger.d_w == pytest.approx(np.full(len(ledger), 0.75))
     assert ledger.d == pytest.approx(ledger.d_w + ledger.d_s)
@@ -206,7 +206,7 @@ def test_ledger_csv_format(two_hop_route, tmp_path):
     profile = compute_loads([two_hop_route], lam)
     eps = choose_epsilon(profile, 2.0)
     ct = run_ct(stream.events, [two_hop_route], types, eps)
-    dt = run_dt(ct, [two_hop_route], types, eps)
+    dt = run_dt(ct, [two_hop_route], types)
     path = tmp_path / "ledger.csv"
     write_ledger_csv(dt.ledger, str(path))
     lines = path.read_text().splitlines()
@@ -217,19 +217,40 @@ def test_ledger_csv_format(two_hop_route, tmp_path):
     assert int(first[0]) == dt.ledger.uid[0]
 
 
+def _late_run(routes, types, injections, late):
+    """A reference run whose departures at `late`, uid -> hops, are each
+    pulled one slot earlier, at slot length 0.5."""
+    profile = compute_loads(routes, {(t.route, t.size): t.rate for t in types})
+    eps = choose_epsilon(profile, 2.0, override=0.5)
+    ct = run_ct(as_flows(injections), routes, types, eps)
+    first = dict(zip(ct.uid.tolist(), ct.offsets.tolist()))
+    for uid, hops in late.items():
+        for hop in hops:
+            ct.delta_key[first[uid] + hop] -= len(ct.residue)
+    return ct
+
+
 def test_violations_are_named_in_uid_order(two_hop_route):
     # flow 9 breaks a check at the first queue and flow 2 at the second;
     # the error names the smaller uid, whatever the queue order
     types = (FlowType(0, 1.0, 0.1),)
-    eps = choose_epsilon(compute_loads([two_hop_route], {(0, 1.0): 0.1}), 2.0, override=0.5)
-    ct = run_ct(as_flows([(1.0, 0, 9), (10.0, 0, 2)]), [two_hop_route], types, eps)
-    first = dict(zip(ct.uid.tolist(), ct.offsets.tolist()))
-    # one slot earlier each
-    ct.delta_key[first[9]] -= len(ct.residue)
-    ct.delta_key[first[2] + 1] -= len(ct.residue)
+    ct = _late_run([two_hop_route], types, [(1.0, 0, 9), (10.0, 0, 2)], {9: (0,), 2: (1,)})
     with pytest.raises(EmulationInfeasibilityError,
                        match=r"^flow 2 left a/up in slot 24, reference bound is 23$"):
-        run_dt(ct, [two_hop_route], types, eps)
+        run_dt(ct, [two_hop_route], types)
+
+    # deeper hops on routes with different queues: flow 6 crosses h1/up
+    # a1/up r/down a2/down h3/down from slot 2, flow 4 r/down a1/down
+    # h2/down from slot 20, two packets a queue, each alone.  The error
+    # names the late hop's own queue, and a flow's first late hop
+    routes = [make_route(TREE, "h1", "h3", route_id=0), make_route(TREE, "r", "h2", route_id=1)]
+    types = (FlowType(0, 1.0, 0.1), FlowType(1, 1.0, 0.1))
+    injections = [(1.0, 0, 6), (10.0, 1, 4)]
+    for late, message in (
+            ({6: (3,), 4: (2,)}, "flow 4 left h2/down in slot 26, reference bound is 25"),
+            ({6: (4, 3)}, "flow 6 left a2/down in slot 10, reference bound is 9")):
+        with pytest.raises(EmulationInfeasibilityError, match=f"^{message}$"):
+            run_dt(_late_run(routes, types, injections, late), routes, types)
 
 
 STAR = TreeSpec(nodes=("r", "a", "b"), root="r", parent={"a": "r", "b": "r"})
@@ -257,7 +278,7 @@ def tree5hop_run():
     injections = run_emulation(gen_poisson(types, 2_000.0, seed=1), routes,
                                profile=profile).schedule()
     ct = run_ct(injections, routes, types, eps)
-    return routes, types, eps, injections, ct, run_dt(ct, routes, types, eps)
+    return routes, types, eps, injections, ct, run_dt(ct, routes, types)
 
 
 @pytest.mark.parametrize("k", [10**6, 2 * 10**7, 2 * 10**8])
@@ -269,7 +290,7 @@ def test_injecting_k_slots_later_moves_every_slot_by_k(tree5hop_run, k):
     later = injections.copy()
     later["t"] += k * eps.epsilon
     ct_later = run_ct(later, routes, types, eps)
-    dt_later = run_dt(ct_later, routes, types, eps)
+    dt_later = run_dt(ct_later, routes, types)
     assert np.array_equal(ct_later.uid, ct.uid)
     assert np.array_equal(ct_later.slot(ct_later.tau_key), ct.slot(ct.tau_key) + k)
     assert np.array_equal(dt_later.ledger.delta_slots, dt.ledger.delta_slots + k)
@@ -299,7 +320,7 @@ def test_engines_hold_little_memory_per_flow_hop():
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         ct = run_ct(injections, routes, types, eps)
-        dt = run_dt(ct, routes, types, eps, arrive_times=nb.t_arrive)
+        dt = run_dt(ct, routes, types, arrive_times=nb.t_arrive)
         peak = tracemalloc.get_traced_memory()[1] - before
         # the ledger build alone, from the engine's departure slots
         tracemalloc.reset_peak()
@@ -348,14 +369,13 @@ def slot_runs(draw, tamper=True):
     ct = run_ct(injections, routes, types, eps)
     tampered = tamper and draw(st.booleans())
     if tampered:
-        # pull some reference instants whole slots earlier: a flow then
-        # reaches a queue after its schedule slot, or leaves it after its
-        # bound
+        # pull some reference departures whole slots earlier: a flow may
+        # then leave a queue after its bound.  The schedule comes from the
+        # arrivals alone, so both engines still send the same packets.
         for _ in range(draw(st.integers(1, 3))):
             f = draw(st.integers(0, len(injections) - 1))
-            table = draw(st.sampled_from((ct.tau_key, ct.delta_key)))
             hop = draw(st.integers(0, int(ct.offsets[f + 1] - ct.offsets[f]) - 1))
-            table[ct.offsets[f] + hop] -= draw(st.sampled_from((1, 2, 5))) * len(ct.residue)
+            ct.delta_key[ct.offsets[f] + hop] -= draw(st.sampled_from((1, 2, 5))) * len(ct.residue)
     return ct, injections, routes, types, eps, tampered
 
 
@@ -364,7 +384,7 @@ def slot_runs(draw, tamper=True):
 def test_event_engine_matches_per_slot_oracle(run):
     ct, injections, routes, types, eps, tampered = run
     arrive = injections["t"] - 0.1
-    got, got_exc = _outcome(lambda: run_dt(ct, routes, types, eps, arrive))
+    got, got_exc = _outcome(lambda: run_dt(ct, routes, types, arrive))
     want, want_exc = _outcome(lambda: run_dt_per_slot(ct, routes, types, eps, arrive)[0])
     event(f"outcome: {want_exc.__name__ if want_exc else 'ledger'}")
     assert got_exc == want_exc
@@ -387,3 +407,10 @@ def test_reference_run_is_exact_on_the_lattice(run):
     assert ct.uid.tolist() == want.uid
     assert lattice_instants(ct, ct.tau_key) == want.tau
     assert lattice_instants(ct, ct.delta_key) == want.delta
+    # hops take no time: a flow's arrival at its next queue is its departure
+    # from this one, key for key, so the slot engine's check that it has
+    # arrived by its schedule slot there is its departure check here
+    onward = np.ones(len(ct.tau_key), dtype=bool)
+    onward[ct.offsets[1:] - 1] = False
+    o = np.flatnonzero(onward)
+    assert np.array_equal(ct.tau_key[o + 1], ct.delta_key[o])

@@ -228,8 +228,8 @@ def test_smoke_ledger_is_pinned(tmp_path):
                for name in ("ledger.csv", "ct_table.csv", "hops.jsonl")}
     assert digests == {
         "ledger.csv": "6e94d99cad2918f410c2110ff59c5435015f7bf39ac4b07ab269b9c06f4c4b89",
-        "ct_table.csv": "10afac852c0a0dfe45cf9ff922d2293c55138ac27a2ffb163ec630f2e426cc24",
-        "hops.jsonl": "772e96fe02d4cc05c2df567dfa87fe3b1dc42e1a12361a994524003e8b8434de",
+        "ct_table.csv": "9074a966f6c8a94719130921ba039ea6cdf0eb7bc946be47e4847c9174c0d7d0",
+        "hops.jsonl": "4124c4bc3c5cd3a8fab2097b6746d48eac0eb1f5b361973ad7c4630cbd1e08f2",
     }
 
 
@@ -351,8 +351,8 @@ def test_regularized_run_is_pinned(regularized_cli_runs):
     assert digests == {
         "ledger.csv": "d98704cdb9c468ccabf82028c5ead6b513e9b9cd71623d8ccce4d96de62b59bd",
         "injections.csv": "f9322c46a9bf6df40f8e22bdfb2e789fa2d9028be430c191a63e3fff43627436",
-        "ct_table.csv": "b7cb2c5ba9a8fc2e916614314f04a9f87f634edacc1de32b17d3efe414fc4c9f",
-        "hops.jsonl": "e5ecc3b0ca63d198fa56907197ebbff59be2b2b890a0ee7608d8491144cfde06",
+        "ct_table.csv": "8a6a7d39eb4e0e9556332faae9d9eee9a248d239cf8bcce07ae44ae38a2c9858",
+        "hops.jsonl": "9ed5b21c70186efcd6a9516428b02a1eba9fba0581ec6e9c2e30d0c29253f0a0",
     }
 
 

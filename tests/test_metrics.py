@@ -20,7 +20,7 @@ def small_run(two_hop_route, rate=0.4, horizon=2_000.0, seed=51):
     profile = compute_loads([two_hop_route], {(0, 1.0): rate})
     eps = choose_epsilon(profile, 2.0)
     ct = run_ct(stream.events, [two_hop_route], types, eps)
-    dt = run_dt(ct, [two_hop_route], types, eps)
+    dt = run_dt(ct, [two_hop_route], types)
     return profile, eps, dt.ledger
 
 
