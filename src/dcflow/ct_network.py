@@ -5,8 +5,8 @@ Flows enter at their injection instants, require a slot-rounded service
 x_eps = eps * ceil(x / eps) at every queue on their route, and hop with
 zero transfer latency.  The newest arrival at a queue always preempts;
 preempted work resumes where it left off.  The per-flow, per-queue
-arrival and departure instants recorded here drive the discrete-time
-emulation and its invariant check.
+departure instants recorded here, and the arrivals they make at the
+next queue, drive the discrete-time emulation and its invariant check.
 
 A queue's arrivals are its flows' injections or their departures from
 the queue before it, so `run_ct` sweeps the queues one at a time in
@@ -125,12 +125,15 @@ class CtResult:
     Flows are numbered in arrival order, (t, uid), here and nowhere else:
     flow f has uid `uid[f]`, type index `ti[f]`, the injection instant
     `t_inject[f]` it was given, and stood at position `order[f]` in the
-    injections.  Its instants at the hop-th queue of its route have the
-    lattice keys `tau_key[offsets[f] + hop]` and `delta_key[offsets[f] +
-    hop]`; key k stands for I * epsilon + residue[rank], with I, rank =
-    divmod(k, len(residue)).  The slot engine's flow leaves that queue
-    when slot `delta_slot[offsets[f] + hop]` begins, and `opens` marks the
-    flow-hops that open one of the engine's busy periods at their queue.
+    injections.  It leaves the hop-th queue of its route at the lattice
+    key `delta_key[offsets[f] + hop]`, and the slot engine's flow leaves
+    it when slot `delta_slot[offsets[f] + hop]` begins; key k stands for
+    I * epsilon + residue[rank], with I, rank = divmod(k, len(residue)).
+    Hops take no time, so of a flow's arrivals only the first,
+    `inject_key[f]`, is stored: it reaches each later queue as it leaves
+    the one before, and `tau_key` builds every arrival key when read.
+    `opens` marks the flow-hops that open one of the engine's busy periods
+    at their queue.
     """
 
     epsilon: float
@@ -140,7 +143,7 @@ class CtResult:
     offsets: np.ndarray    # int64, one entry per flow plus the total flow-hop count
     t_inject: np.ndarray   # float64, one entry per flow
     residue: np.ndarray    # float64, one entry per rank
-    tau_key: np.ndarray    # int64, one entry per flow-hop
+    inject_key: np.ndarray  # int64, one entry per flow
     delta_key: np.ndarray  # int64, one entry per flow-hop
     delta_slot: np.ndarray  # int64, one entry per flow-hop
     opens: np.ndarray      # bool, one entry per flow-hop
@@ -153,6 +156,16 @@ class CtResult:
         """The float instant of each key, I * eps + r."""
         whole, rank = np.divmod(key, len(self.residue))
         return whole * self.epsilon + self.residue[rank]
+
+    @property
+    def tau_key(self) -> np.ndarray:
+        """Arrival keys, one per flow-hop, built when read: a flow's
+        injection key at its first queue, and at each later queue its
+        departure key from the queue before."""
+        tau = np.empty_like(self.delta_key)
+        tau[1:] = self.delta_key[:-1]
+        tau[self.offsets[:-1]] = self.inject_key
+        return tau
 
     @property
     def tau(self) -> np.ndarray:
@@ -192,30 +205,30 @@ def lcfs_pr(arrive: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarra
     k departs at `arrive[k] + (done[j] - done[k])` for the first later j
     that arrives no earlier than that, or j = n, the queue draining, when
     there is none: at one instant the head finishes before an arrival is
-    taken.  The search jumps pointers: a candidate j that fails hands over
-    its own candidate, since every arrival it skipped comes too early for
-    it, and so for k.  Flow k opens a busy period when no earlier flow is
-    still waiting at its arrival.
+    taken.  That is the first later j whose lead, `arrive[j] - done[j]`,
+    is at least k's.  The search jumps pointers: a candidate j that fails
+    hands over its own candidate, since every arrival it skipped comes too
+    early for it, and so for k.  Flow k opens a busy period when no
+    earlier flow is still waiting at its arrival.
     """
     n = len(arrive)
     done = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(work, out=done[1:])
-    at = np.append(arrive, np.iinfo(np.int64).max)   # arrival n stands for the queue draining
-
-    def finished_by(k, j):
-        """Whether flow k, preempted by the flows k+1..j-1, is done when j arrives."""
-        return at[j] >= arrive[k] + (done[j] - done[k])
-
-    k = np.arange(n)
-    ender = k + 1
-    open_ = np.flatnonzero(~finished_by(k, ender))
+    lead = np.empty(n + 1, dtype=np.int64)
+    np.subtract(arrive, done[:-1], out=lead[:-1])
+    lead[n] = np.iinfo(np.int64).max   # the queue draining finishes every flow
+    ender = np.arange(1, n + 1)
+    open_ = np.flatnonzero(lead[1:] < lead[:-1])
     while open_.size:
-        ender[open_] = ender[ender[open_]]
-        open_ = open_[~finished_by(open_, ender[open_])]
-    departs = arrive + (done[ender] - done[:-1])
-    # the furthest arrival that a flow before k waits for
-    waits_for = np.maximum.accumulate(np.append(0, ender))[:-1]
-    return departs, np.flatnonzero(waits_for <= k)
+        j = ender[open_] = ender[ender[open_]]
+        open_ = open_[lead[j] < lead[open_]]
+    departs = done[ender]
+    departs += lead[:-1]
+    # the furthest arrival that a flow up to k waits for is k + 1 exactly
+    # when k ends a busy period, and the next arrival opens one
+    np.maximum.accumulate(ender, out=ender)
+    last = np.flatnonzero(ender == np.arange(1, n + 1))
+    return departs, np.concatenate(([0], last[:-1] + 1)) if n else last
 
 
 def run_ct(
@@ -231,8 +244,11 @@ def run_ct(
     This is where flows get their numbers: arrival order, (t, uid).  The
     queues are served by `lcfs_pr` in index order, which serves each
     after every queue that feeds it; a flow arrives at its next queue the
-    instant it leaves one.  Raises ConfigError for an injection before 0
-    or a run spanning more slots than int64 lattice keys can hold.
+    instant it leaves one, so each queue gathers its arrivals from the
+    injection keys and the departure keys already written, and only the
+    departures are stored per flow-hop.  Raises ConfigError for an
+    injection before 0 or a run spanning more slots than int64 lattice
+    keys can hold.
     """
     queues, route_paths = queue_paths(routes)
     paths = [route_paths[t.route] for t in types]
@@ -252,12 +268,13 @@ def run_ct(
         raise ConfigError(f"injections before 0 or past int64 keys at slot length {eps.epsilon}")
     offsets = np.zeros(len(order) + 1, dtype=np.int64)
     np.cumsum(hops[ti], out=offsets[1:])
-    tau, delta, delta_slot = np.zeros((3, offsets[-1]), dtype=np.int64)
+    inject = whole.astype(np.int64) * n_ranks + rank[1:]
+    del residual, whole, rank   # freed before the queues are served
+    delta, delta_slot = np.zeros((2, offsets[-1]), dtype=np.int64)
     opens = np.zeros(offsets[-1], dtype=bool)
     ct = CtResult(epsilon=eps.epsilon, uid=uid, ti=ti, order=order, offsets=offsets,
-                  t_inject=t_inject, residue=residue, tau_key=tau, delta_key=delta,
+                  t_inject=t_inject, residue=residue, inject_key=inject, delta_key=delta,
                   delta_slot=delta_slot, opens=opens)
-    tau[offsets[:-1]] = whole.astype(np.int64) * n_ranks + rank[1:]
 
     # each queue's (type, hop) pairs; the flows of type k have their hop-h
     # flow-hops at first[k] + h
@@ -270,18 +287,18 @@ def run_ct(
     for pairs in visits:
         if not pairs:
             continue
-        # the queue's flow-hops in priority order: ascending key, then uid
+        # the queue's flow-hops and their arrivals: at a flow's first queue
+        # its injection, at a later one its departure from the queue before
         offs = np.concatenate([first[k] + h for k, h in pairs])
-        by_key = np.lexsort((np.concatenate([uids[k] for k, _ in pairs]), tau[offs]))
-        pair = np.repeat(np.arange(len(pairs)), [len(first[k]) for k, _ in pairs])[by_key]
-        offs = offs[by_key]
-        arrive, n_pkts = tau[offs], pkts[[k for k, _ in pairs]][pair]
-        departs, _ = lcfs_pr(arrive, n_pkts * n_ranks)
-        delta[offs] = departs
+        arrive = np.concatenate([delta[first[k] + (h - 1)] if h else inject[of_type[k]]
+                                 for k, h in pairs])
+        # in priority order: ascending key, then uid
+        by_key = np.lexsort((np.concatenate([uids[k] for k, _ in pairs]), arrive))
+        offs, arrive = offs[by_key], arrive[by_key]
+        n_pkts = np.repeat(pkts[[k for k, _ in pairs]], [len(first[k]) for k, _ in pairs])[by_key]
+        delta[offs], _ = lcfs_pr(arrive, n_pkts * n_ranks)
         delta_slot[offs], opener = lcfs_pr(ct.slot(arrive), n_pkts)
         opens[offs[opener]] = True
-        onward = np.array([h + 1 < len(paths[k]) for k, h in pairs])[pair]
-        tau[offs[onward] + 1] = departs[onward]
     return ct
 
 

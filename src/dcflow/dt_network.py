@@ -45,7 +45,6 @@ one met first in uid order, and within a flow in route order.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -53,7 +52,7 @@ import numpy as np
 
 from .ct_network import CtResult
 from .errors import EmulationInfeasibilityError
-from .flow_gen import FlowType
+from .flow_gen import FlowType, rows
 from .topology import Route, queue_paths
 
 
@@ -198,18 +197,11 @@ LEDGER_VERSION = "# dcflow ledger v1"
 LEDGER_COLUMNS = "uid,route,size,t_arrive,t_inject,D_W,D_S,D"
 
 
-def _records(columns: Sequence[np.ndarray], chunk: int = 4096):
-    """Rows of equal-length columns as tuples of Python numbers,
-    converted a chunk at a time."""
-    for lo in range(0, len(columns[0]), chunk):
-        yield from zip(*(c[lo:lo + chunk].tolist() for c in columns))
-
-
 def write_ledger_csv(ledger: DelayLedger, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(LEDGER_VERSION + "\n")
         fh.write(LEDGER_COLUMNS + "\n")
-        for uid, route, size, t_arrive, t_inject, d_w, d_s, d in _records(
+        for uid, route, size, t_arrive, t_inject, d_w, d_s, d in rows(
                 [getattr(ledger, c) for c in COLUMNS]):
             fh.write(f"{uid},{route},{size!r},{t_arrive!r},{t_inject!r},{d_w!r},{d_s!r},{d!r}\n")
 
@@ -224,6 +216,6 @@ def write_hop_table_jsonl(ledger: DelayLedger, routes: list[Route], path: str) -
             hops.delta_slot)
     with open(path, "w") as fh:
         fh.write(json.dumps({"format": "dcflow-hops", "version": 1}) + "\n")
-        for node, (uid, tau, delta, a, s, d_slot) in zip(nodes, _records(cols)):
+        for node, (uid, tau, delta, a, s, d_slot) in zip(nodes, rows(cols)):
             fh.write(json.dumps({"uid": uid, "node": node, "tau": tau, "delta": delta,
                                  "A": a, "S": s, "delta_slot": d_slot}) + "\n")

@@ -15,7 +15,8 @@ bandwidth, never counted in delay statistics".
 from __future__ import annotations
 
 import struct
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,13 @@ def flow_array(t, ti, uid) -> np.ndarray:
     flows = np.empty(len(t), dtype=FLOW)
     flows["t"], flows["ti"], flows["uid"] = t, ti, uid
     return flows
+
+
+def rows(columns: Sequence[np.ndarray], chunk: int = 4096) -> Iterator[tuple]:
+    """Rows of equal-length columns as tuples of Python numbers,
+    converted a chunk at a time."""
+    return chain.from_iterable(zip(*(c[lo:lo + chunk].tolist() for c in columns))
+                               for lo in range(0, len(columns[0]), chunk))
 
 
 @dataclass(frozen=True)

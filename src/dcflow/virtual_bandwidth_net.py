@@ -16,10 +16,11 @@ capacity check: phi is the throughput of a closed network of
 processor-sharing stations (see `sfa_core`), so route loads on a
 resource sum to that station's utilization, at most 1.  At one instant
 a departure goes before an arrival, and equal departure instants go in
-uid order.  The loop reads the stream's `FLOW` columns as plain lists
-and writes each flow's departure into one list; everything else about a
-run is read from `NbRunResult`'s columns afterwards, and `schedule`
-hands the reference net the same `FLOW` record.
+uid order.  The loop reads the stream's `FLOW` columns as Python
+numbers a chunk of rows at a time and writes each flow's departure into
+one float64 array, so it holds no whole-stream list; everything else
+about a run is read from `NbRunResult`'s columns afterwards, and
+`schedule` hands the reference net the same `FLOW` record.
 
 The congestion-control rule is: a flow becomes eligible for the internal
 network exactly when it departs this virtual network.  Its external wait
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .flow_gen import ArrivalStream, FlowType, flow_array
+from .flow_gen import ArrivalStream, FlowType, flow_array, rows
 from .sfa_core import BandwidthNetworkSpec, _evaluator
 from .topology import LoadProfile, Route, compute_loads, queue_paths, require_admissible
 
@@ -50,20 +51,21 @@ def bandwidth_spec_for(routes: list[Route]) -> BandwidthNetworkSpec:
 
 
 def serve(spec: BandwidthNetworkSpec, classes: Sequence[int], sizes: Sequence[float],
-          times: list[float], types: list[int], uids: list[int]) -> np.ndarray:
+          times: np.ndarray, types: np.ndarray, uids: np.ndarray) -> np.ndarray:
     """Departure instant of every flow, in stream order.
 
     Flow i arrives at `times[i]`, nondecreasing, with type index
     `types[i]` and uid `uids[i]`; a type-k flow joins class `classes[k]`
-    with size `sizes[k]`.  An arrival goes first only if it is strictly
-    earlier than the next departure, and equal departure instants go in
-    uid order.
+    with size `sizes[k]`.  The loop reads the three columns as Python
+    numbers a chunk of rows at a time and writes each departure into one
+    float64 array.  An arrival goes first only if it is strictly earlier
+    than the next departure, and equal departure instants go in uid
+    order.
     """
     n_classes = spec.n_routes
     ev = _evaluator(spec, exact=False)
     per_flow: dict[tuple[int, ...], tuple[float, ...]] = {}
-    total = len(times)
-    out = [0.0] * total
+    out = np.empty(len(times))
     n = [0] * n_classes
     v = [0.0] * n_classes             # cumulative per-flow service
     heaps: list[list[tuple[float, int, int]]] = [[] for _ in range(n_classes)]
@@ -71,8 +73,10 @@ def serve(spec: BandwidthNetworkSpec, classes: Sequence[int], sizes: Sequence[fl
     clock = 0.0
     inf = math.inf
     push, pop = heapq.heappush, heapq.heappop
+    arrivals = rows((times, types, uids))
+    drained = (inf, 0, 0)             # the next arrival once the stream is read
+    t_next, k, u = next(arrivals, drained)
     i = 0
-    t_next = times[0] if total else inf
     while True:
         # earliest completion under the current rates, ties toward the smaller uid
         t_dep, u_dep, c_dep = inf, 0, -1
@@ -98,12 +102,11 @@ def serve(spec: BandwidthNetworkSpec, classes: Sequence[int], sizes: Sequence[fl
                 v[j] += rate[j] * dt   # an empty class's rate is 0.0: v unchanged
             clock = t
         if t_next < t_dep:
-            k = types[i]
             c = classes[k]
-            push(heaps[c], (v[c] + sizes[k], uids[i], i))
+            push(heaps[c], (v[c] + sizes[k], u, i))
             n[c] += 1
             i += 1
-            t_next = times[i] if i < total else inf
+            t_next, k, u = next(arrivals, drained)
         else:
             thr, _, e = pop(heaps[c_dep])
             v[c_dep] = thr   # snap out accumulated rounding
@@ -115,7 +118,7 @@ def serve(spec: BandwidthNetworkSpec, classes: Sequence[int], sizes: Sequence[fl
         except KeyError:
             phi = ev.rates(key)
             rate = per_flow[key] = tuple(phi[j] / nj if nj else 0.0 for j, nj in enumerate(key))
-    return np.array(out)
+    return out
 
 
 @dataclass(eq=False)
@@ -212,8 +215,7 @@ def run_emulation(
             f"flow {uid[early[0]]} entered the virtual net before it arrived")
 
     spec = bandwidth_spec_for(routes)
-    t_inject = serve(spec, [t.route for t in types], [t.size for t in types],
-                     t_enter.tolist(), ti.tolist(), uid.tolist())
+    t_inject = serve(spec, [t.route for t in types], [t.size for t in types], t_enter, ti, uid)
     return NbRunResult(types=types, spec=spec, uid=uid, type=ti, t_enter=t_enter,
                        t_arrive=t_arrive, t_inject=t_inject, n_events=2 * len(uid))
 

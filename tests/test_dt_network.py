@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from dcflow.ct_network import choose_epsilon, run_ct
+from dcflow.ct_network import choose_epsilon, lcfs_pr, run_ct
 from dcflow.dt_network import COLUMNS, _ledger, hop_columns, run_dt, write_ledger_csv
 from dcflow.errors import DcflowError, EmulationInfeasibilityError
 from dcflow.flow_gen import FlowType, gen_poisson
@@ -297,6 +297,36 @@ def test_injecting_k_slots_later_moves_every_slot_by_k(tree5hop_run, k):
     assert dt_later.flow_hops_checked == dt.flow_hops_checked == 5 * len(injections)
 
 
+def test_no_flows_and_two_flows_on_the_benchmark_plan():
+    # the smallest runs, which random draws reach only by chance
+    none = np.zeros(0, dtype=np.int64)
+    departs, opens = lcfs_pr(none, none)
+    assert (departs.dtype, departs.size, opens.size) == (np.int64, 0, 0)
+    routes, types, _, eps = tree5hop()
+    ct = run_ct(as_flows([]), routes, types, eps)
+    dt = run_dt(ct, routes, types)
+    assert (len(ct.uid), len(ct.tau_key), len(dt.ledger)) == (0, 0, 0)
+    assert (dt.n_slots_processed, dt.n_transmissions, dt.flow_hops_checked) == (0, 0, 0)
+    # two 18-packet flows along one 5-queue route, the second injected
+    # while the first is at its first queue
+    ct = run_ct(as_flows([(0.5, 0, 1), (1.0, 0, 2)]), routes, types, eps)
+    dt = run_dt(ct, routes, types)
+    assert (dt.n_slots_processed, dt.n_transmissions, dt.flow_hops_checked) == (144, 180, 10)
+    assert_same_run(dt, run_dt_per_slot(ct, routes, types, eps)[0])
+
+
+def _traced(call):
+    """`call()`'s result, and the bytes it left allocated and allocated
+    at its peak, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
 def test_engines_hold_little_memory_per_flow_hop():
     # the tree5hop-0.9 benchmark point, shortened: two 5-queue routes
     # sharing three queues at load 0.9.  Flat per-hop arrays keep the
@@ -311,30 +341,42 @@ def test_engines_hold_little_memory_per_flow_hop():
     stream = gen_poisson(types, 2_000.0, seed=1)
     # a first run fills the normalizer memo, which outlives any one run
     run_emulation(stream, routes, profile=profile)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        nb = run_emulation(stream, routes, profile=profile)
-        kept = tracemalloc.get_traced_memory()[0] - before
-        injections = nb.schedule()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
+    nb, kept, _ = _traced(lambda: run_emulation(stream, routes, profile=profile))
+    injections = nb.schedule()
+
+    def engines():
         ct = run_ct(injections, routes, types, eps)
-        dt = run_dt(ct, routes, types, arrive_times=nb.t_arrive)
-        peak = tracemalloc.get_traced_memory()[1] - before
-        # the ledger build alone, from the engine's departure slots
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        ledger = _ledger(ct, types, dt.ledger.delta_slots, nb.t_arrive)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+        return ct, run_dt(ct, routes, types, arrive_times=nb.t_arrive)
+
+    (ct, dt), _, peak = _traced(engines)
+    # the ledger build alone, from the engine's departure slots
+    ledger, held, _ = _traced(lambda: _ledger(ct, types, dt.ledger.delta_slots, nb.t_arrive))
     for name in ("flow",) + COLUMNS:
         assert np.array_equal(getattr(ledger, name), getattr(dt.ledger, name)), name
     assert dt.flow_hops_checked == 5 * len(injections) > 5_000
     assert kept / len(nb) <= 80
     assert peak / dt.flow_hops_checked <= 200
     assert held / len(injections) <= 100
+
+
+def test_memory_budget_per_flow_and_flow_hop():
+    # peak memory sets how long a run can be.  On the tree5hop-0.9 plan at
+    # horizon 1e4, seed 1 (9,048 flows, 45,240 flow-hops), tracemalloc
+    # reads 94 B per flow at the virtual net's peak and 51 B per flow-hop
+    # at the reference run's.  The bounds fail a virtual net that holds
+    # the stream as whole Python lists (169 B per flow) and a reference
+    # run that stores every arrival key beside every departure key, with
+    # wider per-queue scratch (71 B per flow-hop).
+    routes, types, profile, eps = tree5hop()
+    stream = gen_poisson(types, 10_000.0, seed=1)
+    # a first run fills the normalizer memo, which outlives any one run
+    run_emulation(stream, routes, profile=profile)
+    nb, _, vnet_peak = _traced(lambda: run_emulation(stream, routes, profile=profile))
+    injections = nb.schedule()
+    ct, _, ct_peak = _traced(lambda: run_ct(injections, routes, types, eps))
+    assert (len(nb), ct.offsets[-1]) == (9_048, 45_240)
+    assert vnet_peak / len(nb) <= 125
+    assert ct_peak / ct.offsets[-1] <= 60
 
 
 def _outcome(engine):
@@ -371,11 +413,18 @@ def slot_runs(draw, tamper=True):
     if tampered:
         # pull some reference departures whole slots earlier: a flow may
         # then leave a queue after its bound.  The schedule comes from the
-        # arrivals alone, so both engines still send the same packets.
+        # arrivals alone, so both engines still send the same packets.  A
+        # departure before a flow's last queue is also its arrival at the
+        # next one, which the engine was scheduled from before the tamper;
+        # such a departure is pulled below the engine's own, so both
+        # engines raise there, before anything reads the moved arrival.
         for _ in range(draw(st.integers(1, 3))):
             f = draw(st.integers(0, len(injections) - 1))
             hop = draw(st.integers(0, int(ct.offsets[f + 1] - ct.offsets[f]) - 1))
-            ct.delta_key[ct.offsets[f] + hop] -= draw(st.sampled_from((1, 2, 5))) * len(ct.residue)
+            o, slots = ct.offsets[f] + hop, draw(st.sampled_from((1, 2, 5)))
+            ct.delta_key[o] -= slots * len(ct.residue)
+            if o + 1 < ct.offsets[f + 1]:
+                ct.delta_key[o] = min(ct.delta_key[o], (ct.delta_slot[o] - slots) * len(ct.residue))
     return ct, injections, routes, types, eps, tampered
 
 
@@ -407,10 +456,3 @@ def test_reference_run_is_exact_on_the_lattice(run):
     assert ct.uid.tolist() == want.uid
     assert lattice_instants(ct, ct.tau_key) == want.tau
     assert lattice_instants(ct, ct.delta_key) == want.delta
-    # hops take no time: a flow's arrival at its next queue is its departure
-    # from this one, key for key, so the slot engine's check that it has
-    # arrived by its schedule slot there is its departure check here
-    onward = np.ones(len(ct.tau_key), dtype=bool)
-    onward[ct.offsets[1:] - 1] = False
-    o = np.flatnonzero(onward)
-    assert np.array_equal(ct.tau_key[o + 1], ct.delta_key[o])

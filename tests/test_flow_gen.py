@@ -15,6 +15,7 @@ from dcflow.flow_gen import (
     flow_array,
     gen_poisson,
     regularize,
+    rows,
 )
 from regularizer_oracle import regularize_loop
 
@@ -171,3 +172,13 @@ def test_closed_form_regularizer_matches_the_loop(case):
     event(f"a flow still waiting at the horizon: {real.sum() < len(stream.events)}")
     event(f"an arrival at an emission epoch: "
           f"{bool(np.isin(stream.events['t'], got.events['t']).any())}")
+
+
+def test_rows_cross_chunk_boundaries():
+    # the virtual net and the writers read columns through `rows`, so a
+    # chunk boundary must drop, repeat and reorder nothing
+    t, ti, uid = np.arange(10) * 0.5, np.arange(10) % 3, np.arange(10) - 4
+    want = list(zip(t.tolist(), ti.tolist(), uid.tolist()))
+    for chunk in (1, 3, 4, 10, 4096):
+        assert list(rows((t, ti, uid), chunk=chunk)) == want
+    assert list(rows((t[:0], ti[:0]))) == []

@@ -33,8 +33,8 @@ def manual_stream(types, events, horizon=1e9):
 
 
 def columns(events):
-    """A `FLOW` array's columns as the three lists `serve` takes."""
-    return [events[c].tolist() for c in ("t", "ti", "uid")]
+    """A `FLOW` array's three columns, as `serve` takes them."""
+    return [events[c] for c in ("t", "ti", "uid")]
 
 
 def test_single_flow_unit_resource_departs_at_one(chain_tree):

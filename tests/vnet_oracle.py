@@ -89,6 +89,7 @@ class NbState:
 def serve_stepwise(spec, classes, sizes, times, types, uids) -> np.ndarray:
     """Same arguments and result as `virtual_bandwidth_net.serve`, one
     `NbState` transition per event."""
+    times, types, uids = (np.asarray(c).tolist() for c in (times, types, uids))
     state = NbState(spec)
     position = {uid: k for k, uid in enumerate(uids)}
     out = np.zeros(len(times))
