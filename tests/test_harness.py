@@ -244,20 +244,41 @@ def test_config_with_retired_occupancy_cap_loads_and_runs(tmp_path):
     assert run_experiment(config, out_dir=str(tmp_path)).passed
 
 
+# two 5-queue routes sharing three queues at load 0.9
+TREE5 = ExperimentConfig(
+    name="tree5hop-0.9",
+    topology_nodes=("r", "a1", "a2", "h1", "h2", "h3", "h4"),
+    topology_root="r",
+    topology_parent={"a1": "r", "a2": "r", "h1": "a1", "h2": "a1", "h3": "a2", "h4": "a2"},
+    routes=(("h1", "h3"), ("h2", "h4")),
+    types=((0, 1.0, 0.45), (1, 1.0, 0.45)),
+    horizon=20_000.0,
+)
+
+
 def test_tree_five_hop_at_high_load_needs_no_occupancy_budget():
-    # two 5-queue routes sharing three queues at load 0.9; its peak total
-    # occupancy passes 64, the default budget the normalizer once had
-    config = ExperimentConfig(
-        name="tree5hop-0.9",
-        topology_nodes=("r", "a1", "a2", "h1", "h2", "h3", "h4"),
-        topology_root="r",
-        topology_parent={"a1": "r", "a2": "r", "h1": "a1", "h2": "a1", "h3": "a2", "h4": "a2"},
-        routes=(("h1", "h3"), ("h2", "h4")),
-        types=((0, 1.0, 0.45), (1, 1.0, 0.45)),
-        horizon=20_000.0,
-    )
-    result = run_experiment(config)
+    # its peak total occupancy passes 64, the default budget the
+    # normalizer once had
+    result = run_experiment(TREE5)
     assert result.passed, result.verdict
+
+
+def test_five_hop_traces_are_pinned(tmp_path):
+    # the smoke pins cover 2-hop routes only; these cover the hop order and
+    # queue names at hops 2 to 4 of every trace
+    config = dataclasses.replace(TREE5, horizon=2_000.0, emit_hop_tables=True)
+    result = run_experiment(config, out_dir=str(tmp_path), seed=1)
+    assert result.passed, result.verdict
+    assert result.points[0].n_flows == 1_818
+    assert result.points[0].flow_hops_checked == 9_090
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("ledger.csv", "injections.csv", "ct_table.csv", "hops.jsonl")}
+    assert digests == {
+        "ledger.csv": "7a68476ca0d4c2f9e8d8be941e8f9c31927e20215e6810fa761c6d971339a32e",
+        "injections.csv": "958c2dd573da2257dad8bd996640c0d56a28318076e2ce7a8ad4c53a01765b92",
+        "ct_table.csv": "a025a37ca6ff20d63e4a321d8400d7927dd8740418bcb833d551fc237763b53b",
+        "hops.jsonl": "96265b423af43417e719b5c06ad65ba0cc2aec13867390376ce0a7b0400946b8",
+    }
 
 
 def test_cli_run_reports_the_memo_budget(tmp_path, monkeypatch, capsys):
