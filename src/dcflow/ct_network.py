@@ -301,18 +301,3 @@ def run_ct(
         opens[offs[opener]] = True
     return ct
 
-
-def write_ct_table(result: CtResult, types: tuple[FlowType, ...], routes: list[Route],
-                   path: str) -> None:
-    """CSV table `uid,node,tau,delta`, one row per flow per hop."""
-    by_id = {r.id: r for r in routes}
-    qpaths = [by_id[t.route].queue_path for t in types]
-    offsets, uids, tis = result.offsets.tolist(), result.uid.tolist(), result.ti.tolist()
-    taus, deltas = result.tau.tolist(), result.delta.tolist()
-    with open(path, "w") as fh:
-        fh.write("# dcflow ct-table v1\n")
-        fh.write("uid,node,tau,delta\n")
-        for f in np.argsort(result.uid).tolist():
-            a, b = offsets[f], offsets[f + 1]
-            for q, tau, delta in zip(qpaths[tis[f]], taus[a:b], deltas[a:b]):
-                fh.write(f"{uids[f]},{q},{tau!r},{delta!r}\n")

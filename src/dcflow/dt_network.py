@@ -206,16 +206,46 @@ def write_ledger_csv(ledger: DelayLedger, path: str) -> None:
             fh.write(f"{uid},{route},{size!r},{t_arrive!r},{t_inject!r},{d_w!r},{d_s!r},{d!r}\n")
 
 
+def write_injection_trace(ledger: DelayLedger, path: str) -> None:
+    """CSV trace `uid,t_arrive,t_inject`, one row per flow, in uid order."""
+    order = np.argsort(ledger.uid)
+    with open(path, "w") as fh:
+        fh.write("# dcflow injection-trace v1\n")
+        fh.write("uid,t_arrive,t_inject\n")
+        for uid, t_arrive, t_inject in rows((ledger.uid[order], ledger.t_arrive[order],
+                                             ledger.t_inject[order])):
+            fh.write(f"{uid},{t_arrive!r},{t_inject!r}\n")
+
+
+def _hop_nodes(ledger: DelayLedger, routes: list[Route]) -> np.ndarray:
+    """The name of every flow-hop's queue, in `hop_columns` order."""
+    names = {r.id: [str(q) for q in r.queue_path] for r in routes}
+    return np.array([node for route in ledger.route.tolist() for node in names[route]],
+                    dtype=object)
+
+
+def write_ct_table(ledger: DelayLedger, routes: list[Route], path: str) -> None:
+    """CSV table `uid,node,tau,delta` of the reference run, one row per
+    flow-hop, in uid order, then route order."""
+    hops = hop_columns(ledger)
+    order = np.argsort(hops.uid, kind="stable")
+    cols = (hops.uid[order], _hop_nodes(ledger, routes)[order], hops.tau[order],
+            hops.delta[order])
+    with open(path, "w") as fh:
+        fh.write("# dcflow ct-table v1\n")
+        fh.write("uid,node,tau,delta\n")
+        for uid, node, tau, delta in rows(cols):
+            fh.write(f"{uid},{node},{tau!r},{delta!r}\n")
+
+
 def write_hop_table_jsonl(ledger: DelayLedger, routes: list[Route], path: str) -> None:
     """Per-flow per-queue timestamps, one JSON object per line, in
     `hop_columns` order."""
-    names = {r.id: [str(q) for q in r.queue_path] for r in routes}
-    nodes = (node for route in ledger.route.tolist() for node in names[route])
     hops = hop_columns(ledger)
-    cols = (hops.uid, hops.tau, hops.delta, hops.a, hops.s_slot * ledger.ct.epsilon,
-            hops.delta_slot)
+    cols = (hops.uid, _hop_nodes(ledger, routes), hops.tau, hops.delta, hops.a,
+            hops.s_slot * ledger.ct.epsilon, hops.delta_slot)
     with open(path, "w") as fh:
         fh.write(json.dumps({"format": "dcflow-hops", "version": 1}) + "\n")
-        for node, (uid, tau, delta, a, s, d_slot) in zip(nodes, rows(cols)):
+        for uid, node, tau, delta, a, s, d_slot in rows(cols):
             fh.write(json.dumps({"uid": uid, "node": node, "tau": tau, "delta": delta,
                                  "A": a, "S": s, "delta_slot": d_slot}) + "\n")

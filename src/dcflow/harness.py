@@ -8,6 +8,7 @@ point, the full pipeline
 and writes `ledger.csv`, `summary.csv`, a human-readable `report.txt` and
 a machine-readable `verdict.json`; with `emit_hop_tables` on, each point
 also writes its traces `injections.csv`, `ct_table.csv` and `hops.jsonl`.
+A point's files are all written from its ledger, by `dt_network`'s writers.
 Everything an experiment produces is a pure function of its config.
 """
 
@@ -15,18 +16,19 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .ct_network import EpsilonConfig, choose_epsilon, run_ct, write_ct_table
-from .dt_network import run_dt, write_hop_table_jsonl, write_ledger_csv
+from .ct_network import EpsilonConfig, choose_epsilon, run_ct
+from .dt_network import (run_dt, write_ct_table, write_hop_table_jsonl, write_injection_trace,
+                         write_ledger_csv)
 from .errors import ConfigError, MalformedTreeError, StabilityViolationError
 from .flow_gen import FlowType, gen_poisson, regularize
 from .metrics import TypeStats, format_report, summarize, write_summary_csv
 from .topology import LoadProfile, Route, TreeSpec, compute_loads, make_route, require_admissible
-from .virtual_bandwidth_net import run_emulation, write_injection_trace
+from .virtual_bandwidth_net import run_emulation
 
 
 @dataclass
@@ -72,6 +74,11 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
             topo = raw["topology"]
+            seed, emit = raw.get("seed", 0), raw.get("emit_hop_tables", False)
+            if type(seed) is not int:   # a JSON boolean is no integer
+                raise ConfigError(f"seed: must be a JSON integer, got {seed!r}")
+            if type(emit) is not bool:
+                raise ConfigError(f"emit_hop_tables: must be a JSON boolean, got {emit!r}")
             return cls(
                 name=str(raw.get("name", "experiment")),
                 topology_nodes=tuple(topo["nodes"]),
@@ -82,7 +89,7 @@ class ExperimentConfig:
                     (int(t["route"]), float(t["size"]), float(t["rate"])) for t in raw["types"]
                 ),
                 horizon=float(raw["horizon"]),
-                seed=int(raw.get("seed", 0)),
+                seed=seed,
                 c0=float(raw.get("c0", 2.0)),
                 burn_in=float(raw.get("burn_in", 0.2)),
                 epsilon_override=(
@@ -93,7 +100,7 @@ class ExperimentConfig:
                     tuple(float(r) for r in raw["regularizer"]) if raw.get("regularizer") else None
                 ),
                 bound_slack=float(raw.get("bound_slack", 0.05)),
-                emit_hop_tables=bool(raw.get("emit_hop_tables", False)),
+                emit_hop_tables=emit,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
@@ -247,7 +254,6 @@ class PointResult:
     n_flows: int
     flow_hops_checked: int     # flow-hops that passed the sample-path checks
     flow_hops_expected: int    # route hop counts summed over the ledger's flows
-    artifacts: dict[str, str] = field(default_factory=dict)
 
 
 def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
@@ -268,22 +274,13 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
     stats = summarize(dt.ledger, config.burn_in * config.horizon, plan.profile, plan.eps,
                       extra_wait=plan.extra_wait)
 
-    artifacts = {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        ledger_path = os.path.join(out_dir, "ledger.csv")
-        write_ledger_csv(dt.ledger, ledger_path)
-        artifacts["ledger"] = ledger_path
+        write_ledger_csv(dt.ledger, os.path.join(out_dir, "ledger.csv"))
         if config.emit_hop_tables:
-            inj_path = os.path.join(out_dir, "injections.csv")
-            write_injection_trace(nb, inj_path)
-            artifacts["injections"] = inj_path
-            ct_path = os.path.join(out_dir, "ct_table.csv")
-            write_ct_table(ct, types, routes, ct_path)
-            artifacts["ct_table"] = ct_path
-            hops_path = os.path.join(out_dir, "hops.jsonl")
-            write_hop_table_jsonl(dt.ledger, routes, hops_path)
-            artifacts["hops"] = hops_path
+            write_injection_trace(dt.ledger, os.path.join(out_dir, "injections.csv"))
+            write_ct_table(dt.ledger, routes, os.path.join(out_dir, "ct_table.csv"))
+            write_hop_table_jsonl(dt.ledger, routes, os.path.join(out_dir, "hops.jsonl"))
 
     return PointResult(
         mult=mult,
@@ -291,7 +288,6 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
         n_flows=len(nb),
         flow_hops_checked=dt.flow_hops_checked,
         flow_hops_expected=int(np.array([r.hop_count for r in routes])[dt.ledger.route].sum()),
-        artifacts=artifacts,
     )
 
 

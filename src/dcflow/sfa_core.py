@@ -224,16 +224,6 @@ def phi_big(spec: BandwidthNetworkSpec, n: tuple[int, ...], exact: bool = False)
     return _evaluator(spec, exact).phi(tuple(n))
 
 
-def _compositions(total: int, parts: int):
-    """All ways to split `total` into `parts` labeled nonnegative integers."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def occupancies_within(n_routes: int, cap: int):
     """Every occupancy vector of `n_routes` nonnegative entries summing to
     at most `cap`, in lexicographic order."""
@@ -245,6 +235,13 @@ def occupancies_within(n_routes: int, cap: int):
             yield (head,) + rest
 
 
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """All ways to split `total` into `parts` labeled nonnegative integers,
+    in lexicographic order: every head of `parts - 1` entries summing to at
+    most `total`, and the remainder last."""
+    return [head + (total - sum(head),) for head in occupancies_within(parts - 1, total)]
+
+
 def phi_big_bruteforce(spec: BandwidthNetworkSpec, n: tuple[int, ...], exact: bool = False) -> Number:
     """Direct sum over the splitting set; independent oracle for phi_big.
 
@@ -254,7 +251,7 @@ def phi_big_bruteforce(spec: BandwidthNetworkSpec, n: tuple[int, ...], exact: bo
     """
     if any(c < 0 for c in n):
         return Fraction(0) if exact else 0.0
-    per_route = [list(_compositions(n[j], len(spec.route_resources[j]))) for j in range(spec.n_routes)]
+    per_route = [_compositions(n[j], len(spec.route_resources[j])) for j in range(spec.n_routes)]
     total = Fraction(0) if exact else 0.0
     for pick in itertools.product(*per_route):
         m_l: dict[int, int] = {}

@@ -225,17 +225,3 @@ def departure_process(result: NbRunResult, type_index: int, burn_in: float = 0.0
     t = np.sort(result.t_inject[(result.type == type_index) & (result.uid >= 0)])
     return t[t >= burn_in].tolist()
 
-
-def write_injection_trace(result: NbRunResult, path: str) -> None:
-    """CSV trace `uid,t_arrive,t_inject`, one row per flow, uid order,
-    converted to Python numbers a chunk of rows at a time."""
-    order = np.argsort(result.uid)
-    with open(path, "w") as fh:
-        fh.write("# dcflow injection-trace v1\n")
-        fh.write("uid,t_arrive,t_inject\n")
-        for lo in range(0, len(order), 4096):
-            part = order[lo:lo + 4096]
-            for uid, t_arrive, t_inject in zip(result.uid[part].tolist(),
-                                                result.t_arrive[part].tolist(),
-                                                result.t_inject[part].tolist()):
-                fh.write(f"{uid},{t_arrive!r},{t_inject!r}\n")

@@ -57,6 +57,31 @@ def test_config_roundtrip():
         assert parse_config(serialize_config(config)) == config
 
 
+@pytest.mark.parametrize("field, value", [
+    ("emit_hop_tables", "false"),
+    ("emit_hop_tables", "no"),
+    ("emit_hop_tables", 1),
+    ("seed", 2.9),
+    ("seed", True),
+    ("seed", "3"),
+    ("seed", None),
+])
+def test_config_rejects_loosely_typed_switch_and_seed(field, value):
+    # "false" once turned the traces on, 2.9 ran as seed 2 and true as seed 1
+    raw = {**json.loads(serialize_config(SMOKE)), field: value}
+    with pytest.raises(ConfigError, match=f"^{field}: must be a JSON "):
+        parse_config(json.dumps(raw))
+
+
+def test_shipped_and_benchmark_configs_load():
+    for folder in (("configs",), ("perfbench", "workloads")):
+        names = sorted(os.listdir(os.path.join(HERE, *folder)))
+        assert names
+        for name in names:
+            config = load_config(os.path.join(HERE, *folder, name))
+            assert type(config.seed) is int and type(config.emit_hop_tables) is bool, name
+
+
 def test_validate_echoes_epsilon():
     echo = validate_config(SMOKE)
     point = echo["points"][1.0]
