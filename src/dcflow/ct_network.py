@@ -123,7 +123,7 @@ class CtResult:
     the slot engine's run on them.
 
     Flows are numbered in arrival order, (t, uid), here and nowhere else:
-    flow f has uid `uid[f]`, type index `ti[f]`, the injection instant
+    flow f has uid `uid[f]`, type `types[ti[f]]`, the injection instant
     `t_inject[f]` it was given, and stood at position `order[f]` in the
     injections.  It leaves the hop-th queue of its route at the lattice
     key `delta_key[offsets[f] + hop]`, and the slot engine's flow leaves
@@ -137,6 +137,7 @@ class CtResult:
     """
 
     epsilon: float
+    types: tuple[FlowType, ...]
     uid: np.ndarray        # int64, one entry per flow
     ti: np.ndarray         # int64, one entry per flow
     order: np.ndarray      # int64, one entry per flow
@@ -183,7 +184,7 @@ class CtResult:
     @property
     def taus(self) -> dict[int, list[float]]:
         """uid -> arrival instant at each queue.  Only the benchmark's stage
-        tracer reads it, to count flow-hops (ROADMAP items 3 and 4)."""
+        tracer reads it, to count flow-hops (ROADMAP items 1 and 2)."""
         tau, bounds = self.tau.tolist(), self.offsets.tolist()
         return {u: tau[a:b] for u, a, b in zip(self.uid.tolist(), bounds, bounds[1:])}
 
@@ -272,32 +273,35 @@ def run_ct(
     del residual, whole, rank   # freed before the queues are served
     delta, delta_slot = np.zeros((2, offsets[-1]), dtype=np.int64)
     opens = np.zeros(offsets[-1], dtype=bool)
-    ct = CtResult(epsilon=eps.epsilon, uid=uid, ti=ti, order=order, offsets=offsets,
+    ct = CtResult(epsilon=eps.epsilon, types=types, uid=uid, ti=ti, order=order, offsets=offsets,
                   t_inject=t_inject, residue=residue, inject_key=inject, delta_key=delta,
                   delta_slot=delta_slot, opens=opens)
 
-    # each queue's (type, hop) pairs; the flows of type k have their hop-h
-    # flow-hops at first[k] + h
+    # each queue's (type, hop) pairs; the flows of type k, of_type[k], have
+    # their hop-h flow-hops at offsets[of_type[k]] + h
     visits: list[list[tuple[int, int]]] = [[] for _ in queues]
     for k, path in enumerate(paths):
         for h, q in enumerate(path):
             visits[q].append((k, h))
     of_type = [np.flatnonzero(ti == k) for k in range(len(types))]
-    first, uids = [offsets[f] for f in of_type], [uid[f] for f in of_type]
     for pairs in visits:
         if not pairs:
             continue
-        # the queue's flow-hops and their arrivals: at a flow's first queue
-        # its injection, at a later one its departure from the queue before
-        offs = np.concatenate([first[k] + h for k, h in pairs])
-        arrive = np.concatenate([delta[first[k] + (h - 1)] if h else inject[of_type[k]]
+        ks = [k for k, _ in pairs]
+        # the queue's arrivals: at a flow's first queue its injection, at a
+        # later one its departure from the queue before; then its flow-hops
+        # and packet counts, each put in priority order, ascending key, then
+        # uid, as it is gathered
+        arrive = np.concatenate([delta[offsets[of_type[k]] + (h - 1)] if h else inject[of_type[k]]
                                  for k, h in pairs])
-        # in priority order: ascending key, then uid
-        by_key = np.lexsort((np.concatenate([uids[k] for k, _ in pairs]), arrive))
-        offs, arrive = offs[by_key], arrive[by_key]
-        n_pkts = np.repeat(pkts[[k for k, _ in pairs]], [len(first[k]) for k, _ in pairs])[by_key]
-        delta[offs], _ = lcfs_pr(arrive, n_pkts * n_ranks)
+        by_key = np.lexsort((uid[np.concatenate([of_type[k] for k in ks])], arrive))
+        arrive = arrive[by_key]
+        offs = np.concatenate([offsets[of_type[k]] + h for k, h in pairs])[by_key]
+        n_pkts = np.repeat(pkts[ks], [len(of_type[k]) for k in ks])[by_key]
+        del by_key
+        delta[offs] = lcfs_pr(arrive, n_pkts * n_ranks)[0]
         delta_slot[offs], opener = lcfs_pr(ct.slot(arrive), n_pkts)
         opens[offs[opener]] = True
+        del arrive, offs, n_pkts, opener   # freed before the next queue gathers
     return ct
 

@@ -61,29 +61,57 @@ COLUMNS = ("uid", "route", "size", "t_arrive", "t_inject", "d_w", "d_s", "d")
 
 @dataclass(eq=False)
 class DelayLedger:
-    """Per-flow delays, one array per column, rows in (t_arrive, uid)
-    order.  D_W = t_inject - t_arrive, D_S = (last departure slot) * eps
-    - t_inject and D = D_W + D_S; a negative uid marks a dummy flow.
+    """Per-flow delays, rows in (t_arrive, uid) order, held as two arrays
+    beside the reference run `ct` they are read from: 16 bytes per flow.
 
-    `flow` holds each row's flow number in the reference run `ct`, and
-    `delta_slots` the slot engine's departure slot at every flow-hop, at
-    `ct`'s flow-hop offsets; `hop_columns` reads both.  The slot length
-    is `ct.epsilon`."""
+    `flow` holds each row's flow number in `ct`, `t_arrive` its external
+    arrival, and `delta_slots` the slot engine's departure slot at every
+    flow-hop, at `ct`'s flow-hop offsets; `hop_columns` reads all three.
+    The other `COLUMNS` are built from `ct` when read, so read each once:
+    D_W = t_inject - t_arrive, D_S = (last departure slot) * eps -
+    t_inject and D = D_W + D_S, where eps is `ct.epsilon`; a negative uid
+    marks a dummy flow.  `ledger[rows]` is the ledger of some of its rows,
+    which derives only theirs."""
 
     ct: CtResult = field(repr=False)
     delta_slots: np.ndarray = field(repr=False)
     flow: np.ndarray
-    uid: np.ndarray
-    route: np.ndarray
-    size: np.ndarray
     t_arrive: np.ndarray
-    t_inject: np.ndarray
-    d_w: np.ndarray
-    d_s: np.ndarray
-    d: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.uid)
+        return len(self.flow)
+
+    def __getitem__(self, rows) -> "DelayLedger":
+        return DelayLedger(self.ct, self.delta_slots, self.flow[rows], self.t_arrive[rows])
+
+    @property
+    def uid(self) -> np.ndarray:
+        return self.ct.uid[self.flow]
+
+    @property
+    def route(self) -> np.ndarray:
+        return np.array([t.route for t in self.ct.types], dtype=np.int64)[self.ct.ti[self.flow]]
+
+    @property
+    def size(self) -> np.ndarray:
+        return np.array([t.size for t in self.ct.types], dtype=np.float64)[self.ct.ti[self.flow]]
+
+    @property
+    def t_inject(self) -> np.ndarray:
+        return self.ct.t_inject[self.flow]
+
+    @property
+    def d_w(self) -> np.ndarray:
+        return self.t_inject - self.t_arrive
+
+    @property
+    def d_s(self) -> np.ndarray:
+        last = self.ct.offsets[self.flow + 1] - 1
+        return self.delta_slots[last] * self.ct.epsilon - self.t_inject
+
+    @property
+    def d(self) -> np.ndarray:
+        return self.d_w + self.d_s
 
 
 class HopColumns(NamedTuple):
@@ -126,33 +154,16 @@ class DtRunResult:
     flow_hops_checked: int
 
 
-def _ledger(ct: CtResult, types: tuple[FlowType, ...], delta_slots: np.ndarray,
+def _ledger(ct: CtResult, delta_slots: np.ndarray,
             arrive_times: np.ndarray | None) -> DelayLedger:
     """The ledger of a slot engine's run.  `delta_slots` holds its
     departure slot at every flow-hop, at the reference run's flow-hop
     offsets; `arrive_times` is in the order of the injections `run_ct`
     took, and defaults to the injection instants."""
-    t_inject = ct.t_inject
-    t_arrive = t_inject if arrive_times is None else np.asarray(arrive_times,
-                                                                dtype=np.float64)[ct.order]
+    t_arrive = ct.t_inject if arrive_times is None else np.asarray(arrive_times,
+                                                                   dtype=np.float64)[ct.order]
     flow = np.lexsort((ct.uid, t_arrive))
-    t_inject, t_arrive, ti = t_inject[flow], t_arrive[flow], ct.ti[flow]
-    last = ct.offsets[flow + 1] - 1
-    d_w = t_inject - t_arrive
-    d_s = delta_slots[last] * ct.epsilon - t_inject
-    return DelayLedger(
-        ct=ct,
-        delta_slots=delta_slots,
-        flow=flow,
-        uid=ct.uid[flow],
-        route=np.array([t.route for t in types], dtype=np.int64)[ti],
-        size=np.array([t.size for t in types], dtype=np.float64)[ti],
-        t_arrive=t_arrive,
-        t_inject=t_inject,
-        d_w=d_w,
-        d_s=d_s,
-        d=d_w + d_s,
-    )
+    return DelayLedger(ct=ct, delta_slots=delta_slots, flow=flow, t_arrive=t_arrive[flow])
 
 
 def run_dt(
@@ -186,7 +197,7 @@ def run_dt(
     ends = np.sort(ct.delta_slot[opener])
     gaps = np.maximum(begins[1:] - ends[:-1], 0).sum()
     return DtRunResult(
-        ledger=_ledger(ct, types, ct.delta_slot, arrive_times),
+        ledger=_ledger(ct, ct.delta_slot, arrive_times),
         n_slots_processed=int(ends[-1] - begins[0] - gaps) if opener.size else 0,
         n_transmissions=int(ends.sum() - begins.sum()),
         flow_hops_checked=len(ct.delta_slot),
@@ -198,12 +209,16 @@ LEDGER_COLUMNS = "uid,route,size,t_arrive,t_inject,D_W,D_S,D"
 
 
 def write_ledger_csv(ledger: DelayLedger, path: str) -> None:
+    """The ledger as CSV, its columns derived 4,096 rows at a time."""
     with open(path, "w") as fh:
         fh.write(LEDGER_VERSION + "\n")
         fh.write(LEDGER_COLUMNS + "\n")
-        for uid, route, size, t_arrive, t_inject, d_w, d_s, d in rows(
-                [getattr(ledger, c) for c in COLUMNS]):
-            fh.write(f"{uid},{route},{size!r},{t_arrive!r},{t_inject!r},{d_w!r},{d_s!r},{d!r}\n")
+        for lo in range(0, len(ledger), 4096):
+            part = ledger[lo:lo + 4096]
+            for uid, route, size, t_arrive, t_inject, d_w, d_s, d in zip(
+                    *(getattr(part, c).tolist() for c in COLUMNS)):
+                fh.write(f"{uid},{route},{size!r},{t_arrive!r},{t_inject!r},{d_w!r},{d_s!r},"
+                         f"{d!r}\n")
 
 
 def write_injection_trace(ledger: DelayLedger, path: str) -> None:

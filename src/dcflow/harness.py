@@ -74,9 +74,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
             topo = raw["topology"]
-            seed, emit = raw.get("seed", 0), raw.get("emit_hop_tables", False)
-            if type(seed) is not int:   # a JSON boolean is no integer
-                raise ConfigError(f"seed: must be a JSON integer, got {seed!r}")
+            emit = raw.get("emit_hop_tables", False)
             if type(emit) is not bool:
                 raise ConfigError(f"emit_hop_tables: must be a JSON boolean, got {emit!r}")
             return cls(
@@ -86,24 +84,49 @@ class ExperimentConfig:
                 topology_parent={str(k): str(v) for k, v in topo.get("parent", {}).items()},
                 routes=tuple((str(r["src"]), str(r["dst"])) for r in raw["routes"]),
                 types=tuple(
-                    (int(t["route"]), float(t["size"]), float(t["rate"])) for t in raw["types"]
+                    (_integer(t["route"], f"types[{i}].route"),
+                     _number(t["size"], f"types[{i}].size"),
+                     _number(t["rate"], f"types[{i}].rate"))
+                    for i, t in enumerate(raw["types"])
                 ),
-                horizon=float(raw["horizon"]),
-                seed=seed,
-                c0=float(raw.get("c0", 2.0)),
-                burn_in=float(raw.get("burn_in", 0.2)),
+                horizon=_number(raw["horizon"], "horizon"),
+                seed=_integer(raw.get("seed", 0), "seed"),
+                c0=_number(raw.get("c0", 2.0), "c0"),
+                burn_in=_number(raw.get("burn_in", 0.2), "burn_in"),
                 epsilon_override=(
-                    None if raw.get("epsilon_override") is None else float(raw["epsilon_override"])
+                    None if raw.get("epsilon_override") is None
+                    else _number(raw["epsilon_override"], "epsilon_override")
                 ),
-                sweep=tuple(float(m) for m in (raw.get("sweep") or [1.0])),
-                regularizer=(
-                    tuple(float(r) for r in raw["regularizer"]) if raw.get("regularizer") else None
-                ),
-                bound_slack=float(raw.get("bound_slack", 0.05)),
+                sweep=_numbers(raw.get("sweep"), "sweep") or (1.0,),
+                regularizer=_numbers(raw.get("regularizer"), "regularizer"),
+                bound_slack=_number(raw.get("bound_slack", 0.05), "bound_slack"),
                 emit_hop_tables=emit,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
+
+
+# A field holds the JSON type it names: a JSON boolean is no number, and a
+# string of digits is no list.
+def _integer(value, field: str) -> int:
+    if type(value) is not int:
+        raise ConfigError(f"{field}: must be a JSON integer, got {value!r}")
+    return value
+
+
+def _number(value, field: str) -> float:
+    if type(value) not in (int, float):
+        raise ConfigError(f"{field}: must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, field: str) -> tuple[float, ...] | None:
+    """A list of JSON numbers; None for null or an empty list."""
+    if value is None:
+        return None
+    if type(value) is not list or any(type(v) not in (int, float) for v in value):
+        raise ConfigError(f"{field}: must be a JSON list of numbers, got {value!r}")
+    return tuple(map(float, value)) or None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -269,8 +292,14 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
 
     nb = run_emulation(stream, routes, profile=plan.profile)
     del stream   # freed before the engines run
-    ct = run_ct(nb.schedule(), routes, types, plan.eps)
-    dt = run_dt(ct, routes, types, arrive_times=nb.t_arrive)
+    # from here the reference run's flow table is the only full per-flow
+    # record: of the virtual net's result only the arrivals are kept
+    injections, t_arrive, n_flows = nb.schedule(), nb.t_arrive, len(nb)
+    del nb
+    ct = run_ct(injections, routes, types, plan.eps)
+    del injections
+    dt = run_dt(ct, routes, types, arrive_times=t_arrive)
+    del t_arrive
     stats = summarize(dt.ledger, config.burn_in * config.horizon, plan.profile, plan.eps,
                       extra_wait=plan.extra_wait)
 
@@ -285,7 +314,7 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
     return PointResult(
         mult=mult,
         stats=stats,
-        n_flows=len(nb),
+        n_flows=n_flows,
         flow_hops_checked=dt.flow_hops_checked,
         flow_hops_expected=int(np.array([r.hop_count for r in routes])[dt.ledger.route].sum()),
     )

@@ -97,12 +97,13 @@ def summarize(
     """Per-type means over real flows arriving at or after `burn_in`, next
     to the `oracle_table` entries of their type."""
     kept = (ledger.uid >= 0) & (ledger.t_arrive >= burn_in)
+    route, size = ledger.route, ledger.size
     stats = []
     for (j, x), o in oracle_table(profile, eps, extra_wait).items():
-        rows = kept & (ledger.route == j) & (ledger.size == x)
-        n = int(np.count_nonzero(rows))
+        rows = ledger[kept & (route == j) & (size == x)]
+        n = len(rows)
         # exactly-rounded sums keep the result independent of row order
-        means = ([math.fsum(col[rows].tolist()) / n for col in (ledger.d_w, ledger.d_s, ledger.d)]
+        means = ([math.fsum(col.tolist()) / n for col in (rows.d_w, rows.d_s, rows.d)]
                  if n else [None, None, None])
         stats.append(TypeStats(j, x, n, *means, **asdict(o)))
     return stats

@@ -138,7 +138,7 @@ class NbRunResult:
     def __len__(self) -> int:
         return len(self.uid)
 
-    # the benchmark's stage tracer reads these two mappings (ROADMAP items 3 and 4)
+    # the benchmark's stage tracer reads these two mappings (ROADMAP items 1 and 2)
     @property
     def injections(self) -> dict[int, float]:
         """uid -> eligibility instant, built when read."""

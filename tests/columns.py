@@ -3,7 +3,8 @@
 `as_flows` builds a `FLOW` array from (t, ti, uid) rows; `per_flow` reads
 any per-flow-hop column of a reference run, one list per flow;
 `assert_same_run` compares two slot-engine results column by column,
-including every flow-hop of their ledgers' hop trails.
+including every flow-hop of their ledgers' hop trails; `write_ledger_rows`
+writes a ledger file the plain way, row by row from whole columns.
 """
 
 from __future__ import annotations
@@ -38,3 +39,13 @@ def assert_same_run(got, want) -> None:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     for name, x, y in zip(hop_columns(a)._fields, hop_columns(a), hop_columns(b)):
         assert np.array_equal(x, y), name
+
+
+def write_ledger_rows(ledger, path) -> None:
+    """The ledger file `write_ledger_csv` writes, built row by row from the
+    ledger's whole columns."""
+    columns = [getattr(ledger, name).tolist() for name in COLUMNS]
+    with open(path, "w") as fh:
+        fh.write("# dcflow ledger v1\nuid,route,size,t_arrive,t_inject,D_W,D_S,D\n")
+        for uid, route, *delays in zip(*columns):
+            fh.write(",".join([str(uid), str(route)] + [repr(x) for x in delays]) + "\n")

@@ -136,7 +136,7 @@ def run_dt_per_slot(ct, routes, types, eps, arrive_times=None, node_order=None):
 
     if n_done != len(flows):
         raise InternalConsistencyError("some flows never drained from the slot engine")
-    ledger = _ledger(ct, types, delta_slots, arrive_times)
+    ledger = _ledger(ct, delta_slots, arrive_times)
     hops = hop_columns(ledger)
     engine = zip(hops.uid.tolist(), hops.tau.tolist(), hops.delta.tolist(), hops.a.tolist(),
                  hops.s_slot.tolist(), hops.delta_slot.tolist())

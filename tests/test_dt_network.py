@@ -10,6 +10,7 @@ from dcflow.ct_network import choose_epsilon, lcfs_pr, run_ct
 from dcflow.dt_network import COLUMNS, _ledger, hop_columns, run_dt, write_ledger_csv
 from dcflow.errors import DcflowError, EmulationInfeasibilityError
 from dcflow.flow_gen import FlowType, gen_poisson
+from dcflow.harness import ExperimentConfig, run_point
 from dcflow.metrics import oracle_table
 from dcflow.topology import TreeSpec, compute_loads, make_route
 from dcflow.virtual_bandwidth_net import run_emulation
@@ -331,9 +332,10 @@ def test_engines_hold_little_memory_per_flow_hop():
     # the tree5hop-0.9 benchmark point, shortened: two 5-queue routes
     # sharing three queues at load 0.9.  Flat per-hop arrays keep the
     # engines near 100 B per flow-hop; per-flow objects with per-hop
-    # lists and tuples take over 400 B here.  The ledger holds one array
-    # per column, 72 B per flow with its flow numbers; one row object per
-    # flow took about 187 B.
+    # lists and tuples take over 400 B here.  The ledger holds its flow
+    # numbers and arrivals, 16 B per flow, and derives its other columns
+    # from the reference run; one array per column took 72 B, and one row
+    # object per flow about 187 B.
     # The virtual net's result holds one array per column, about 40 B per
     # flow; with five uid-keyed dicts and per-type departure lists it
     # held about 209 B.
@@ -350,19 +352,19 @@ def test_engines_hold_little_memory_per_flow_hop():
 
     (ct, dt), _, peak = _traced(engines)
     # the ledger build alone, from the engine's departure slots
-    ledger, held, _ = _traced(lambda: _ledger(ct, types, dt.ledger.delta_slots, nb.t_arrive))
+    ledger, held, _ = _traced(lambda: _ledger(ct, dt.ledger.delta_slots, nb.t_arrive))
     for name in ("flow",) + COLUMNS:
         assert np.array_equal(getattr(ledger, name), getattr(dt.ledger, name)), name
     assert dt.flow_hops_checked == 5 * len(injections) > 5_000
     assert kept / len(nb) <= 80
     assert peak / dt.flow_hops_checked <= 200
-    assert held / len(injections) <= 100
+    assert held / len(injections) <= 32
 
 
 def test_memory_budget_per_flow_and_flow_hop():
     # peak memory sets how long a run can be.  On the tree5hop-0.9 plan at
     # horizon 1e4, seed 1 (9,048 flows, 45,240 flow-hops), tracemalloc
-    # reads 94 B per flow at the virtual net's peak and 51 B per flow-hop
+    # reads 94 B per flow at the virtual net's peak and 45 B per flow-hop
     # at the reference run's.  The bounds fail a virtual net that holds
     # the stream as whole Python lists (169 B per flow) and a reference
     # run that stores every arrival key beside every departure key, with
@@ -377,6 +379,26 @@ def test_memory_budget_per_flow_and_flow_hop():
     assert (len(nb), ct.offsets[-1]) == (9_048, 45_240)
     assert vnet_peak / len(nb) <= 125
     assert ct_peak / ct.offsets[-1] <= 60
+
+
+def test_run_point_holds_each_flow_once_after_the_virtual_net():
+    # the tree5hop-0.9 benchmark point at horizon 2e3, seed 1 (1,818
+    # flows, 9,090 flow-hops), run whole under tracemalloc, writing no
+    # files.  From the virtual net on, only the reference run holds every
+    # flow, and each queue's scratch goes before the next is gathered:
+    # 56.7 B per flow-hop at the peak.  Keeping the virtual net's result
+    # alive through the engines reads 63.3 B, and keeping the scratch of
+    # each queue until the next one's is built as well, 69.0 B.
+    routes, types, _, _ = tree5hop()
+    config = ExperimentConfig(
+        name="tree5hop-0.9", topology_nodes=TREE.nodes, topology_root=TREE.root,
+        topology_parent=TREE.parent, routes=tuple((r.src, r.dst) for r in routes),
+        types=tuple((t.route, t.size, t.rate) for t in types), horizon=2_000.0, seed=1)
+    # a first run fills the normalizer memo, which outlives any one run
+    run_point(config, 1.0)
+    point, _, peak = _traced(lambda: run_point(config, 1.0))
+    assert (point.n_flows, point.flow_hops_checked) == (1_818, 9_090)
+    assert peak / point.flow_hops_checked <= 60
 
 
 def _outcome(engine):

@@ -10,18 +10,23 @@ import pytest
 
 from dcflow import harness, selftest, sfa_core
 from dcflow.cli import main as cli_main
-from dcflow.dt_network import hop_columns
+from dcflow.ct_network import run_ct
+from dcflow.dt_network import hop_columns, run_dt, write_ledger_csv
 from dcflow.errors import ConfigError, InternalConsistencyError
+from dcflow.flow_gen import gen_poisson
 from dcflow.harness import (
     ExperimentConfig,
     load_config,
     parse_config,
+    plan_point,
     run_experiment,
     run_point,
     serialize_config,
     validate_config,
 )
+from dcflow.virtual_bandwidth_net import run_emulation
 
+from columns import write_ledger_rows
 from lcfs_oracle import lattice_instants, run_ct_stack
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -73,6 +78,34 @@ def test_config_rejects_loosely_typed_switch_and_seed(field, value):
         parse_config(json.dumps(raw))
 
 
+@pytest.mark.parametrize("path, value", [
+    # the first four once ran: "59" as multipliers 5.0 and 9.0, "99" as
+    # rates (9.0, 9.0), 0.7 as route 0 and true as horizon 1.0
+    (("sweep",), "59"),
+    (("regularizer",), "99"),
+    (("types", 1, "route"), 0.7),
+    (("horizon",), True),
+    (("c0",), True),
+    (("burn_in",), "0.5"),
+    (("bound_slack",), False),
+    (("epsilon_override",), "0.4"),
+    (("types", 2, "size"), "1.0"),
+    (("types", 0, "rate"), None),
+    (("sweep",), [0.5, True]),
+], ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else repr(x))
+def test_config_requires_json_numbers_and_lists(path, value):
+    with open(os.path.join(HERE, "configs", "sweep.json")) as fh:
+        raw = json.load(fh)
+    *outer, key = path
+    node = raw
+    for step in outer:
+        node = node[step]
+    node[key] = value
+    field = "{}[{}].{}".format(*path) if outer else key
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)}: must be a JSON "):
+        parse_config(json.dumps(raw))
+
+
 def test_shipped_and_benchmark_configs_load():
     for folder in (("configs",), ("perfbench", "workloads")):
         names = sorted(os.listdir(os.path.join(HERE, *folder)))
@@ -80,6 +113,25 @@ def test_shipped_and_benchmark_configs_load():
         for name in names:
             config = load_config(os.path.join(HERE, *folder, name))
             assert type(config.seed) is int and type(config.emit_hop_tables) is bool, name
+
+
+def test_ledger_file_is_the_same_across_its_chunks(tmp_path):
+    # the writer derives the ledger's columns 4,096 rows at a time; the
+    # first point of configs/sweep.json has 7,512 rows, so its file
+    # crosses a chunk boundary, which the pinned ledgers never reach
+    config = load_config(os.path.join(HERE, "configs", "sweep.json"))
+    plan = plan_point(config, config.sweep[0])
+    nb = run_emulation(gen_poisson(plan.types, config.horizon, config.seed), plan.routes,
+                       profile=plan.profile)
+    ct = run_ct(nb.schedule(), plan.routes, plan.types, plan.eps)
+    ledger = run_dt(ct, plan.routes, plan.types, arrive_times=nb.t_arrive).ledger
+    assert len(ledger) == 7_512
+    write_ledger_rows(ledger, tmp_path / "rows.csv")
+    write_ledger_csv(ledger, str(tmp_path / "ledger.csv"))
+    assert (tmp_path / "ledger.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    # and the file a sweep point writes
+    run_point(config, config.sweep[0], str(tmp_path / "point"))
+    assert (tmp_path / "point" / "ledger.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_validate_echoes_epsilon():

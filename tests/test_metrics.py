@@ -55,9 +55,10 @@ def test_summarize_permutation_invariant(two_hop_route):
     stats_a = summarize(ledger, 100.0, profile, eps)
     perm = np.random.default_rng(7).permutation(len(ledger))
     assert not np.array_equal(perm, np.arange(len(ledger)))
+    shuffled = ledger[perm]
     for name in COLUMNS:
-        setattr(ledger, name, getattr(ledger, name)[perm])
-    stats_b = summarize(ledger, 100.0, profile, eps)
+        assert np.array_equal(getattr(shuffled, name), getattr(ledger, name)[perm]), name
+    stats_b = summarize(shuffled, 100.0, profile, eps)
     assert stats_a == stats_b
 
 
