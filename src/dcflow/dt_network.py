@@ -40,6 +40,12 @@ comes, activating it there is what the coupled network does, and the
 per-queue runs are that network's run.  A violation raises
 EmulationInfeasibilityError naming the flow and queue; of several, the
 one met first in uid order, and within a flow in route order.
+
+The CSV writers format each numeric column in one orjson call
+(`column_tokens`), whose shortest round-trip floats have `repr`'s digits;
+the values orjson writes in another exponent form (non-finite ones,
+|x| >= 1e16 and 0 < |x| < 1e-4) go through `repr`, so every file is the
+one a `repr` per cell writes.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 from .ct_network import CtResult
 from .errors import EmulationInfeasibilityError
@@ -207,29 +214,63 @@ def run_dt(
 LEDGER_VERSION = "# dcflow ledger v1"
 LEDGER_COLUMNS = "uid,route,size,t_arrive,t_inject,D_W,D_S,D"
 
+# Rows formatted at once: a chunk's text tokens take about 80 bytes a cell.
+CSV_CHUNK = 1024
+
+
+def column_tokens(column: np.ndarray) -> list[str]:
+    """The text of each value of a contiguous float64 or int64 column:
+    `repr(float(x))` for a float, `str(int(x))` for an integer.
+
+    orjson writes the whole column at once, floats with a shortest
+    round-trip algorithm (Ryu), so its digits are `repr`'s.  Only its
+    exponent form differs: it writes `1e16` and `0.000025` where `repr`
+    writes `1e+16` and `2.5e-05`, and `null` for nan and inf.  So values
+    with `|x| >= 1e16` or `0 < |x| < 1e-4`, and non-finite ones, take
+    their `repr` instead."""
+    if not len(column):
+        return []
+    tokens = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    if column.dtype == np.float64:
+        size = np.abs(column)
+        plain = ((size >= 1e-4) & (size < 1e16)) | (size == 0)
+        for i in np.flatnonzero(~plain).tolist():
+            tokens[i] = repr(float(column[i]))
+    return tokens
+
+
+def _csv_rows(columns: list[np.ndarray]) -> str:
+    """CSV lines of equal-length non-empty columns: numeric ones as
+    `column_tokens` writes them, string ones as they are."""
+    tokens = [c.tolist() if c.dtype == object else column_tokens(c) for c in columns]
+    return "\n".join(map(",".join, zip(*tokens))) + "\n"
+
+
+def _chunks(n: int):
+    """Slices of `CSV_CHUNK` rows that cover `n` rows."""
+    return (slice(lo, lo + CSV_CHUNK) for lo in range(0, n, CSV_CHUNK))
+
 
 def write_ledger_csv(ledger: DelayLedger, path: str) -> None:
-    """The ledger as CSV, its columns derived 4,096 rows at a time."""
+    """The ledger as CSV, its columns derived and formatted `CSV_CHUNK`
+    rows at a time."""
     with open(path, "w") as fh:
         fh.write(LEDGER_VERSION + "\n")
         fh.write(LEDGER_COLUMNS + "\n")
-        for lo in range(0, len(ledger), 4096):
-            part = ledger[lo:lo + 4096]
-            for uid, route, size, t_arrive, t_inject, d_w, d_s, d in zip(
-                    *(getattr(part, c).tolist() for c in COLUMNS)):
-                fh.write(f"{uid},{route},{size!r},{t_arrive!r},{t_inject!r},{d_w!r},{d_s!r},"
-                         f"{d!r}\n")
+        for span in _chunks(len(ledger)):
+            part = ledger[span]
+            fh.write(_csv_rows([getattr(part, c) for c in COLUMNS]))
 
 
 def write_injection_trace(ledger: DelayLedger, path: str) -> None:
     """CSV trace `uid,t_arrive,t_inject`, one row per flow, in uid order."""
     order = np.argsort(ledger.uid)
+    cols = (ledger.uid[order], ledger.t_arrive[order], ledger.t_inject[order])
     with open(path, "w") as fh:
         fh.write("# dcflow injection-trace v1\n")
         fh.write("uid,t_arrive,t_inject\n")
-        for uid, t_arrive, t_inject in rows((ledger.uid[order], ledger.t_arrive[order],
-                                             ledger.t_inject[order])):
-            fh.write(f"{uid},{t_arrive!r},{t_inject!r}\n")
+        for span in _chunks(len(order)):
+            fh.write(_csv_rows([c[span] for c in cols]))
 
 
 def _hop_nodes(ledger: DelayLedger, routes: list[Route]) -> np.ndarray:
@@ -249,8 +290,8 @@ def write_ct_table(ledger: DelayLedger, routes: list[Route], path: str) -> None:
     with open(path, "w") as fh:
         fh.write("# dcflow ct-table v1\n")
         fh.write("uid,node,tau,delta\n")
-        for uid, node, tau, delta in rows(cols):
-            fh.write(f"{uid},{node},{tau!r},{delta!r}\n")
+        for span in _chunks(len(order)):
+            fh.write(_csv_rows([c[span] for c in cols]))
 
 
 def write_hop_table_jsonl(ledger: DelayLedger, routes: list[Route], path: str) -> None:

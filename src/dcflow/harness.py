@@ -78,11 +78,14 @@ class ExperimentConfig:
             if type(emit) is not bool:
                 raise ConfigError(f"emit_hop_tables: must be a JSON boolean, got {emit!r}")
             return cls(
-                name=str(raw.get("name", "experiment")),
-                topology_nodes=tuple(topo["nodes"]),
-                topology_root=str(topo["root"]),
-                topology_parent={str(k): str(v) for k, v in topo.get("parent", {}).items()},
-                routes=tuple((str(r["src"]), str(r["dst"])) for r in raw["routes"]),
+                name=_string(raw.get("name", "experiment"), "name"),
+                topology_nodes=_strings(topo["nodes"], "topology.nodes"),
+                topology_root=_string(topo["root"], "topology.root"),
+                topology_parent=_string_map(topo.get("parent", {}), "topology.parent"),
+                routes=tuple(
+                    (_string(r["src"], f"routes[{i}].src"), _string(r["dst"], f"routes[{i}].dst"))
+                    for i, r in enumerate(raw["routes"])
+                ),
                 types=tuple(
                     (_integer(t["route"], f"types[{i}].route"),
                      _number(t["size"], f"types[{i}].size"),
@@ -106,8 +109,27 @@ class ExperimentConfig:
             raise ConfigError(f"malformed config: {exc}") from exc
 
 
-# A field holds the JSON type it names: a JSON boolean is no number, and a
-# string of digits is no list.
+# A field holds the JSON type it names: a JSON boolean is no number, a
+# string of digits is no list, and a list is no node name.
+def _string(value, field: str) -> str:
+    if type(value) is not str:
+        raise ConfigError(f"{field}: must be a JSON string, got {value!r}")
+    return value
+
+
+def _strings(value, field: str) -> tuple[str, ...]:
+    if type(value) is not list or any(type(v) is not str for v in value):
+        raise ConfigError(f"{field}: must be a JSON list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _string_map(value, field: str) -> dict[str, str]:
+    if type(value) is not dict or any(type(k) is not str or type(v) is not str
+                                      for k, v in value.items()):
+        raise ConfigError(f"{field}: must be a JSON object of strings, got {value!r}")
+    return dict(value)
+
+
 def _integer(value, field: str) -> int:
     if type(value) is not int:
         raise ConfigError(f"{field}: must be a JSON integer, got {value!r}")

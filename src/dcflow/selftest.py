@@ -1,10 +1,10 @@
 """Brute-force oracle suite, runnable from the CLI and from tests.
 
-Three families of checks, each against an implementation-independent
-reference: the normalizer by Mean Value Analysis versus direct
-enumeration of the splitting set, processor-sharing recovery in exact
-arithmetic, and the slot-granularity rule's load-inflation guarantee on
-random admissible networks.
+Three families of checks: the normalizer by Mean Value Analysis versus
+direct enumeration of the splitting set, processor-sharing recovery in
+exact arithmetic, both against an implementation-independent reference,
+and the slot-granularity rule on random admissible networks, where
+`choose_epsilon` asserts its own load-inflation guarantee.
 """
 
 from __future__ import annotations
@@ -138,28 +138,16 @@ def random_admissible_network(rng: np.random.Generator):
 
 
 def check_epsilon_rule(n_configs: int = 100, seed: int = 77) -> CheckResult:
-    """Slot rule keeps every rounded load strictly feasible and within the
-    (C0-1)/C0 inflation floor on random admissible networks.  A raise from
-    `choose_epsilon`'s own guard and a returned load that breaks either
-    inequality both report FAIL."""
+    """`choose_epsilon` accepts `n_configs` random admissible networks.
+    It raises unless every rounded load stays strictly feasible and within
+    the (C0-1)/C0 inflation floor, so a raise reports FAIL."""
     rng = np.random.Generator(np.random.PCG64(seed))
     for i in range(n_configs):
         profile, c0 = random_admissible_network(rng)
         try:
-            eps = choose_epsilon(profile, c0)
+            choose_epsilon(profile, c0)
         except DcflowError as exc:
             return CheckResult("epsilon_rule", False, f"config {i}: {exc}")
-        for q, fe in eps.f_eps.items():
-            if not fe < 1.0:
-                return CheckResult(
-                    "epsilon_rule", False, f"config {i}: rounded load {fe} at {q} reaches 1"
-                )
-            floor = (c0 - 1.0) / c0 * (1.0 - profile.f[q])
-            if not (1.0 - fe) >= floor - 1e-12:
-                return CheckResult(
-                    "epsilon_rule", False,
-                    f"config {i}: inflation floor broken at {q}: 1-f_eps={1.0 - fe} < {floor}",
-                )
     return CheckResult("epsilon_rule", True, f"{n_configs} random admissible configs")
 
 

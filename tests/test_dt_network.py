@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from dcflow.ct_network import choose_epsilon, lcfs_pr, run_ct
-from dcflow.dt_network import COLUMNS, _ledger, hop_columns, run_dt, write_ledger_csv
+from dcflow.dt_network import (COLUMNS, _ledger, column_tokens, hop_columns, run_dt,
+                                write_ledger_csv)
 from dcflow.errors import DcflowError, EmulationInfeasibilityError
 from dcflow.flow_gen import FlowType, gen_poisson
 from dcflow.harness import ExperimentConfig, run_point
@@ -218,6 +219,32 @@ def test_ledger_csv_format(two_hop_route, tmp_path):
     assert int(first[0]) == dt.ledger.uid[0]
 
 
+# Where orjson's float text could part from repr's: zero, the least
+# subnormal, both ends of the span written without repr, the largest double.
+EDGE_FLOATS = [0.0, 5e-324, 1e-4, float(np.nextafter(1e-4, 0.0)), 1e16,
+               float(np.nextafter(1e16, 0.0)), 1.7976931348623157e308]
+INT64 = np.iinfo(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                max_size=40))
+@example(EDGE_FLOATS + [-x for x in EDGE_FLOATS] + [float("nan"), float("inf"), -float("inf")])
+def test_column_tokens_are_repr_of_each_float(values):
+    # a future orjson that writes other digits or another exponent form
+    # would change every file the writers make
+    column = np.array(values, dtype=np.float64)
+    assert column_tokens(column) == [repr(float(x)) for x in column]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(int(INT64.min), int(INT64.max)), max_size=40))
+@example([int(INT64.min), int(INT64.max), 0, -1])
+def test_column_tokens_are_str_of_each_integer(values):
+    column = np.array(values, dtype=np.int64)
+    assert column_tokens(column) == [str(int(x)) for x in column]
+
+
 def _late_run(routes, types, injections, late):
     """A reference run whose departures at `late`, uid -> hops, are each
     pulled one slot earlier, at slot length 0.5."""
@@ -399,6 +426,21 @@ def test_run_point_holds_each_flow_once_after_the_virtual_net():
     point, _, peak = _traced(lambda: run_point(config, 1.0))
     assert (point.n_flows, point.flow_hops_checked) == (1_818, 9_090)
     assert peak / point.flow_hops_checked <= 60
+
+
+def test_ledger_writer_memory_does_not_grow_with_the_ledger(tmp_path):
+    # the writer formats 1,024 rows at a time.  On the tree5hop-0.9 plan,
+    # seed 1, tracemalloc reads a peak of 0.86 MB at horizon 1e4 (9,048
+    # rows) and at 5e4 (44,834 rows); 2,048-row chunks read 1.7 MB and
+    # 4,096-row ones 3.4 MB
+    routes, types, profile, eps = tree5hop()
+    for horizon, n_rows in ((10_000.0, 9_048), (50_000.0, 44_834)):
+        nb = run_emulation(gen_poisson(types, horizon, seed=1), routes, profile=profile)
+        ct = run_ct(nb.schedule(), routes, types, eps)
+        ledger = run_dt(ct, routes, types, arrive_times=nb.t_arrive).ledger
+        assert len(ledger) == n_rows
+        _, _, peak = _traced(lambda: write_ledger_csv(ledger, str(tmp_path / "ledger.csv")))
+        assert peak <= 1_200_000, horizon
 
 
 def _outcome(engine):
