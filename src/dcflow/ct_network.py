@@ -71,7 +71,7 @@ def choose_epsilon(profile: LoadProfile, c0: float, override: float | None = Non
     Rule: eps = min( min_v (1 - f_v) / (c0 * nu_v), min_j (1 - rho_j) ),
     where nu_v counts flows per unit time entering queue v.  The chosen
     value keeps every rounded load f_eps_v at least (c0-1)/c0 of the way
-    to its unrounded gap, which is asserted.
+    to its unrounded gap, which is asserted; `rule_violations` checks an override.
     """
     if c0 <= 1:
         raise ConfigError("C0 must exceed 1")
@@ -107,14 +107,21 @@ def choose_epsilon(profile: LoadProfile, c0: float, override: float | None = Non
     for q, fe in f_eps.items():
         if fe >= 1.0:
             raise StabilityViolationError(f"rounded load at {q} reaches capacity: {fe}")
-        if override is None:
-            floor = (c0 - 1.0) / c0 * (1.0 - profile.f[q])
-            if 1.0 - fe < floor - 1e-12:
-                raise InternalConsistencyError(
-                    f"slot rule failed its load-inflation guarantee at {q}"
-                )
+    config = EpsilonConfig(epsilon=eps, c0=float(c0), x_eps=x_eps, n_slots=n_slots, f_eps=f_eps)
+    if override is None and (broken := rule_violations(profile, config)):
+        raise InternalConsistencyError(f"slot rule failed its guarantee: {'; '.join(broken)}")
+    return config
 
-    return EpsilonConfig(epsilon=eps, c0=float(c0), x_eps=x_eps, n_slots=n_slots, f_eps=f_eps)
+
+def rule_violations(profile: LoadProfile, eps: EpsilonConfig) -> list[str]:
+    """Where a slot length leaves the slot rule's guarantees, on which the
+    scheduling bound rests: every queue's rounded gap 1 - f_eps_v at least
+    (c0-1)/c0 of its gap 1 - f_v, and eps <= 1 - rho_j on every route j."""
+    floor = {q: (eps.c0 - 1.0) / eps.c0 * (1.0 - fv) for q, fv in profile.f.items()}
+    return ([f"rounded gap {1.0 - fe!r} at {q} is below the floor {floor[q]!r}"
+             for q, fe in eps.f_eps.items() if 1.0 - fe < floor[q] - 1e-12]
+            + [f"slot length {eps.epsilon!r} exceeds 1 - rho = {1.0 - rho!r} on route {j}"
+               for j, rho in sorted(profile.rho.items()) if eps.epsilon > 1.0 - rho])
 
 
 @dataclass(eq=False)

@@ -59,7 +59,7 @@ import orjson
 
 from .ct_network import CtResult
 from .errors import EmulationInfeasibilityError
-from .flow_gen import FlowType, rows
+from .flow_gen import FlowType
 from .topology import Route, queue_paths
 
 
@@ -218,7 +218,7 @@ LEDGER_COLUMNS = "uid,route,size,t_arrive,t_inject,D_W,D_S,D"
 CSV_CHUNK = 1024
 
 
-def column_tokens(column: np.ndarray) -> list[str]:
+def column_tokens(column: np.ndarray, text=repr) -> list[str]:
     """The text of each value of a contiguous float64 or int64 column:
     `repr(float(x))` for a float, `str(int(x))` for an integer.
 
@@ -227,7 +227,8 @@ def column_tokens(column: np.ndarray) -> list[str]:
     exponent form differs: it writes `1e16` and `0.000025` where `repr`
     writes `1e+16` and `2.5e-05`, and `null` for nan and inf.  So values
     with `|x| >= 1e16` or `0 < |x| < 1e-4`, and non-finite ones, take
-    their `repr` instead."""
+    `text(float(x))` instead: `json.dumps` for JSON, which writes NaN and
+    Infinity where `repr` writes nan and inf."""
     if not len(column):
         return []
     tokens = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
@@ -235,7 +236,7 @@ def column_tokens(column: np.ndarray) -> list[str]:
         size = np.abs(column)
         plain = ((size >= 1e-4) & (size < 1e16)) | (size == 0)
         for i in np.flatnonzero(~plain).tolist():
-            tokens[i] = repr(float(column[i]))
+            tokens[i] = text(float(column[i]))
     return tokens
 
 
@@ -273,9 +274,9 @@ def write_injection_trace(ledger: DelayLedger, path: str) -> None:
             fh.write(_csv_rows([c[span] for c in cols]))
 
 
-def _hop_nodes(ledger: DelayLedger, routes: list[Route]) -> np.ndarray:
-    """The name of every flow-hop's queue, in `hop_columns` order."""
-    names = {r.id: [str(q) for q in r.queue_path] for r in routes}
+def _hop_nodes(ledger: DelayLedger, routes: list[Route], name=str) -> np.ndarray:
+    """`name` of every flow-hop's queue, in `hop_columns` order."""
+    names = {r.id: [name(str(q)) for q in r.queue_path] for r in routes}
     return np.array([node for route in ledger.route.tolist() for node in names[route]],
                     dtype=object)
 
@@ -296,12 +297,15 @@ def write_ct_table(ledger: DelayLedger, routes: list[Route], path: str) -> None:
 
 def write_hop_table_jsonl(ledger: DelayLedger, routes: list[Route], path: str) -> None:
     """Per-flow per-queue timestamps, one JSON object per line, in
-    `hop_columns` order."""
+    `hop_columns` order: the text `json.dumps` writes for each, formatted
+    `CSV_CHUNK` rows at a time."""
     hops = hop_columns(ledger)
-    cols = (hops.uid, _hop_nodes(ledger, routes), hops.tau, hops.delta, hops.a,
-            hops.s_slot * ledger.ct.epsilon, hops.delta_slot)
+    nodes = _hop_nodes(ledger, routes, json.dumps)
+    cols = hops.uid, hops.tau, hops.delta, hops.a, hops.s_slot * ledger.ct.epsilon, hops.delta_slot
     with open(path, "w") as fh:
         fh.write(json.dumps({"format": "dcflow-hops", "version": 1}) + "\n")
-        for uid, node, tau, delta, a, s, d_slot in rows(cols):
-            fh.write(json.dumps({"uid": uid, "node": node, "tau": tau, "delta": delta,
-                                 "A": a, "S": s, "delta_slot": d_slot}) + "\n")
+        for span in _chunks(len(nodes)):
+            uid, *times, d_slot = (column_tokens(c[span], json.dumps) for c in cols)
+            fh.write("".join(f'{{"uid": {u}, "node": {n}, "tau": {t}, "delta": {d}, "A": {a}, '
+                             f'"S": {s}, "delta_slot": {k}}}\n'
+                             for u, n, t, d, a, s, k in zip(uid, nodes[span], *times, d_slot)))

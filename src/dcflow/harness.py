@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
-from .ct_network import EpsilonConfig, choose_epsilon, run_ct
+from .ct_network import EpsilonConfig, choose_epsilon, rule_violations, run_ct
 from .dt_network import (run_dt, write_ct_table, write_hop_table_jsonl, write_injection_trace,
                          write_ledger_csv)
 from .errors import ConfigError, MalformedTreeError, StabilityViolationError
@@ -31,12 +32,14 @@ from .topology import LoadProfile, Route, TreeSpec, compute_loads, make_route, r
 from .virtual_bandwidth_net import run_emulation
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
-    name: str
+    """An experiment as its JSON config gives it; `FIELDS` has each field's kind and range."""
+
+    name: str = "experiment"
     topology_nodes: tuple[str, ...]
     topology_root: str
-    topology_parent: dict[str, str]
+    topology_parent: dict[str, str] = field(default_factory=dict)
     routes: tuple[tuple[str, str], ...]            # (src, dst) per route id
     types: tuple[tuple[int, float, float], ...]    # (route id, size, rate)
     horizon: float
@@ -50,105 +53,103 @@ class ExperimentConfig:
     emit_hop_tables: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "burn_in": self.burn_in,
-            "c0": self.c0,
-            "epsilon_override": self.epsilon_override,
-            "bound_slack": self.bound_slack,
-            "emit_hop_tables": self.emit_hop_tables,
-            "topology": {
-                "nodes": list(self.topology_nodes),
-                "root": self.topology_root,
-                "parent": dict(self.topology_parent),
-            },
-            "routes": [{"src": s, "dst": d} for s, d in self.routes],
-            "types": [{"route": j, "size": x, "rate": r} for j, x, r in self.types],
-            "sweep": list(self.sweep),
-            "regularizer": list(self.regularizer) if self.regularizer else None,
-        }
+        """The config as JSON values, a tuple standing for a list."""
+        out = {}
+        for f in FIELDS:
+            if f.kind == "object":
+                out[f.key] = {k: getattr(self, f"{f.key}_{k}") for k in f.members}
+            else:
+                value = getattr(self, f.key)
+                out[f.key] = [dict(zip(f.members, v)) for v in value] if f.members else value
+        return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        try:
-            topo = raw["topology"]
-            emit = raw.get("emit_hop_tables", False)
-            if type(emit) is not bool:
-                raise ConfigError(f"emit_hop_tables: must be a JSON boolean, got {emit!r}")
-            return cls(
-                name=_string(raw.get("name", "experiment"), "name"),
-                topology_nodes=_strings(topo["nodes"], "topology.nodes"),
-                topology_root=_string(topo["root"], "topology.root"),
-                topology_parent=_string_map(topo.get("parent", {}), "topology.parent"),
-                routes=tuple(
-                    (_string(r["src"], f"routes[{i}].src"), _string(r["dst"], f"routes[{i}].dst"))
-                    for i, r in enumerate(raw["routes"])
-                ),
-                types=tuple(
-                    (_integer(t["route"], f"types[{i}].route"),
-                     _number(t["size"], f"types[{i}].size"),
-                     _number(t["rate"], f"types[{i}].rate"))
-                    for i, t in enumerate(raw["types"])
-                ),
-                horizon=_number(raw["horizon"], "horizon"),
-                seed=_integer(raw.get("seed", 0), "seed"),
-                c0=_number(raw.get("c0", 2.0), "c0"),
-                burn_in=_number(raw.get("burn_in", 0.2), "burn_in"),
-                epsilon_override=(
-                    None if raw.get("epsilon_override") is None
-                    else _number(raw["epsilon_override"], "epsilon_override")
-                ),
-                sweep=_numbers(raw.get("sweep"), "sweep") or (1.0,),
-                regularizer=_numbers(raw.get("regularizer"), "regularizer"),
-                bound_slack=_number(raw.get("bound_slack", 0.05), "bound_slack"),
-                emit_hop_tables=emit,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
+        """Raises one ConfigError that lists, by path, every field that is
+        missing or not of its JSON kind.  Unknown keys are ignored."""
+        if type(raw) is not dict:
+            raise ConfigError(f"config: must be a JSON object, got {raw!r}")
+        errors, values = [], {}
+        for f in FIELDS:
+            value = _read(raw, f.key, f.kind, f.key, errors, f.nullable,
+                          f.kind == "object" or f.key in _REQUIRED)
+            if value is _UNSET or not f.members:
+                values[f.key] = value
+            elif f.kind == "object":
+                for k, kind in f.members.items():
+                    values[f"{f.key}_{k}"] = _read(value, k, kind, f"{f.key}.{k}", errors,
+                                                   required=f"{f.key}_{k}" in _REQUIRED)
+            elif f.kind == "list of objects":
+                values[f.key] = tuple(tuple(_read(item, k, kind, f"{f.key}[{i}].{k}", errors)
+                                            for k, kind in f.members.items())
+                                      for i, item in enumerate(value))
+        if errors:
+            raise ConfigError("; ".join(errors))
+        return cls(**{k: v for k, v in values.items() if v is not _UNSET})
 
 
-# A field holds the JSON type it names: a JSON boolean is no number, a
-# string of digits is no list, and a list is no node name.
-def _string(value, field: str) -> str:
-    if type(value) is not str:
-        raise ConfigError(f"{field}: must be a JSON string, got {value!r}")
-    return value
+# A top-level config key: its JSON kind (in `KINDS`), whether a null takes the
+# default, and the range rule `ok` that `validate_config` holds a value to, with
+# its message; `members` gives the kinds in an object or in each listed object.
+ConfigField = namedtuple("ConfigField", "key kind nullable ok rule members",
+                         defaults=(False, None, "", None))
+
+# The Python types a JSON value of each kind may have, those of its items,
+# and how a config holds it: a boolean is no number, a string of digits is
+# no list, and a list is no node name.
+_NUMBER = {int, float}
+KINDS = {
+    "string": ({str}, None, str),
+    "integer": ({int}, None, int),
+    "number": (_NUMBER, None, float),
+    "boolean": ({bool}, None, bool),
+    "list of strings": ({list}, {str}, tuple),
+    "list of numbers": ({list}, _NUMBER, lambda v: tuple(map(float, v))),
+    "object of strings": ({dict}, {str}, dict),
+    "object": ({dict}, None, dict),
+    "list of objects": ({list}, {dict}, tuple),
+}
+
+FIELDS = (
+    ConfigField("name", "string"),
+    ConfigField("seed", "integer"),
+    ConfigField("horizon", "number", ok=lambda v: v > 0, rule="must be positive"),
+    ConfigField("burn_in", "number", ok=lambda v: 0.0 <= v < 1.0, rule="must lie in [0, 1)"),
+    ConfigField("c0", "number", ok=lambda v: v > 1.0, rule="C0 must exceed 1"),
+    ConfigField("bound_slack", "number", ok=lambda v: v >= 0, rule="must be nonnegative"),
+    ConfigField("epsilon_override", "number", True, lambda v: v > 0, "must be positive"),
+    ConfigField("emit_hop_tables", "boolean"),
+    ConfigField("sweep", "list of numbers", True, lambda v: v and all(m > 0 for m in v),
+                "multipliers must be positive"),
+    ConfigField("regularizer", "list of numbers", True),
+    ConfigField("topology", "object", members={"nodes": "list of strings", "root": "string",
+                                               "parent": "object of strings"}),
+    ConfigField("routes", "list of objects", members={"src": "string", "dst": "string"}),
+    ConfigField("types", "list of objects", ok=bool, rule="at least one flow type required",
+                members={"route": "integer", "size": "number", "rate": "number"}),
+)
+
+_REQUIRED = {f.name for f in fields(ExperimentConfig)
+             if f.default is MISSING and f.default_factory is MISSING}
+_UNSET = object()
 
 
-def _strings(value, field: str) -> tuple[str, ...]:
-    if type(value) is not list or any(type(v) is not str for v in value):
-        raise ConfigError(f"{field}: must be a JSON list of strings, got {value!r}")
-    return tuple(value)
-
-
-def _string_map(value, field: str) -> dict[str, str]:
-    if type(value) is not dict or any(type(k) is not str or type(v) is not str
-                                      for k, v in value.items()):
-        raise ConfigError(f"{field}: must be a JSON object of strings, got {value!r}")
-    return dict(value)
-
-
-def _integer(value, field: str) -> int:
-    if type(value) is not int:
-        raise ConfigError(f"{field}: must be a JSON integer, got {value!r}")
-    return value
-
-
-def _number(value, field: str) -> float:
-    if type(value) not in (int, float):
-        raise ConfigError(f"{field}: must be a JSON number, got {value!r}")
-    return float(value)
-
-
-def _numbers(value, field: str) -> tuple[float, ...] | None:
-    """A list of JSON numbers; None for null or an empty list."""
-    if value is None:
-        return None
-    if type(value) is not list or any(type(v) not in (int, float) for v in value):
-        raise ConfigError(f"{field}: must be a JSON list of numbers, got {value!r}")
-    return tuple(map(float, value)) or None
+def _read(obj: dict, key: str, kind: str, path: str, errors: list[str],
+          nullable: bool = False, required: bool = True):
+    """`obj[key]` as a config holds its kind, or _UNSET for the default, which a missing
+    key, a null where `nullable` and [] of numbers take.  `errors` gets, under `path`,
+    a value not of its kind, or a missing one where `required`."""
+    types, inner, hold = KINDS[kind]
+    value = obj.get(key)
+    if key not in obj or (nullable and value is None) or (kind == "list of numbers" and value == []):
+        if required:
+            errors.append(f"{path}: missing, must be a JSON {kind}")
+        return _UNSET
+    items = [*value, *value.values()] if type(value) is dict else value
+    if type(value) not in types or (inner and not {*map(type, items)} <= inner):
+        errors.append(f"{path}: must be a JSON {kind}, got {value!r}")
+        return _UNSET
+    return hold(value)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -199,7 +200,8 @@ def plan_point(config: ExperimentConfig, mult: float) -> PointPlan:
     wait of the sweep point at multiplier `mult`.
 
     Raises ConfigError naming the sweep point when the regularizer is too
-    weak, the load is inadmissible or no slot length keeps it feasible.
+    weak, the load is inadmissible, no slot length keeps it feasible, or
+    `epsilon_override` leaves the slot rule's guarantees.
     """
     routes = _build_routes(config)
     types = tuple(FlowType(j, x, r * mult) for j, x, r in config.types)
@@ -225,27 +227,16 @@ def plan_point(config: ExperimentConfig, mult: float) -> PointPlan:
         eps = choose_epsilon(profile, config.c0, config.epsilon_override)
     except StabilityViolationError as exc:
         raise ConfigError(f"epsilon at sweep {mult}: {exc}") from exc
+    if config.epsilon_override is not None and (broken := rule_violations(profile, eps)):
+        raise ConfigError(f"epsilon_override at sweep {mult}: {'; '.join(broken)}")
     return PointPlan(routes, types, reg, profile, eps, extra_wait)
 
 
 def validate_config(config: ExperimentConfig) -> dict:
     """Check every invariant; return the echo report or raise ConfigError
     listing each violation with the offending field."""
-    errors: list[str] = []
-    if config.horizon <= 0:
-        errors.append("horizon: must be positive")
-    if not 0.0 <= config.burn_in < 1.0:
-        errors.append("burn_in: must lie in [0, 1)")
-    if config.c0 <= 1.0:
-        errors.append("c0: C0 must exceed 1")
-    if config.bound_slack < 0:
-        errors.append("bound_slack: must be nonnegative")
-    if config.epsilon_override is not None and config.epsilon_override <= 0:
-        errors.append("epsilon_override: must be positive")
-    if not config.sweep or any(m <= 0 for m in config.sweep):
-        errors.append("sweep: multipliers must be positive")
-    if not config.types:
-        errors.append("types: at least one flow type required")
+    errors = [f"{f.key}: {f.rule}" for f in FIELDS
+              if f.ok and (value := getattr(config, f.key)) is not None and not f.ok(value)]
 
     routes = None
     try:
@@ -277,14 +268,11 @@ def validate_config(config: ExperimentConfig) -> dict:
             except ConfigError as exc:
                 errors.append(str(exc))  # report the first failing point only
                 break
-            profile, eps = plan.profile, plan.eps
             echo["points"][mult] = {
-                "epsilon": eps.epsilon,
-                "f": {str(q): fv for q, fv in sorted(profile.f.items(), key=lambda kv: str(kv[0]))},
-                "rho": dict(sorted(profile.rho.items())),
-                "f_eps": {
-                    str(q): fv for q, fv in sorted(eps.f_eps.items(), key=lambda kv: str(kv[0]))
-                },
+                "epsilon": plan.eps.epsilon,
+                "f": dict(sorted((str(q), fv) for q, fv in plan.profile.f.items())),
+                "rho": dict(sorted(plan.profile.rho.items())),
+                "f_eps": dict(sorted((str(q), fv) for q, fv in plan.eps.f_eps.items())),
             }
 
     if errors:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -235,6 +236,8 @@ def test_column_tokens_are_repr_of_each_float(values):
     # would change every file the writers make
     column = np.array(values, dtype=np.float64)
     assert column_tokens(column) == [repr(float(x)) for x in column]
+    # and json.dumps's text, NaN and Infinity included, for hops.jsonl
+    assert column_tokens(column, json.dumps) == [json.dumps(float(x)) for x in column]
 
 
 @settings(max_examples=300, deadline=None)

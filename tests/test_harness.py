@@ -102,6 +102,12 @@ def test_config_rejects_loosely_typed_switch_and_seed(field, value):
     (("topology", "parent"), {"a": "r", "b": ["r"]}),
     (("routes", 0, "src"), None),
     (("routes", 1, "dst"), ["b"]),
+    # {} once loaded as no routes, and the next three raised an error
+    # that named no field
+    (("routes",), {}),
+    (("types",), "ab"),
+    (("topology",), [1]),
+    (("routes",), [["a", "b"]]),
 ], ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else repr(x))
 def test_config_requires_json_numbers_and_lists(path, value):
     with open(os.path.join(HERE, "configs", "sweep.json")) as fh:
@@ -116,6 +122,35 @@ def test_config_requires_json_numbers_and_lists(path, value):
         parse_config(json.dumps(raw))
 
 
+@pytest.mark.parametrize("path, value, field", [
+    (("types", 1), 3, "types"),
+    (("horizon",), None, "horizon"),
+    (("topology", "root"), None, "topology.root"),
+], ids=["types-entry-not-an-object", "horizon-missing", "topology.root-missing"])
+def test_config_names_a_missing_field_or_a_bad_entry(path, value, field):
+    # a missing key once read "malformed config: 'horizon'", naming no field
+    with open(os.path.join(HERE, "configs", "sweep.json")) as fh:
+        raw = json.load(fh)
+    *outer, key = path
+    node = raw
+    for step in outer:
+        node = node[step]
+    if value is None:
+        del node[key]
+    else:
+        node[key] = value
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)}: "):
+        parse_config(json.dumps(raw))
+
+
+def test_config_error_names_every_bad_field():
+    raw = {**json.loads(serialize_config(SMOKE)), "seed": "17", "c0": True}
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(raw))
+    assert re.fullmatch(r"seed: must be a JSON integer, got '17'; "
+                        r"c0: must be a JSON number, got True", str(info.value))
+
+
 def test_shipped_and_benchmark_configs_load():
     for folder in (("configs",), ("perfbench", "workloads")):
         names = sorted(os.listdir(os.path.join(HERE, *folder)))
@@ -123,12 +158,27 @@ def test_shipped_and_benchmark_configs_load():
         for name in names:
             config = load_config(os.path.join(HERE, *folder, name))
             assert type(config.seed) is int and type(config.emit_hop_tables) is bool, name
+            assert parse_config(serialize_config(config)) == config, name
+
+
+def test_epsilon_override_must_keep_the_rules_guarantees():
+    # with this override every delay_bounds check of configs/sweep.json
+    # once failed: at x0.8, eps = 0.4 exceeds 1 - rho = 0.2 on both routes,
+    # and at x0.9 it also leaves the floor of the rounded gap
+    with open(os.path.join(HERE, "configs", "sweep.json")) as fh:
+        config = parse_config(json.dumps({**json.load(fh), "epsilon_override": 0.4}))
+    assert plan_point(config, 0.5).eps.epsilon == 0.4
+    with pytest.raises(ConfigError, match=r"^epsilon_override at sweep 0\.8: slot length 0\.4 "
+                                          r"exceeds 1 - rho = 0\.19+6 on route 0"):
+        validate_config(config)
+    with pytest.raises(ConfigError, match=r"^epsilon_override at sweep 0\.9: .* below the floor"):
+        plan_point(config, 0.9)
 
 
 def test_ledger_file_is_the_same_across_its_chunks(tmp_path):
-    # the writer derives the ledger's columns 4,096 rows at a time; the
+    # the writer derives the ledger's columns CSV_CHUNK rows at a time; the
     # first point of configs/sweep.json has 7,512 rows, so its file
-    # crosses a chunk boundary, which the pinned ledgers never reach
+    # crosses several chunk boundaries
     config = load_config(os.path.join(HERE, "configs", "sweep.json"))
     plan = plan_point(config, config.sweep[0])
     nb = run_emulation(gen_poisson(plan.types, config.horizon, config.seed), plan.routes,
