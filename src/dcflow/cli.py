@@ -17,7 +17,7 @@ import json
 import sys
 
 from .errors import ConfigError, DcflowError
-from .harness import ExperimentConfig, load_config, plan_point, run_experiment, validate_config
+from .harness import ExperimentConfig, load_config, run_experiment, validate_config
 from .metrics import format_report, oracle_table
 from .selftest import run_selftest
 
@@ -41,21 +41,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(config: ExperimentConfig) -> int:
-    echo = validate_config(config)
+    plans = validate_config(config)
     print(f"config ok: {config.name}")
-    for mult, info in echo["points"].items():
-        print(f"  sweep x{mult}: epsilon={info['epsilon']!r}")
-        for q, fv in info["f"].items():
-            print(f"    f[{q}]={fv:.6f}  f_eps[{q}]={info['f_eps'][q]:.6f}")
-        for j, rho in info["rho"].items():
+    for mult, plan in zip(config.sweep, plans):
+        print(f"  sweep x{mult}: epsilon={plan.eps.epsilon!r}")
+        for q in sorted(plan.profile.f, key=str):
+            print(f"    f[{q}]={plan.profile.f[q]:.6f}  f_eps[{q}]={plan.eps.f_eps[q]:.6f}")
+        for j, rho in sorted(plan.profile.rho.items()):
             print(f"    rho[route {j}]={rho:.6f}")
     return 0
 
 
 def _cmd_oracle(config: ExperimentConfig) -> int:
-    validate_config(config)
-    for mult in config.sweep:
-        plan = plan_point(config, mult)
+    for mult, plan in zip(config.sweep, validate_config(config)):
         profile = plan.profile
         print(f"sweep x{mult}: epsilon={plan.eps.epsilon!r}")
         for (j, x), o in oracle_table(profile, plan.eps, plan.extra_wait).items():
@@ -72,8 +70,7 @@ def _cmd_run(config: ExperimentConfig, out: str | None, jobs: int, require_sweep
     if require_sweep and len(config.sweep) < 2:
         raise ConfigError("sweep command needs a config with at least two sweep points")
     result = run_experiment(config, out_dir=out, jobs=jobs)
-    print(format_report([(p.mult, p.stats) for p in result.points],
-                        slack=config.bound_slack))
+    print(format_report([(p.mult, p.stats) for p in result.points]))
     print(json.dumps(result.verdict, indent=2, sort_keys=True))
     return 0 if result.passed else 1
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields
-
-import numpy as np
 
 from . import __version__
 from .ct_network import EpsilonConfig, choose_epsilon, rule_violations, run_ct
@@ -112,7 +111,7 @@ KINDS = {
 
 FIELDS = (
     ConfigField("name", "string"),
-    ConfigField("seed", "integer"),
+    ConfigField("seed", "integer", ok=lambda v: v >= 0, rule="must be nonnegative"),
     ConfigField("horizon", "number", ok=lambda v: v > 0, rule="must be positive"),
     ConfigField("burn_in", "number", ok=lambda v: 0.0 <= v < 1.0, rule="must lie in [0, 1)"),
     ConfigField("c0", "number", ok=lambda v: v > 1.0, rule="C0 must exceed 1"),
@@ -138,7 +137,8 @@ def _read(obj: dict, key: str, kind: str, path: str, errors: list[str],
           nullable: bool = False, required: bool = True):
     """`obj[key]` as a config holds its kind, or _UNSET for the default, which a missing
     key, a null where `nullable` and [] of numbers take.  `errors` gets, under `path`,
-    a value not of its kind, or a missing one where `required`."""
+    a value not of its kind, or a missing one where `required`.  A number must be
+    finite as a float: JSON reads `1e400` as infinity, and also takes NaN."""
     types, inner, hold = KINDS[kind]
     value = obj.get(key)
     if key not in obj or (nullable and value is None) or (kind == "list of numbers" and value == []):
@@ -146,14 +146,21 @@ def _read(obj: dict, key: str, kind: str, path: str, errors: list[str],
             errors.append(f"{path}: missing, must be a JSON {kind}")
         return _UNSET
     items = [*value, *value.values()] if type(value) is dict else value
-    if type(value) not in types or (inner and not {*map(type, items)} <= inner):
+    numbers = {"number": [value], "list of numbers": value}.get(kind, ())
+    if (type(value) not in types or (inner and not {*map(type, items)} <= inner)
+            or not all(abs(v) <= sys.float_info.max for v in numbers)):
         errors.append(f"{path}: must be a JSON {kind}, got {value!r}")
         return _UNSET
     return hold(value)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(json.loads(text))
+def parse_config(text: str | bytes, path: str = "config") -> ExperimentConfig:
+    """Raises ConfigError naming `path` when `text` is no JSON document."""
+    try:
+        raw = json.loads(text)
+    except ValueError as exc:   # not JSON, or bytes in no JSON encoding
+        raise ConfigError(f"{path}: not a JSON document: {exc}") from exc
+    return ExperimentConfig.from_dict(raw)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -161,8 +168,12 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    return parse_config(text, path)
 
 
 def _build_routes(config: ExperimentConfig) -> list[Route]:
@@ -232,9 +243,9 @@ def plan_point(config: ExperimentConfig, mult: float) -> PointPlan:
     return PointPlan(routes, types, reg, profile, eps, extra_wait)
 
 
-def validate_config(config: ExperimentConfig) -> dict:
-    """Check every invariant; return the echo report or raise ConfigError
-    listing each violation with the offending field."""
+def validate_config(config: ExperimentConfig) -> list[PointPlan]:
+    """Check every invariant; return the plan of each sweep point, in sweep
+    order, or raise ConfigError listing each violation with the offending field."""
     errors = [f"{f.key}: {f.rule}" for f in FIELDS
               if f.ok and (value := getattr(config, f.key)) is not None and not f.ok(value)]
 
@@ -260,24 +271,18 @@ def validate_config(config: ExperimentConfig) -> dict:
         if config.regularizer is not None and len(config.regularizer) != len(config.types):
             errors.append("regularizer: need exactly one emission rate per type")
 
-    echo: dict = {"name": config.name, "points": {}}
+    plans = []
     if not errors:
         for mult in config.sweep:
             try:
-                plan = plan_point(config, mult)
+                plans.append(plan_point(config, mult))
             except ConfigError as exc:
                 errors.append(str(exc))  # report the first failing point only
                 break
-            echo["points"][mult] = {
-                "epsilon": plan.eps.epsilon,
-                "f": dict(sorted((str(q), fv) for q, fv in plan.profile.f.items())),
-                "rho": dict(sorted(plan.profile.rho.items())),
-                "f_eps": dict(sorted((str(q), fv) for q, fv in plan.eps.f_eps.items())),
-            }
 
     if errors:
         raise ConfigError("; ".join(errors))
-    return echo
+    return plans
 
 
 @dataclass
@@ -285,8 +290,7 @@ class PointResult:
     mult: float
     stats: list[TypeStats]
     n_flows: int
-    flow_hops_checked: int     # flow-hops that passed the sample-path checks
-    flow_hops_expected: int    # route hop counts summed over the ledger's flows
+    flow_hops_checked: int     # flow-hops whose departure slot `run_dt` verified
 
 
 def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
@@ -311,7 +315,7 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
     dt = run_dt(ct, routes, types, arrive_times=t_arrive)
     del t_arrive
     stats = summarize(dt.ledger, config.burn_in * config.horizon, plan.profile, plan.eps,
-                      extra_wait=plan.extra_wait)
+                      extra_wait=plan.extra_wait, slack=config.bound_slack)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -321,13 +325,8 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
             write_ct_table(dt.ledger, routes, os.path.join(out_dir, "ct_table.csv"))
             write_hop_table_jsonl(dt.ledger, routes, os.path.join(out_dir, "hops.jsonl"))
 
-    return PointResult(
-        mult=mult,
-        stats=stats,
-        n_flows=n_flows,
-        flow_hops_checked=dt.flow_hops_checked,
-        flow_hops_expected=int(np.array([r.hop_count for r in routes])[dt.ledger.route].sum()),
-    )
+    return PointResult(mult=mult, stats=stats, n_flows=n_flows,
+                       flow_hops_checked=dt.flow_hops_checked)
 
 
 @dataclass
@@ -343,26 +342,11 @@ class ExperimentResult:
 
 
 def _build_verdict(config: ExperimentConfig, points: list[PointResult]) -> dict:
+    """The checks that can fail.  `run_dt` raises on the first late flow-hop, so
+    a finished run's emulation result is reported as the count it verified."""
     checks = []
-
-    checked = sum(p.flow_hops_checked for p in points)
-    expected = sum(p.flow_hops_expected for p in points)
-    checks.append(
-        {
-            "name": "emulation_invariants",
-            "pass": all(p.flow_hops_checked == p.flow_hops_expected for p in points),
-            "detail": f"{checked} of {expected} flow-hops passed A <= S and "
-                      f"Delta <= eps*ceil(delta/eps) across {len(points)} points",
-        }
-    )
-
-    slack = config.bound_slack
     for p in points:
-        bad = [
-            f"route {s.route} size {s.size}"
-            for s in p.stats
-            if not s.within_bounds(slack)
-        ]
+        bad = [f"route {s.route} size {s.size}" for s in p.stats if not s.within_bounds]
         counts = ", ".join(f"route {s.route} size {s.size} n={s.count}" for s in p.stats)
         checks.append(
             {
@@ -392,10 +376,11 @@ def _build_verdict(config: ExperimentConfig, points: list[PointResult]) -> dict:
 
     return {
         "format": "dcflow-verdict",
-        "version": 1,
+        "version": 2,
         "dcflow_version": __version__,
         "experiment": config.name,
         "pass": all(c["pass"] for c in checks),
+        "flow_hops_checked": sum(p.flow_hops_checked for p in points),
         "checks": checks,
     }
 
@@ -432,10 +417,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         stats_by_point = [(p.mult, p.stats) for p in points]
-        write_summary_csv(stats_by_point, os.path.join(out_dir, "summary.csv"),
-                          slack=config.bound_slack)
+        write_summary_csv(stats_by_point, os.path.join(out_dir, "summary.csv"))
         with open(os.path.join(out_dir, "report.txt"), "w") as fh:
-            fh.write(format_report(stats_by_point, slack=config.bound_slack))
+            fh.write(format_report(stats_by_point))
         with open(os.path.join(out_dir, "verdict.json"), "w") as fh:
             json.dump(verdict, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -17,7 +17,8 @@ from .topology import LoadProfile
 class TypeStats:
     """Sample means for one (route, size) type next to its closed-form
     oracles and proven bounds.  Means are None when no flow of the type
-    completed after burn-in."""
+    completed after burn-in.  `within_bounds` is the type's bound
+    decision, the one the verdict, `summary.csv` and `report.txt` read."""
 
     route: int
     size: float
@@ -30,15 +31,7 @@ class TypeStats:
     bound_dw: float
     bound_ds: float
     bound_d: float
-
-    def within_bounds(self, slack: float = 0.0) -> bool:
-        if self.count == 0:
-            return True
-        return (
-            self.mean_dw <= self.bound_dw * (1.0 + slack)
-            and self.mean_ds <= self.bound_ds * (1.0 + slack)
-            and self.mean_d <= self.bound_d * (1.0 + slack)
-        )
+    within_bounds: bool
 
 
 @dataclass(frozen=True)
@@ -93,9 +86,12 @@ def summarize(
     profile: LoadProfile,
     eps: EpsilonConfig,
     extra_wait: dict[tuple[int, float], float] | None = None,
+    slack: float = 0.0,
 ) -> list[TypeStats]:
     """Per-type means over real flows arriving at or after `burn_in`, next
-    to the `oracle_table` entries of their type."""
+    to the `oracle_table` entries of their type.  A type is within bounds
+    when each mean is at most its bound times 1 + `slack`, or when no flow
+    of it is kept."""
     kept = (ledger.uid >= 0) & (ledger.t_arrive >= burn_in)
     route, size = ledger.route, ledger.size
     stats = []
@@ -105,7 +101,9 @@ def summarize(
         # exactly-rounded sums keep the result independent of row order
         means = ([math.fsum(col.tolist()) / n for col in (rows.d_w, rows.d_s, rows.d)]
                  if n else [None, None, None])
-        stats.append(TypeStats(j, x, n, *means, **asdict(o)))
+        ok = n == 0 or all(m <= b * (1.0 + slack)
+                           for m, b in zip(means, (o.bound_dw, o.bound_ds, o.bound_d)))
+        stats.append(TypeStats(j, x, n, *means, **asdict(o), within_bounds=ok))
     return stats
 
 
@@ -211,8 +209,7 @@ SUMMARY_COLUMNS = (
 )
 
 
-def write_summary_csv(stats_by_point: list[tuple[float, list[TypeStats]]], path: str,
-                      slack: float = 0.0) -> None:
+def write_summary_csv(stats_by_point: list[tuple[float, list[TypeStats]]], path: str) -> None:
     def fmt(v):
         return "" if v is None else repr(v)
 
@@ -224,11 +221,11 @@ def write_summary_csv(stats_by_point: list[tuple[float, list[TypeStats]]], path:
                 fh.write(
                     f"{mult!r},{s.route},{s.size!r},{s.count},{fmt(s.mean_dw)},{fmt(s.mean_ds)},"
                     f"{fmt(s.mean_d)},{s.oracle_dw!r},{s.oracle_ds!r},{s.bound_dw!r},"
-                    f"{s.bound_ds!r},{s.bound_d!r},{int(s.within_bounds(slack))}\n"
+                    f"{s.bound_ds!r},{s.bound_d!r},{int(s.within_bounds)}\n"
                 )
 
 
-def format_report(stats_by_point: list[tuple[float, list[TypeStats]]], slack: float = 0.0) -> str:
+def format_report(stats_by_point: list[tuple[float, list[TypeStats]]]) -> str:
     """Aligned, human-readable summary table."""
     header = (
         f"{'sweep':>6} {'route':>5} {'size':>6} {'count':>8} "
@@ -245,6 +242,6 @@ def format_report(stats_by_point: list[tuple[float, list[TypeStats]]], slack: fl
                 f"{mult:6.3f} {s.route:5d} {s.size:6.2f} {s.count:8d} "
                 f"{num(s.mean_dw)} {num(s.mean_ds)} {num(s.mean_d)} "
                 f"{s.oracle_dw:10.4f} {s.oracle_ds:10.4f} {s.bound_d:10.4f} "
-                f"{'ok' if s.within_bounds(slack) else 'NO':>3}"
+                f"{'ok' if s.within_bounds else 'NO':>3}"
             )
     return "\n".join(lines) + "\n"

@@ -46,7 +46,7 @@ def test_summarize_burn_in_and_absent_types(two_hop_route):
     s = stats[0]
     assert s.count == 0
     assert s.mean_dw is None and s.mean_ds is None and s.mean_d is None
-    assert s.within_bounds()  # absent stats never fail bounds
+    assert s.within_bounds  # absent stats never fail bounds
     assert s.oracle_dw > 0
 
 
