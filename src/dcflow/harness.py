@@ -128,6 +128,7 @@ FIELDS = (
                 members={"route": "integer", "size": "number", "rate": "number"}),
 )
 
+_SEED = next(f for f in FIELDS if f.key == "seed")
 _REQUIRED = {f.name for f in fields(ExperimentConfig)
              if f.default is MISSING and f.default_factory is MISSING}
 _UNSET = object()
@@ -295,10 +296,13 @@ class PointResult:
 
 def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
               seed: int | None = None) -> PointResult:
-    """Execute one sweep point end to end; optionally write its artifacts."""
+    """Execute one sweep point end to end; optionally write its artifacts.
+    A `seed` given here overrides the config's; both obey `FIELDS`' seed rule."""
+    seed = config.seed if seed is None else seed
+    if not _SEED.ok(seed):
+        raise ConfigError(f"seed: {_SEED.rule}")
     plan = plan_point(config, mult)
     routes, types = plan.routes, plan.types
-    seed = config.seed if seed is None else seed
 
     stream = gen_poisson(types, config.horizon, seed)
     if plan.reg is not None:

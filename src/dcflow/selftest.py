@@ -1,10 +1,11 @@
 """Brute-force oracle suite, runnable from the CLI and from tests.
 
 Three families of checks: the normalizer by Mean Value Analysis versus
-direct enumeration of the splitting set, processor-sharing recovery in
-exact arithmetic, both against an implementation-independent reference,
-and the slot-granularity rule on random admissible networks, where
-`choose_epsilon` asserts its own load-inflation guarantee.
+direct enumeration of the splitting set on random unit specs (each
+resource of capacity 1, each route using one unit of it), processor-sharing
+recovery in exact arithmetic, both against an implementation-independent
+reference, and the slot-granularity rule on random admissible networks,
+where `choose_epsilon` asserts its own load-inflation guarantee.
 """
 
 from __future__ import annotations
@@ -38,21 +39,13 @@ class CheckResult:
 
 def random_spec(rng: np.random.Generator, max_resources: int = 4,
                 max_routes: int = 3) -> BandwidthNetworkSpec:
+    """A unit spec of 1 to `max_resources` resources and 1 to `max_routes`
+    routes, each over a random nonempty set of them."""
     n_res = int(rng.integers(1, max_resources + 1))
     n_routes = int(rng.integers(1, max_routes + 1))
-    routes = []
-    consumption = []
-    for _ in range(n_routes):
-        k = int(rng.integers(1, n_res + 1))
-        res = tuple(sorted(rng.choice(n_res, size=k, replace=False).tolist()))
-        routes.append(res)
-        consumption.append(tuple(int(b) for b in rng.integers(1, 4, size=k)))
-    caps = tuple(int(c) for c in rng.integers(1, 5, size=n_res))
-    return BandwidthNetworkSpec(
-        capacities=caps,
-        route_resources=tuple(routes),
-        consumption=tuple(consumption),
-    )
+    routes = (rng.choice(n_res, size=int(rng.integers(1, n_res + 1)), replace=False)
+              for _ in range(n_routes))
+    return BandwidthNetworkSpec(n_res, tuple(tuple(sorted(r.tolist())) for r in routes))
 
 
 def check_normalizer_oracle(n_specs: int = 200, max_total: int = 6,
@@ -82,14 +75,14 @@ def check_normalizer_oracle(n_specs: int = 200, max_total: int = 6,
             checked += 1
     return CheckResult(
         "normalizer_oracle", True,
-        f"{n_specs} random specs, {checked} occupancies, exact and 1e-12 float agreement",
+        f"{n_specs} random unit specs, {checked} occupancies, exact and 1e-12 float agreement",
     )
 
 
 def check_processor_sharing(max_total: int = 30) -> CheckResult:
     """Two routes on one shared unit resource: rate of route 1 must be
     exactly n1 / (n1 + n2)."""
-    spec = BandwidthNetworkSpec.unit(1, [(0,), (0,)])
+    spec = BandwidthNetworkSpec(1, ((0,), (0,)))
     for n1 in range(max_total + 1):
         for n2 in range(max_total + 1 - n1):
             if n1 + n2 == 0:

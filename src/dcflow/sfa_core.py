@@ -1,9 +1,11 @@
 """Store-and-forward bandwidth allocation.
 
-The allocation assigns route j the rate phi_j(n) = Phi(n - e_j) / Phi(n),
-where the normalizer Phi sums, over every way of splitting the n_j flows
-of each route among the resources that route uses, the product over
-resources of a multinomial coefficient and per-unit consumption weights.
+Every resource has capacity 1, and a route uses one unit of each
+resource on it.  The allocation assigns route j the rate
+phi_j(n) = Phi(n - e_j) / Phi(n), where the normalizer Phi counts, over
+every way of splitting the n_j flows of each route among the resources
+that route uses, the product over resources of a multinomial
+coefficient.
 
 Phi is the normalizing constant of a closed multiclass network of
 processor-sharing stations, so phi_j(n) is that network's class-j
@@ -14,7 +16,7 @@ direct enumerator over the splitting set is provided as an independent
 oracle.
 
 Substituting z_j = alpha_j into the generating function of Phi,
-prod_l 1 / (1 - sum_j B_lj z_j / C_l), yields the closed form of the
+prod_l 1 / (1 - sum_{j uses l} z_j), yields the closed form of the
 stationary normalizer, which is how the product-form law and the
 expected-occupancy formulas below hang together.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -39,77 +42,42 @@ MAX_MEMO_ENTRIES = 1_000_000
 
 @dataclass(frozen=True)
 class BandwidthNetworkSpec:
-    """Resources with capacities, and routes with per-resource consumption.
+    """`n_resources` unit-capacity resources, and routes that each use one
+    unit of every resource they list: `route_resources[j]` holds the
+    resource indices of route j."""
 
-    `route_resources[j]` lists the resource indices route j uses;
-    `consumption[j]` gives the matching B_lj values (all 1 by default).
-    """
-
-    capacities: tuple[Number, ...]
+    n_resources: int
     route_resources: tuple[tuple[int, ...], ...]
-    consumption: tuple[tuple[Number, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.consumption:
-            object.__setattr__(
-                self, "consumption", tuple(tuple(1 for _ in r) for r in self.route_resources)
-            )
-        if any(c <= 0 for c in self.capacities):
-            raise ValueError("capacities must be positive")
-        if len(self.consumption) != len(self.route_resources):
-            raise ValueError("consumption shape does not match routes")
-        for j, (res, B) in enumerate(zip(self.route_resources, self.consumption)):
+        for j, res in enumerate(self.route_resources):
             if not res:
                 raise ValueError(f"route {j} uses no resource")
             if len(set(res)) != len(res):
                 raise ValueError(f"route {j} lists a resource twice")
-            if len(B) != len(res):
-                raise ValueError(f"route {j} consumption shape mismatch")
-            if any(b <= 0 for b in B):
-                raise ValueError("consumption on a used resource must be positive")
-            if any(l < 0 or l >= len(self.capacities) for l in res):
+            if any(l < 0 or l >= self.n_resources for l in res):
                 raise ValueError(f"route {j} references an unknown resource")
-
-    @classmethod
-    def unit(cls, n_resources: int, routes: list[tuple[int, ...]]):
-        """All capacities 1, all consumptions 1."""
-        return cls(
-            capacities=tuple(1 for _ in range(n_resources)),
-            route_resources=tuple(tuple(r) for r in routes),
-        )
 
     @property
     def n_routes(self) -> int:
         return len(self.route_resources)
 
-    @property
-    def n_resources(self) -> int:
-        return len(self.capacities)
-
     def routes_using(self, l: int) -> list[int]:
         return [j for j, res in enumerate(self.route_resources) if l in res]
-
-    def weight(self, l: int, j: int, exact: bool) -> Number:
-        """B_lj / C_l."""
-        k = self.route_resources[j].index(l)
-        b, c = self.consumption[j][k], self.capacities[l]
-        if exact:
-            return Fraction(b) / Fraction(c)
-        return float(b) / float(c)
 
 
 class _PhiEvaluator:
     """Memoized exact Mean Value Analysis for one spec.
 
     Resource l is a processor-sharing station where a class-j customer
-    demands D_lj = B_lj / C_l, and phi_j(n) is class j's throughput X_j(n)
-    at population n:
+    demands one unit of service if route j uses l, and none otherwise, and
+    phi_j(n) is class j's throughput X_j(n) at population n:
 
-        R_lj(n) = D_lj (1 + Q_l(n - e_j)),
+        R_lj(n) = 1 + Q_l(n - e_j)    for each l that route j uses,
         X_j(n)  = n_j / sum_l R_lj(n),
         Q_l(n)  = sum_j X_j(n) R_lj(n).
 
-    Stations with equal demand columns hold equal queues at every
+    Stations used by the same set of routes hold equal queues at every
     population, so each group of them is solved as one station of
     multiplicity k_s, and Q keeps one queue length per group.  `_memo`
     maps an occupancy n to (X(n), Q(n)), and every n - e_j is inserted
@@ -121,19 +89,16 @@ class _PhiEvaluator:
     def __init__(self, spec: BandwidthNetworkSpec, exact: bool):
         self.spec = spec
         self.exact = exact
-        columns: dict[tuple[Number, ...], int] = {}
-        for l in range(spec.n_resources):
-            col = tuple(spec.weight(l, j, exact) if l in res else 0
-                        for j, res in enumerate(spec.route_resources))
-            columns[col] = columns.get(col, 0) + 1
-        # per route: (station group s, D_sj, k_s D_sj) for each group it uses
+        groups = Counter(tuple(l in res for res in spec.route_resources)
+                         for l in range(spec.n_resources))
+        # per route: (station group s, multiplicity k_s) for each group it uses
         self._stations = [
-            [(s, col[j], k * col[j]) for s, (col, k) in enumerate(columns.items()) if col[j]]
+            [(s, k) for s, (users, k) in enumerate(groups.items()) if users[j]]
             for j in range(spec.n_routes)
         ]
         zero: Number = Fraction(0) if exact else 0.0
         self._zero_val = zero
-        self._q_zero = (zero,) * len(columns)
+        self._q_zero = (zero,) * len(groups)
         self._memo: dict[tuple[int, ...], tuple[tuple[Number, ...], ...]] = {
             (0,) * spec.n_routes: ((zero,) * spec.n_routes, self._q_zero)
         }
@@ -149,11 +114,11 @@ class _PhiEvaluator:
                 continue
             q_prev = memo[m][1]
             total = 0
-            for s, _, kd in self._stations[j]:
-                total += kd * (1 + q_prev[s])
+            for s, k in self._stations[j]:
+                total += k * (1 + q_prev[s])
             x[j] = xj = n[j] / total
-            for s, d, _ in self._stations[j]:
-                q[s] += xj * d * (1 + q_prev[s])
+            for s, _ in self._stations[j]:
+                q[s] += xj * (1 + q_prev[s])
         return tuple(x), tuple(q)
 
     def _entry(self, n: tuple[int, ...]) -> tuple[tuple[Number, ...], ...]:
@@ -246,8 +211,8 @@ def phi_big_bruteforce(spec: BandwidthNetworkSpec, n: tuple[int, ...], exact: bo
     """Direct sum over the splitting set; independent oracle for phi_big.
 
     Enumerates, route by route, every composition of n_j over the resources
-    of route j, and accumulates the product of per-resource multinomials
-    and weights.  No memoization, no recurrence.
+    of route j, and accumulates the product of per-resource multinomials.
+    No memoization, no recurrence.
     """
     if any(c < 0 for c in n):
         return Fraction(0) if exact else 0.0
@@ -256,22 +221,12 @@ def phi_big_bruteforce(spec: BandwidthNetworkSpec, n: tuple[int, ...], exact: bo
     for pick in itertools.product(*per_route):
         m_l: dict[int, int] = {}
         denom = 1
-        weight: Number = Fraction(1) if exact else 1.0
         for j, comp in enumerate(pick):
             for l, m in zip(spec.route_resources[j], comp):
-                if m == 0:
-                    continue
                 m_l[l] = m_l.get(l, 0) + m
                 denom *= math.factorial(m)
-                w = spec.weight(l, j, exact)
-                weight = weight * w**m
-        numer = 1
-        for m in m_l.values():
-            numer *= math.factorial(m)
-        if exact:
-            total += Fraction(numer, denom) * weight
-        else:
-            total += (numer / denom) * weight
+        numer = math.prod(map(math.factorial, m_l.values()))
+        total += Fraction(numer, denom) if exact else numer / denom
     return total
 
 
@@ -284,14 +239,8 @@ def phi_rate(spec: BandwidthNetworkSpec, n: tuple[int, ...], exact: bool = False
 
 
 def _resource_loads(spec: BandwidthNetworkSpec, alpha) -> list[float]:
-    g = []
-    for l in range(spec.n_resources):
-        used = 0.0
-        for j in spec.routes_using(l):
-            k = spec.route_resources[j].index(l)
-            used += float(spec.consumption[j][k]) * float(alpha[j])
-        g.append(used / float(spec.capacities[l]))
-    return g
+    return [sum((float(alpha[j]) for j in spec.routes_using(l)), 0.0)
+            for l in range(spec.n_resources)]
 
 
 def _require_stable(spec: BandwidthNetworkSpec, alpha) -> list[float]:
@@ -312,7 +261,7 @@ class StationaryLaw:
 
     spec: BandwidthNetworkSpec
     alpha: tuple[float, ...]
-    normalizer: float               # closed form: prod_l C_l / (C_l - sum_j B_lj alpha_j)
+    normalizer: float               # closed form: prod_l 1 / (1 - g_l)
     g: tuple[float, ...]            # per-resource load
 
     def pi(self, n: tuple[int, ...]) -> float:
@@ -328,21 +277,12 @@ class StationaryLaw:
 
 def stationary_pi(spec: BandwidthNetworkSpec, alpha) -> StationaryLaw:
     g = _require_stable(spec, alpha)
-    norm = 1.0
-    for l, gl in enumerate(g):
-        norm *= 1.0 / (1.0 - gl)
+    norm = math.prod(1.0 / (1.0 - gl) for gl in g)
     return StationaryLaw(spec=spec, alpha=tuple(float(a) for a in alpha), normalizer=norm, g=tuple(g))
 
 
 def expected_occupancy(spec: BandwidthNetworkSpec, alpha) -> tuple[float, ...]:
     """Closed-form mean number of flows per route in equilibrium."""
     g = _require_stable(spec, alpha)
-    out = []
-    for j in range(spec.n_routes):
-        total = 0.0
-        for l in spec.route_resources[j]:
-            k = spec.route_resources[j].index(l)
-            b = float(spec.consumption[j][k])
-            total += (b * float(alpha[j]) / float(spec.capacities[l])) / (1.0 - g[l])
-        out.append(total)
-    return tuple(out)
+    return tuple(sum(float(alpha[j]) / (1.0 - g[l]) for l in res)
+                 for j, res in enumerate(spec.route_resources))

@@ -45,9 +45,9 @@ from .topology import LoadProfile, Route, compute_loads, queue_paths, require_ad
 
 
 def bandwidth_spec_for(routes: list[Route]) -> BandwidthNetworkSpec:
-    """Map queue-level routes to an allocation spec; class r is route r."""
+    """Map queue-level routes to a unit spec; class r is route r."""
     queues, paths = queue_paths(routes)
-    return BandwidthNetworkSpec.unit(len(queues), paths)
+    return BandwidthNetworkSpec(len(queues), tuple(paths))
 
 
 def serve(spec: BandwidthNetworkSpec, classes: Sequence[int], sizes: Sequence[float],
@@ -133,10 +133,13 @@ class NbRunResult:
     t_enter: np.ndarray    # arrival into the virtual net
     t_arrive: np.ndarray   # external arrival
     t_inject: np.ndarray   # departure from the virtual net: eligibility instant
-    n_events: int
 
     def __len__(self) -> int:
         return len(self.uid)
+
+    @property
+    def n_events(self) -> int:   # one arrival and one departure per flow
+        return 2 * len(self)
 
     # the benchmark's stage tracer reads these two mappings (ROADMAP items 1 and 2)
     @property
@@ -217,7 +220,7 @@ def run_emulation(
     spec = bandwidth_spec_for(routes)
     t_inject = serve(spec, [t.route for t in types], [t.size for t in types], t_enter, ti, uid)
     return NbRunResult(types=types, spec=spec, uid=uid, type=ti, t_enter=t_enter,
-                       t_arrive=t_arrive, t_inject=t_inject, n_events=2 * len(uid))
+                       t_arrive=t_arrive, t_inject=t_inject)
 
 
 def departure_process(result: NbRunResult, type_index: int, burn_in: float = 0.0) -> list[float]:

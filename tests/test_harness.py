@@ -171,6 +171,17 @@ def test_config_refuses_a_negative_seed(tmp_path, capsys):
     assert capsys.readouterr().err == "error: seed: must be nonnegative\n"
 
 
+def test_run_entry_points_refuse_a_negative_seed_argument():
+    # the seed argument is held to the config's seed rule, as a config seed is
+    with pytest.raises(ConfigError, match="^seed: must be nonnegative$"):
+        run_experiment(SMOKE, seed=-1)
+    with pytest.raises(ConfigError, match="^seed: must be nonnegative$"):
+        run_point(SMOKE, 1.0, seed=-1)
+    short = dataclasses.replace(SMOKE, horizon=200.0)
+    assert run_experiment(short, seed=0).points[0].n_flows > 0
+    assert run_point(short, 1.0, seed=0).n_flows > 0
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"name": ', r"not a JSON document: Expecting value: line 1 column 10"),
     (b'{"name": "\xff"}', r"not a JSON document: 'utf-8' codec can't decode"),

@@ -93,7 +93,7 @@ def test_window_correlation_of_independent_processes():
 
 
 def test_compare_distribution_self_is_zero():
-    spec = BandwidthNetworkSpec.unit(1, [(0,), (0,)])
+    spec = BandwidthNetworkSpec(1, ((0,), (0,)))
     law = stationary_pi(spec, (0.25, 0.25))
     hist = {}
     for n1 in range(12):
@@ -105,7 +105,7 @@ def test_compare_distribution_self_is_zero():
 
 
 def test_compare_distribution_truncation_warning():
-    spec = BandwidthNetworkSpec.unit(1, [(0,)])
+    spec = BandwidthNetworkSpec(1, ((0,),))
     law = stationary_pi(spec, (0.9,))
     hist = {(n,): law.pi((n,)) for n in range(3)}
     cmp = compare_distribution(hist, law, support_cap=2)

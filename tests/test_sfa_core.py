@@ -8,7 +8,7 @@ from dcflow import sfa_core
 from dcflow.ct_network import choose_epsilon
 from dcflow.errors import EnumerationLimitError, StabilityViolationError
 from dcflow.metrics import oracle_table
-from dcflow.selftest import random_spec
+from dcflow.selftest import random_admissible_network, random_spec
 from dcflow.sfa_core import (
     BandwidthNetworkSpec,
     expected_occupancy,
@@ -19,10 +19,11 @@ from dcflow.sfa_core import (
     stationary_pi,
 )
 from dcflow.topology import compute_loads, make_route
+from dcflow.virtual_bandwidth_net import bandwidth_spec_for
 
-CHAIN2 = BandwidthNetworkSpec.unit(2, [(0, 1)])          # one route over two resources
-SHARED = BandwidthNetworkSpec.unit(1, [(0,), (0,)])      # two routes, one resource
-MM1 = BandwidthNetworkSpec.unit(1, [(0,)])
+CHAIN2 = BandwidthNetworkSpec(2, ((0, 1),))          # one route over two resources
+SHARED = BandwidthNetworkSpec(1, ((0,), (0,)))       # two routes, one resource
+MM1 = BandwidthNetworkSpec(1, ((0,),))
 
 
 def test_phi_at_zero_is_one():
@@ -79,32 +80,32 @@ def test_phi_matches_bruteforce_on_random_specs():
             assert phi_big(spec, n, exact=True) == phi_big_bruteforce(spec, n, exact=True)
 
 
+def test_phi_matches_bruteforce_on_tree_specs():
+    # the specs the simulator builds: the queue paths of routes on a tree
+    rng = np.random.Generator(np.random.PCG64(5))
+    checked = 0
+    for _ in range(40):
+        profile, _ = random_admissible_network(rng)
+        spec = bandwidth_spec_for(list(profile.routes.values()))
+        for n in occupancies_within(spec.n_routes, 3):
+            assert phi_big(spec, n, exact=True) == phi_big_bruteforce(spec, n, exact=True), (spec, n)
+            checked += 1
+    assert checked > 300
+
+
 def test_allocation_respects_capacities():
     rng = np.random.Generator(np.random.PCG64(3))
     for _ in range(60):
         spec = random_spec(rng)
         for n in occupancies_within(spec.n_routes, 6):
             phi = phi_rate(spec, n)
-            # every active route gets bandwidth, every empty one none
-            assert [x > 0.0 for x in phi] == [nj > 0 for nj in n], (spec, n)
+            # every occupied route gets bandwidth, every empty one none
+            assert all(x > 0.0 for x, nj in zip(phi, n) if nj), (spec, n)
+            assert all(x == 0.0 for x, nj in zip(phi, n) if not nj), (spec, n)
+            # the routes sharing a resource use at most its unit capacity,
+            # so no route's rate exceeds 1 either
             for l in range(spec.n_resources):
-                used = 0.0
-                for j in spec.routes_using(l):
-                    k = spec.route_resources[j].index(l)
-                    used += float(spec.consumption[j][k]) * phi[j]
-                assert used <= float(spec.capacities[l]) + 1e-9
-
-
-def test_per_route_rate_never_exceeds_capacity_ratio():
-    rng = np.random.Generator(np.random.PCG64(4))
-    for _ in range(20):
-        spec = random_spec(rng)
-        for n in occupancies_within(spec.n_routes, 3):
-            phi = phi_rate(spec, n)
-            for j in range(spec.n_routes):
-                for k, l in enumerate(spec.route_resources[j]):
-                    cap = float(spec.capacities[l]) / float(spec.consumption[j][k])
-                    assert phi[j] <= cap + 1e-9
+                assert sum(phi[j] for j in spec.routes_using(l)) <= 1.0 + 1e-9, (spec, n, l)
 
 
 def test_normalizer_monotone_on_unit_specs():
@@ -173,7 +174,7 @@ def test_stationary_pi_rejects_overload():
 def test_expected_occupancy_forms():
     assert expected_occupancy(MM1, (0.5,))[0] == pytest.approx(1.0)
     for d in (1, 2, 4):
-        spec = BandwidthNetworkSpec.unit(d, [tuple(range(d))])
+        spec = BandwidthNetworkSpec(d, (tuple(range(d)),))
         for a in (0.1, 0.5, 0.8):
             assert expected_occupancy(spec, (a,))[0] == pytest.approx(d * a / (1 - a))
     assert expected_occupancy(MM1, (0.0,))[0] == 0.0
@@ -199,11 +200,9 @@ def test_expected_flow_delay(chain_tree):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        BandwidthNetworkSpec(capacities=(0,), route_resources=((0,),))
-    with pytest.raises(ValueError):
-        BandwidthNetworkSpec(capacities=(1,), route_resources=((),))
-    with pytest.raises(ValueError):
-        BandwidthNetworkSpec(capacities=(1,), route_resources=((0, 0),))
-    with pytest.raises(ValueError):
-        BandwidthNetworkSpec(capacities=(1,), route_resources=((1,),))
+    with pytest.raises(ValueError, match="route 0 uses no resource"):
+        BandwidthNetworkSpec(1, ((),))
+    with pytest.raises(ValueError, match="route 0 lists a resource twice"):
+        BandwidthNetworkSpec(1, ((0, 0),))
+    with pytest.raises(ValueError, match="route 0 references an unknown resource"):
+        BandwidthNetworkSpec(1, ((1,),))

@@ -211,8 +211,8 @@ def test_bandwidth_spec_mapping(star_tree):
 def per_type_spec(routes, types):
     """One class per type, each consuming its route's queues."""
     by_route = bandwidth_spec_for(routes)
-    return BandwidthNetworkSpec.unit(
-        by_route.n_resources, [by_route.route_resources[t.route] for t in types]
+    return BandwidthNetworkSpec(
+        by_route.n_resources, tuple(by_route.route_resources[t.route] for t in types)
     )
 
 
