@@ -102,10 +102,22 @@ def test_allocation_respects_capacities():
             # every occupied route gets bandwidth, every empty one none
             assert all(x > 0.0 for x, nj in zip(phi, n) if nj), (spec, n)
             assert all(x == 0.0 for x, nj in zip(phi, n) if not nj), (spec, n)
-            # the routes sharing a resource use at most its unit capacity,
-            # so no route's rate exceeds 1 either
+            # the routes sharing a resource use at most its unit capacity
             for l in range(spec.n_resources):
                 assert sum(phi[j] for j in spec.routes_using(l)) <= 1.0 + 1e-9, (spec, n, l)
+
+
+def test_per_route_rate_never_exceeds_capacity_ratio():
+    # every resource has capacity 1 and every route consumes 1 of it,
+    # so the capacity ratio bounding a route's rate is 1
+    rng = np.random.Generator(np.random.PCG64(4))
+    for _ in range(20):
+        spec = random_spec(rng)
+        for n in occupancies_within(spec.n_routes, 3):
+            phi = phi_rate(spec, n)
+            for j in range(spec.n_routes):
+                assert spec.route_resources[j], (spec, j)
+                assert 0.0 <= phi[j] <= 1.0 + 1e-9, (spec, n, j)
 
 
 def test_normalizer_monotone_on_unit_specs():
