@@ -69,7 +69,8 @@ def choose_epsilon(profile: LoadProfile, c0: float, override: float | None = Non
     """Pick the slot length from the gap-to-capacity rule, or validate an override.
 
     Rule: eps = min( min_v (1 - f_v) / (c0 * nu_v), min_j (1 - rho_j) ),
-    where nu_v counts flows per unit time entering queue v.  The chosen
+    where nu_v counts flows per unit time entering queue v; the first
+    minimum runs over queues with nu_v > 0 and is +inf when there are none.  The chosen
     value keeps every rounded load f_eps_v at least (c0-1)/c0 of the way
     to its unrounded gap, which is asserted; `rule_violations` checks an override.
     """
@@ -90,7 +91,7 @@ def choose_epsilon(profile: LoadProfile, c0: float, override: float | None = Non
             if nu > 0:
                 per_queue.append((1.0 - fv) / (c0 * nu))
         per_route = [1.0 - rho for rho in profile.rho.values()]
-        eps = min(min(per_queue), min(per_route))
+        eps = min(min(per_queue, default=math.inf), min(per_route))
 
     x_eps: dict[float, float] = {}
     n_slots: dict[float, int] = {}

@@ -86,7 +86,7 @@ def serve(spec: BandwidthNetworkSpec, classes: Sequence[int], sizes: Sequence[fl
                 remaining = thr - v[j]
                 if remaining > 0:
                     t = clock + remaining / rate[j]
-                elif remaining < -1e-9:
+                elif remaining < -1e-9 * max(1.0, clock):
                     raise InternalConsistencyError(
                         f"negative residual work {remaining} in class {j}")
                 else:

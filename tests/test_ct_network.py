@@ -329,6 +329,7 @@ def priority_order(flows):
     return [t for t, _ in flows], [w for _, w in flows]
 
 
+@pytest.mark.oracle_property
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 4)), min_size=1, max_size=40))
 @example([(0, 1), (1, 1)])

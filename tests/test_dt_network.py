@@ -227,6 +227,7 @@ EDGE_FLOATS = [0.0, 5e-324, 1e-4, float(np.nextafter(1e-4, 0.0)), 1e16,
 INT64 = np.iinfo(np.int64)
 
 
+@pytest.mark.oracle_property
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
                 max_size=40))
@@ -240,6 +241,7 @@ def test_column_tokens_are_repr_of_each_float(values):
     assert column_tokens(column, json.dumps) == [json.dumps(float(x)) for x in column]
 
 
+@pytest.mark.oracle_property
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(int(INT64.min), int(INT64.max)), max_size=40))
 @example([int(INT64.min), int(INT64.max), 0, -1])
@@ -495,6 +497,7 @@ def slot_runs(draw, tamper=True):
     return ct, injections, routes, types, eps, tampered
 
 
+@pytest.mark.oracle_property
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(slot_runs())
 def test_event_engine_matches_per_slot_oracle(run):
@@ -511,6 +514,7 @@ def test_event_engine_matches_per_slot_oracle(run):
         assert_same_run(got, want)
 
 
+@pytest.mark.oracle_property
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(slot_runs(tamper=False))
 def test_reference_run_is_exact_on_the_lattice(run):

@@ -160,6 +160,7 @@ def regularized_streams(draw):
     return stream, reg
 
 
+@pytest.mark.oracle_property
 @settings(max_examples=300, deadline=None)
 @given(regularized_streams())
 def test_closed_form_regularizer_matches_the_loop(case):

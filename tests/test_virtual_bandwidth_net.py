@@ -343,6 +343,7 @@ def virtual_runs(draw):
     return routes, types, stream
 
 
+@pytest.mark.oracle_property
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(virtual_runs())
 def test_event_loop_matches_stepwise_oracle(run):
@@ -388,3 +389,21 @@ def test_event_loop_orders_simultaneous_events_like_the_oracle(case):
     want = serve_stepwise(nb.spec, [t.route for t in types], [t.size for t in types],
                           *columns(stream.events))
     assert nb.t_inject.tolist() == want.tolist()
+
+
+def test_serve_runs_a_valid_stream_at_large_instants():
+    # past a clock of about 1e7 one ulp of the clock exceeds 1e-9, so a
+    # class that is not departing overshoots its head's threshold by a few
+    # ulps; an absolute residual tolerance refused this stream with
+    # "negative residual work -3.97e-09 in class 1", but ran it shifted down
+    spec = BandwidthNetworkSpec(2, ((0,), (0, 1), (1,)))
+    classes, sizes = [0, 1, 2], [1.9, 0.1, 0.1]
+    times = np.array([150000001.3, 150000003.0, 150000004.5, 150000007.9, 150000008.3,
+                      150000009.2, 150000009.6, 150000014.8, 150000015.1, 150000018.3])
+    types = np.array([0, 1, 2, 0, 1, 2, 1, 2, 1, 2])
+    uids = np.arange(10)
+    got = serve(spec, classes, sizes, times, types, uids)
+    assert got.tolist() == serve_stepwise(spec, classes, sizes, times, types, uids).tolist()
+    assert np.all(got >= times)
+    shifted = serve(spec, classes, sizes, times - 1.4e8, types, uids)
+    assert np.allclose(got - 1.4e8, shifted, rtol=0, atol=1e-6)

@@ -69,7 +69,7 @@ class NbState:
             thr, uid = self.heaps[j][0]
             rate = self.phi[j] / nj
             remaining = thr - self.v[j]
-            if remaining < -1e-9:
+            if remaining < -1e-9 * max(1.0, self.clock):
                 raise InternalConsistencyError(f"negative residual work {remaining} in class {j}")
             t = self.clock + (remaining / rate if remaining > 0 else 0.0)
             if best is None or (t, uid) < (best[0], best[2]):
