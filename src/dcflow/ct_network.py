@@ -31,7 +31,7 @@ up is monotone, so the queue's order by key is the engine's order too,
 and `run_ct` serves each queue once: one gather and one sort, then
 `lcfs_pr` on the keys with works n_slots * R, and on their slot
 ceilings with packet counts.  It keeps the engine's departure slot at
-every flow-hop and marks the flow-hops that open its busy periods.
+every flow-hop.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InternalConsistencyError, StabilityViolationError
-from .topology import LoadProfile, QueueNode, Route, queue_paths, require_admissible
+from .topology import LoadProfile, QueueNode, Route, _queue_rates, queue_paths, require_admissible
 from .flow_gen import FlowType
 
 
@@ -85,11 +85,8 @@ def choose_epsilon(profile: LoadProfile, c0: float, override: float | None = Non
             raise ConfigError("slot length must be positive")
         eps = float(override)
     else:
-        per_queue = []
-        for q, fv in profile.f.items():
-            nu = profile.flow_rate_at(q)
-            if nu > 0:
-                per_queue.append((1.0 - fv) / (c0 * nu))
+        nu = _queue_rates(profile.routes, profile.lam, lambda x: 1.0)
+        per_queue = [(1.0 - fv) / (c0 * nu[q]) for q, fv in profile.f.items() if nu[q] > 0]
         per_route = [1.0 - rho for rho in profile.rho.values()]
         eps = min(min(per_queue, default=math.inf), min(per_route))
 
@@ -100,11 +97,7 @@ def choose_epsilon(profile: LoadProfile, c0: float, override: float | None = Non
         n_slots[x] = k
         x_eps[x] = eps * k
 
-    f_eps: dict[QueueNode, float] = {q: 0.0 for q in profile.f}
-    for (j, x), rate in profile.lam.items():
-        for q in profile.routes[j].queue_path:
-            f_eps[q] += x_eps[x] * rate
-
+    f_eps = _queue_rates(profile.routes, profile.lam, x_eps.__getitem__)
     for q, fe in f_eps.items():
         if fe >= 1.0:
             raise StabilityViolationError(f"rounded load at {q} reaches capacity: {fe}")
@@ -140,8 +133,6 @@ class CtResult:
     Hops take no time, so of a flow's arrivals only the first,
     `inject_key[f]`, is stored: it reaches each later queue as it leaves
     the one before, and `tau_key` builds every arrival key when read.
-    `opens` marks the flow-hops that open one of the engine's busy periods
-    at their queue.
     """
 
     epsilon: float
@@ -155,7 +146,6 @@ class CtResult:
     inject_key: np.ndarray  # int64, one entry per flow
     delta_key: np.ndarray  # int64, one entry per flow-hop
     delta_slot: np.ndarray  # int64, one entry per flow-hop
-    opens: np.ndarray      # bool, one entry per flow-hop
 
     def slot(self, key: np.ndarray) -> np.ndarray:
         """The first slot boundary at or after each keyed instant, I + (r > 0)."""
@@ -197,7 +187,7 @@ class CtResult:
         return {u: tau[a:b] for u, a, b in zip(self.uid.tolist(), bounds, bounds[1:])}
 
 
-def lcfs_pr(arrive: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def lcfs_pr(arrive: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Serve one queue preemptive-LCFS, in either network, in closed form:
     the Lindley workload recursion (Lindley 1952) read the LCFS-PR way
     (Kleinrock, "Queueing Systems" vol. 1).
@@ -206,8 +196,7 @@ def lcfs_pr(arrive: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarra
     int64 lattice keys or slot indices: ascending, equal arrivals in
     ascending uid, so each arrival outranks every flow already waiting.
     `work` gives their int64 works in the same units.  Returns each
-    arrival's departure and the indices of the arrivals that open a busy
-    period; a busy period ends at its opener's departure.
+    arrival's departure.
 
     Everything that arrives while flow k is present is served before k
     resumes.  So, with `done[k]` the work of the arrivals before k, flow
@@ -217,8 +206,7 @@ def lcfs_pr(arrive: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarra
     taken.  That is the first later j whose lead, `arrive[j] - done[j]`,
     is at least k's.  The search jumps pointers: a candidate j that fails
     hands over its own candidate, since every arrival it skipped comes too
-    early for it, and so for k.  Flow k opens a busy period when no
-    earlier flow is still waiting at its arrival.
+    early for it, and so for k.
     """
     n = len(arrive)
     done = np.zeros(n + 1, dtype=np.int64)
@@ -233,11 +221,7 @@ def lcfs_pr(arrive: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarra
         open_ = open_[lead[j] < lead[open_]]
     departs = done[ender]
     departs += lead[:-1]
-    # the furthest arrival that a flow up to k waits for is k + 1 exactly
-    # when k ends a busy period, and the next arrival opens one
-    np.maximum.accumulate(ender, out=ender)
-    last = np.flatnonzero(ender == np.arange(1, n + 1))
-    return departs, np.concatenate(([0], last[:-1] + 1)) if n else last
+    return departs
 
 
 def run_ct(
@@ -280,10 +264,9 @@ def run_ct(
     inject = whole.astype(np.int64) * n_ranks + rank[1:]
     del residual, whole, rank   # freed before the queues are served
     delta, delta_slot = np.zeros((2, offsets[-1]), dtype=np.int64)
-    opens = np.zeros(offsets[-1], dtype=bool)
     ct = CtResult(epsilon=eps.epsilon, types=types, uid=uid, ti=ti, order=order, offsets=offsets,
                   t_inject=t_inject, residue=residue, inject_key=inject, delta_key=delta,
-                  delta_slot=delta_slot, opens=opens)
+                  delta_slot=delta_slot)
 
     # each queue's (type, hop) pairs; the flows of type k, of_type[k], have
     # their hop-h flow-hops at offsets[of_type[k]] + h
@@ -307,9 +290,8 @@ def run_ct(
         offs = np.concatenate([offsets[of_type[k]] + h for k, h in pairs])[by_key]
         n_pkts = np.repeat(pkts[ks], [len(of_type[k]) for k in ks])[by_key]
         del by_key
-        delta[offs] = lcfs_pr(arrive, n_pkts * n_ranks)[0]
-        delta_slot[offs], opener = lcfs_pr(ct.slot(arrive), n_pkts)
-        opens[offs[opener]] = True
-        del arrive, offs, n_pkts, opener   # freed before the next queue gathers
+        delta[offs] = lcfs_pr(arrive, n_pkts * n_ranks)
+        delta_slot[offs] = lcfs_pr(ct.slot(arrive), n_pkts)
+        del arrive, offs, n_pkts   # freed before the next queue gathers
     return ct
 

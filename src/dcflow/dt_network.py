@@ -20,7 +20,8 @@ schedule slots for instants and packet counts for work: a flow leaves at
 its schedule slot plus the packets of every activation it waits under,
 its own included.  Sent packets then equal demanded packets by
 construction.  `ct_network.run_ct` serves both networks in one pass per
-queue, and this module checks the engine's run and reports it.
+queue, and this module checks the engine's run and derives its tallies
+from it when they are read.
 
 What couples the queues is checked, not simulated.  Two sample-path
 invariants hold for every flow at every queue:
@@ -57,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 import orjson
 
-from .ct_network import CtResult
+from .ct_network import CtResult, slot_ceil
 from .errors import EmulationInfeasibilityError
 from .flow_gen import FlowType
 from .topology import Route, queue_paths
@@ -71,17 +72,15 @@ class DelayLedger:
     """Per-flow delays, rows in (t_arrive, uid) order, held as two arrays
     beside the reference run `ct` they are read from: 16 bytes per flow.
 
-    `flow` holds each row's flow number in `ct`, `t_arrive` its external
-    arrival, and `delta_slots` the slot engine's departure slot at every
-    flow-hop, at `ct`'s flow-hop offsets; `hop_columns` reads all three.
-    The other `COLUMNS` are built from `ct` when read, so read each once:
-    D_W = t_inject - t_arrive, D_S = (last departure slot) * eps -
-    t_inject and D = D_W + D_S, where eps is `ct.epsilon`; a negative uid
-    marks a dummy flow.  `ledger[rows]` is the ledger of some of its rows,
-    which derives only theirs."""
+    `flow` holds each row's flow number in `ct` and `t_arrive` its
+    external arrival; the slot engine's departure slots are
+    `ct.delta_slot`.  The other `COLUMNS` are built from `ct` when read,
+    so read each once: D_W = t_inject - t_arrive, D_S = (last departure
+    slot) * eps - t_inject and D = D_W + D_S, where eps is `ct.epsilon`;
+    a negative uid marks a dummy flow.  `ledger[rows]` is the ledger of
+    some of its rows, which derives only theirs."""
 
     ct: CtResult = field(repr=False)
-    delta_slots: np.ndarray = field(repr=False)
     flow: np.ndarray
     t_arrive: np.ndarray
 
@@ -89,7 +88,7 @@ class DelayLedger:
         return len(self.flow)
 
     def __getitem__(self, rows) -> "DelayLedger":
-        return DelayLedger(self.ct, self.delta_slots, self.flow[rows], self.t_arrive[rows])
+        return DelayLedger(self.ct, self.flow[rows], self.t_arrive[rows])
 
     @property
     def uid(self) -> np.ndarray:
@@ -114,7 +113,7 @@ class DelayLedger:
     @property
     def d_s(self) -> np.ndarray:
         last = self.ct.offsets[self.flow + 1] - 1
-        return self.delta_slots[last] * self.ct.epsilon - self.t_inject
+        return self.ct.delta_slot[last] * self.ct.epsilon - self.t_inject
 
     @property
     def d(self) -> np.ndarray:
@@ -136,7 +135,7 @@ class HopColumns(NamedTuple):
 
 def hop_columns(ledger: DelayLedger) -> HopColumns:
     """The per-queue trail of every ledger row, as flat columns."""
-    ct, slots = ledger.ct, ledger.delta_slots
+    ct, slots = ledger.ct, ledger.ct.delta_slot
     n_hops = np.diff(ct.offsets)[ledger.flow]
     row = np.repeat(np.arange(len(ledger)), n_hops)
     hop = np.arange(len(row)) - np.repeat(np.cumsum(n_hops) - n_hops, n_hops)
@@ -151,26 +150,48 @@ def hop_columns(ledger: DelayLedger) -> HopColumns:
 
 @dataclass(eq=False)
 class DtRunResult:
-    """`n_slots_processed` counts slots in which at least one queue sends
-    a packet; `flow_hops_checked` counts flow-hops that passed the
-    departure check, and with it the arrival check one hop on."""
+    """A checked slot engine's run, held as its ledger.  Its tallies are
+    derived from the ledger's reference run when read, so read each once:
+    `flow_hops_checked` counts flow-hops that passed the departure check,
+    and with it the arrival check one hop on; `n_slots_processed` counts
+    slots in which at least one queue sends a packet, and
+    `n_transmissions` the packets sent."""
 
     ledger: DelayLedger
-    n_slots_processed: int
-    n_transmissions: int
-    flow_hops_checked: int
+
+    @property
+    def flow_hops_checked(self) -> int:
+        return len(self.ledger.ct.delta_slot)
+
+    @property
+    def n_slots_processed(self) -> int:
+        """The union of every flow-hop's stay at its queue, from its
+        schedule slot to its departure slot: a queue sends in a slot
+        exactly when some flow stays there.  Sorted apart, the i-th end is
+        never before the i-th begin, and the slots no queue sends in are
+        the gaps from the i-th end to the (i+1)-th begin."""
+        ct = self.ledger.ct
+        begins = np.sort(ct.slot(ct.tau_key))
+        ends = np.sort(ct.delta_slot)
+        gaps = np.maximum(begins[1:] - ends[:-1], 0).sum()
+        return int(ends[-1] - begins[0] - gaps) if len(ends) else 0
+
+    @property
+    def n_transmissions(self) -> int:
+        """Each flow's packet count at every queue of its route."""
+        ct = self.ledger.ct
+        pkts = np.array([slot_ceil(t.size, ct.epsilon) for t in ct.types], dtype=np.int64)
+        return int((pkts[ct.ti] * np.diff(ct.offsets)).sum())
 
 
-def _ledger(ct: CtResult, delta_slots: np.ndarray,
-            arrive_times: np.ndarray | None) -> DelayLedger:
-    """The ledger of a slot engine's run.  `delta_slots` holds its
-    departure slot at every flow-hop, at the reference run's flow-hop
-    offsets; `arrive_times` is in the order of the injections `run_ct`
-    took, and defaults to the injection instants."""
+def _ledger(ct: CtResult, arrive_times: np.ndarray | None) -> DelayLedger:
+    """The ledger of the slot engine's run in `ct`.  `arrive_times` is in
+    the order of the injections `run_ct` took, and defaults to the
+    injection instants."""
     t_arrive = ct.t_inject if arrive_times is None else np.asarray(arrive_times,
                                                                    dtype=np.float64)[ct.order]
     flow = np.lexsort((ct.uid, t_arrive))
-    return DelayLedger(ct=ct, delta_slots=delta_slots, flow=flow, t_arrive=t_arrive[flow])
+    return DelayLedger(ct=ct, flow=flow, t_arrive=t_arrive[flow])
 
 
 def run_dt(
@@ -179,7 +200,8 @@ def run_dt(
     types: tuple[FlowType, ...],
     arrive_times: np.ndarray | None = None,
 ) -> DtRunResult:
-    """Check and report the slot engine's run that `run_ct` made.
+    """Check the slot engine's run that `run_ct` made, flow-hop by
+    flow-hop, and return it with its ledger.
 
     `arrive_times` holds each flow's external arrival, in the order of
     the injections `run_ct` took (defaults to its injection time).
@@ -195,20 +217,7 @@ def run_dt(
         q = queues[route_paths[types[ct.ti[f]].route][o - ct.offsets[f]]]
         raise EmulationInfeasibilityError(f"flow {ct.uid[f]} left {q} in slot {ct.delta_slot[o]}, "
                                           f"reference bound is {ct.slot(ct.delta_key[o])}")
-
-    # The union of every queue's busy periods.  Sorted apart, the i-th end
-    # is never before the i-th begin, and the slots no queue sends in are
-    # the gaps from the i-th end to the (i+1)-th begin.
-    opener = np.flatnonzero(ct.opens)
-    begins = np.sort(ct.slot(ct.tau_key[opener]))
-    ends = np.sort(ct.delta_slot[opener])
-    gaps = np.maximum(begins[1:] - ends[:-1], 0).sum()
-    return DtRunResult(
-        ledger=_ledger(ct, ct.delta_slot, arrive_times),
-        n_slots_processed=int(ends[-1] - begins[0] - gaps) if opener.size else 0,
-        n_transmissions=int(ends.sum() - begins.sum()),
-        flow_hops_checked=len(ct.delta_slot),
-    )
+    return DtRunResult(ledger=_ledger(ct, arrive_times))
 
 
 LEDGER_VERSION = "# dcflow ledger v1"

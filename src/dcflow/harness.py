@@ -391,8 +391,17 @@ def _build_verdict(config: ExperimentConfig, points: list[PointResult]) -> dict:
 
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
                    seed: int | None = None, jobs: int = 1) -> ExperimentResult:
-    """Validate, run every sweep point, and write the combined artifacts."""
+    """Validate, run every sweep point, and write the combined artifacts.
+    `jobs` must be at least 1; a parallel sweep starts at most one worker
+    per point.  `out_dir` is created before any point runs."""
     validate_config(config)
+    if jobs < 1:
+        raise ConfigError(f"jobs: must be at least 1, got {jobs}")
+    if out_dir is not None:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{out_dir}: cannot write: {exc}") from exc
     multipliers = list(config.sweep)
 
     def point_dir(i: int, mult: float) -> str | None:
@@ -407,7 +416,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
         # imported here: a serial run need not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(multipliers))) as pool:
             futures = [
                 pool.submit(run_point, config, mult, point_dir(i, mult), seed)
                 for i, mult in enumerate(multipliers)
@@ -419,7 +428,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
 
     verdict = _build_verdict(config, points)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         stats_by_point = [(p.mult, p.stats) for p in points]
         write_summary_csv(stats_by_point, os.path.join(out_dir, "summary.csv"))
         with open(os.path.join(out_dir, "report.txt"), "w") as fh:

@@ -148,13 +148,18 @@ class LoadProfile:
     def sizes(self) -> list[float]:
         return sorted({x for (_, x) in self.lam})
 
-    def flow_rate_at(self, q: QueueNode) -> float:
-        """Flows per unit time entering queue q (count, not work)."""
-        total = 0.0
-        for (j, _x), rate in self.lam.items():
-            if q in self.routes[j].queue_path:
-                total += rate
-        return total
+
+def _queue_rates(routes: dict[int, Route], lam: dict[tuple[int, float], float],
+                 work) -> dict[QueueNode, float]:
+    """queue -> the sum of work(x) * rate over the rates in `lam` whose
+    route crosses it, added in `lam`'s order; 0.0 at a queue no rate
+    crosses.  With work(x) = x it is the work rate f, and with 1.0 the
+    flow rate nu."""
+    rates = {q: 0.0 for route in routes.values() for q in route.queue_path}
+    for (j, x), rate in lam.items():
+        for q in routes[j].queue_path:
+            rates[q] += work(x) * rate
+    return rates
 
 
 def compute_loads(routes: list[Route], lam: dict[tuple[int, float], float]) -> LoadProfile:
@@ -167,14 +172,7 @@ def compute_loads(routes: list[Route], lam: dict[tuple[int, float], float]) -> L
         if rate < 0:
             raise ValueError(f"arrival rate must be nonnegative, got {rate}")
 
-    f: dict[QueueNode, float] = {}
-    for route in routes:
-        for q in route.queue_path:
-            f.setdefault(q, 0.0)
-    for (j, x), rate in lam.items():
-        for q in by_id[j].queue_path:
-            f[q] += x * rate
-
+    f = _queue_rates(by_id, lam, lambda x: x)
     rho = {j: max(f[q] for q in by_id[j].queue_path) for j in by_id}
     return LoadProfile(lam=dict(lam), f=f, rho=rho, routes=by_id)
 

@@ -29,8 +29,9 @@ def per_flow(ct, column) -> dict[int, list]:
 
 
 def assert_same_run(got, want) -> None:
-    """Two slot-engine results agree on their counters, on every ledger
-    column and on every hop column."""
+    """Two slot-engine results agree on their tallies, on every ledger
+    column and on every hop column: `run_dt`'s, which derives its tallies
+    from the reference run, or the per-slot oracle's, which steps them."""
     assert (got.n_slots_processed, got.n_transmissions, got.flow_hops_checked) == (
         want.n_slots_processed, want.n_transmissions, want.flow_hops_checked)
     a, b = got.ledger, want.ledger

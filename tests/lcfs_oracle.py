@@ -19,7 +19,7 @@ import numpy as np
 from dcflow.topology import queue_paths
 
 
-def lcfs_sweep(offs, arrive, out, begins, ends) -> None:
+def lcfs_sweep(offs, arrive, out) -> None:
     """Serve one queue preemptive-LCFS with a stack.
 
     `offs` lists the queue's flow-hop offsets in priority order: ascending
@@ -29,8 +29,7 @@ def lcfs_sweep(offs, arrive, out, begins, ends) -> None:
     flow-hop o's work on entry and its departure on return.  At one
     instant the head finishes before an arrival is taken: a head whose
     work ends by the arrival departs, any other is preempted and later
-    resumes with the work it has left.  Each busy period's first and last
-    instants are appended to `begins` and `ends`.
+    resumes with the work it has left.
     """
     stack = []     # [flow-hop offset, work left], head last
     started = 0    # instant the head began its current stint
@@ -44,18 +43,12 @@ def lcfs_sweep(offs, arrive, out, begins, ends) -> None:
             out[head[0]] = end
             stack.pop()
             started = end
-            if not stack:
-                ends.append(end)
-        if not stack:
-            begins.append(t)
         stack.append([o, out[o]])
         started = t
     while stack:
         o, left = stack.pop()
         started += left
         out[o] = started
-        if not stack:
-            ends.append(started)
 
 
 class StackRun(NamedTuple):
@@ -97,7 +90,7 @@ def run_ct_stack(injections, routes, types, eps) -> StackRun:
     for offs in at_queue:
         # the sort is stable, so equal arrivals stay in uid order
         offs = sorted(offs, key=taus.__getitem__)
-        lcfs_sweep(offs, map(taus.__getitem__, offs), deltas, [], [])
+        lcfs_sweep(offs, map(taus.__getitem__, offs), deltas)
         for o in offs:
             if not last_hop[o]:
                 taus[o + 1] = deltas[o]

@@ -12,18 +12,31 @@ packet conservation directly and show that the queue order is
 immaterial.  It records each
 flow's per-queue trail as it goes and checks, hop by hop, that the
 ledger's hop columns, which both engines build from their departure
-slots, report that same trail.
+slots, report that same trail.  It counts the slots it steps and the
+packets it sends itself, so its `SlotRun` checks the tallies that
+`run_dt`'s result derives from the reference run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
+from typing import NamedTuple
 
 import numpy as np
 
-from dcflow.dt_network import DtRunResult, _ledger, hop_columns
+from dcflow.dt_network import DelayLedger, _ledger, hop_columns
 from dcflow.errors import EmulationInfeasibilityError, InternalConsistencyError
 from dcflow.topology import queue_paths
+
+
+class SlotRun(NamedTuple):
+    """The per-slot run: its ledger and the tallies it stepped."""
+
+    ledger: DelayLedger
+    n_slots_processed: int
+    n_transmissions: int
+    flow_hops_checked: int
 
 
 class _Flow:
@@ -40,10 +53,10 @@ class _Flow:
 
 
 def run_dt_per_slot(ct, routes, types, eps, arrive_times=None, node_order=None):
-    """Same arguments and result as `run_dt`, plus `eps`, whose packet
-    counts it serves, and `node_order` (a permutation of the routes'
-    queues, fixing the per-slot iteration order).
-    Returns (result, log) with one (slot, queue, uid, packet index) entry
+    """Same arguments as `run_dt`, plus `eps`, whose packet counts it
+    serves, and `node_order` (a permutation of the routes' queues, fixing
+    the per-slot iteration order).
+    Returns (SlotRun, log) with one (slot, queue, uid, packet index) entry
     per transmission."""
     epsv = eps.epsilon
     queues, route_paths = queue_paths(routes)
@@ -136,7 +149,7 @@ def run_dt_per_slot(ct, routes, types, eps, arrive_times=None, node_order=None):
 
     if n_done != len(flows):
         raise InternalConsistencyError("some flows never drained from the slot engine")
-    ledger = _ledger(ct, delta_slots, arrive_times)
+    ledger = _ledger(dataclasses.replace(ct, delta_slot=delta_slots), arrive_times)
     hops = hop_columns(ledger)
     engine = zip(hops.uid.tolist(), hops.tau.tolist(), hops.delta.tolist(), hops.a.tolist(),
                  hops.s_slot.tolist(), hops.delta_slot.tolist())
@@ -144,7 +157,7 @@ def run_dt_per_slot(ct, routes, types, eps, arrive_times=None, node_order=None):
     for (uid, *hop), want in zip(engine, trail, strict=True):
         if tuple(hop) != want:
             raise AssertionError(f"ledger trail of flow {uid} differs from the per-slot run")
-    result = DtRunResult(
+    result = SlotRun(
         ledger=ledger,
         n_slots_processed=n_slots_processed,
         n_transmissions=len(log),

@@ -248,7 +248,7 @@ def test_criterion_07_emulation_invariants(sweep_runs):
         # the ledger's rows hold every flow of the reference run once
         assert np.array_equal(np.sort(ledger.flow), np.arange(len(ct.uid)))
         assert np.array_equal(ct.uid[ledger.flow], ledger.uid)
-        d_slot = ledger.delta_slots
+        d_slot = ct.delta_slot
         assert np.all(d_slot <= ct.slot(ct.delta_key))
         # a flow arrives downstream in the slot it departs upstream
         onward = np.ones(len(d_slot), dtype=bool)
@@ -263,7 +263,7 @@ def test_criterion_07_emulation_invariants(sweep_runs):
     ledger = adversarial["ledger"]
     first = ledger.ct.offsets[ledger.flow]
     epsv = adversarial["eps"].epsilon
-    leave = ledger.delta_slots[first] * epsv
+    leave = ledger.ct.delta_slot[first] * epsv
     at = np.concatenate((ledger.t_inject, leave))
     step = np.repeat([1, -1], len(ledger))
     order = np.lexsort((step, at))

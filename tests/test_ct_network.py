@@ -161,7 +161,7 @@ def test_equal_arrivals_from_two_queues_stack_by_uid(star_tree):
     assert per_flow(ct, ct.delta) == {5: [1.0, 2.0, 3.0], 3: [1.0, 2.5, 3.0]}
     dt = run_dt(ct, routes, types)
     s_slots = per_flow(ct, ct.slot(ct.tau_key))
-    d_slots = per_flow(ct, dt.ledger.delta_slots)
+    d_slots = per_flow(ct, ct.delta_slot)
     at_r_down = {uid: (s_slots[uid][1], d_slots[uid][1]) for uid in (5, 3)}
     assert at_r_down == {5: (2, 4), 3: (2, 5)}
     oracle, _ = run_dt_per_slot(ct, routes, types, eps)
@@ -295,31 +295,28 @@ def test_ergodic_sojourn_matches_oracle(chain_tree):
 
 
 def stack_run(arrive, work):
-    """Departures and busy periods of the stack sweep."""
-    out, begins, ends = list(work), [], []
-    lcfs_sweep(range(len(arrive)), arrive, out, begins, ends)
-    return out, begins, ends
+    """Departures of the stack sweep."""
+    out = list(work)
+    lcfs_sweep(range(len(arrive)), arrive, out)
+    return out
 
 
 def kernel_run(arrive, work):
-    """Departures and busy periods of the closed form."""
-    arrive = np.array(arrive, dtype=np.int64)
-    departs, opens = lcfs_pr(arrive, np.array(work, dtype=np.int64))
-    return departs.tolist(), arrive[opens].tolist(), departs[opens].tolist()
+    """Departures of the closed form."""
+    return lcfs_pr(np.array(arrive, dtype=np.int64), np.array(work, dtype=np.int64)).tolist()
 
 
-@pytest.mark.parametrize("arrive, work, departs, periods", [
-    # a completion at an arrival instant departs first: two busy periods
-    ([0, 1], [1, 1], [1, 2], ([0, 1], [1, 2])),
+@pytest.mark.parametrize("arrive, work, departs", [
+    # a completion at an arrival instant departs first
+    ([0, 1], [1, 1], [1, 2]),
     # equal arrivals stack in priority order, the later on top
-    ([0, 0], [1, 1], [2, 1], ([0], [2])),
+    ([0, 0], [1, 1], [2, 1]),
     # both at once: flow 0 finishes at 2, as flows 1 and 2 arrive
-    ([0, 2, 2], [2, 1, 3], [2, 6, 5], ([0, 2], [2, 6])),
-])
-def test_lcfs_kernel_tie_cases(arrive, work, departs, periods):
-    want = (departs, *periods)
-    assert stack_run(arrive, work) == want
-    assert kernel_run(arrive, work) == want
+    ([0, 2, 2], [2, 1, 3], [2, 6, 5]),
+], ids=["completion-first", "equal-arrivals-stack", "both-at-once"])
+def test_lcfs_kernel_tie_cases(arrive, work, departs):
+    assert stack_run(arrive, work) == departs
+    assert kernel_run(arrive, work) == departs
 
 
 def priority_order(flows):

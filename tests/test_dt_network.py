@@ -76,7 +76,7 @@ def test_two_flow_busy_cycle_case_two(chain_tree):
     deltas = per_flow(ct, ct.delta)
     assert deltas[1][0] == pytest.approx(3.5)
     assert deltas[2][0] == pytest.approx(2.7)
-    d_slots = per_flow(ct, dt.ledger.delta_slots)
+    d_slots = per_flow(ct, ct.delta_slot)
     assert d_slots[2] == [3]   # short flow leaves in slot 3
     assert d_slots[1] == [4]   # opener: S=1 plus both sizes
     assert per_flow(ct, ct.slot(ct.tau_key))[1] == [1]   # schedule slot of opener
@@ -136,7 +136,7 @@ def test_random_run_invariants_and_capacity(star_tree):
     # ledger invariants, exact in slot units
     hops = hop_columns(ledger)
     assert np.all(hops.a <= hops.s_slot * eps.epsilon + 1e-9)
-    assert np.all(ledger.delta_slots <= ct.slot(ct.delta_key))
+    assert np.all(ct.delta_slot <= ct.slot(ct.delta_key))
 
 
 def test_node_iteration_order_is_immaterial(star_tree):
@@ -326,15 +326,15 @@ def test_injecting_k_slots_later_moves_every_slot_by_k(tree5hop_run, k):
     dt_later = run_dt(ct_later, routes, types)
     assert np.array_equal(ct_later.uid, ct.uid)
     assert np.array_equal(ct_later.slot(ct_later.tau_key), ct.slot(ct.tau_key) + k)
-    assert np.array_equal(dt_later.ledger.delta_slots, dt.ledger.delta_slots + k)
+    assert np.array_equal(ct_later.delta_slot, ct.delta_slot + k)
     assert dt_later.flow_hops_checked == dt.flow_hops_checked == 5 * len(injections)
 
 
 def test_no_flows_and_two_flows_on_the_benchmark_plan():
     # the smallest runs, which random draws reach only by chance
     none = np.zeros(0, dtype=np.int64)
-    departs, opens = lcfs_pr(none, none)
-    assert (departs.dtype, departs.size, opens.size) == (np.int64, 0, 0)
+    departs = lcfs_pr(none, none)
+    assert (departs.dtype, departs.size) == (np.int64, 0)
     routes, types, _, eps = tree5hop()
     ct = run_ct(as_flows([]), routes, types, eps)
     dt = run_dt(ct, routes, types)
@@ -383,8 +383,8 @@ def test_engines_hold_little_memory_per_flow_hop():
         return ct, run_dt(ct, routes, types, arrive_times=nb.t_arrive)
 
     (ct, dt), _, peak = _traced(engines)
-    # the ledger build alone, from the engine's departure slots
-    ledger, held, _ = _traced(lambda: _ledger(ct, dt.ledger.delta_slots, nb.t_arrive))
+    # the ledger build alone, beside the engine's departure slots
+    ledger, held, _ = _traced(lambda: _ledger(ct, nb.t_arrive))
     for name in ("flow",) + COLUMNS:
         assert np.array_equal(getattr(ledger, name), getattr(dt.ledger, name)), name
     assert dt.flow_hops_checked == 5 * len(injections) > 5_000

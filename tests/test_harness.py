@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -357,6 +358,65 @@ def test_serial_runs_do_not_import_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_parallel_sweep_starts_at_most_one_worker_per_point(monkeypatch):
+    # the pool forks every worker it is given at its first submit, so a
+    # 3-point sweep under --jobs 64 once forked 64 processes.  The stand-in
+    # pool records the worker count it is asked for and runs each call
+    # inline, starting no process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    config = dataclasses.replace(sweep_config(horizon=300.0), sweep=(0.5, 0.6, 0.8))
+    assert len(run_experiment(config, jobs=64).points) == 3
+    assert len(run_experiment(config, jobs=2).points) == 3
+    assert sizes == [3, 2]
+
+
+def record_points(monkeypatch) -> list:
+    """Replace `run_point` with a stub and return the list of its calls."""
+    calls = []
+    monkeypatch.setattr(harness, "run_point", lambda *args: calls.append(args))
+    return calls
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_refuses_fewer_than_one_job(tmp_path, monkeypatch, capsys, jobs):
+    # these once ran the sweep serially and exited 0
+    calls = record_points(monkeypatch)
+    path = write_config(tmp_path, sweep_config())
+    assert cli_main(["sweep", "--config", path, "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"error: jobs: must be at least 1, got {jobs}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "--jobs", "3"]])
+def test_cli_names_an_output_directory_it_cannot_make(tmp_path, monkeypatch, capsys, argv):
+    # an --out under a regular file was once found only after the first
+    # point had run, and escaped as a NotADirectoryError traceback, exit 1
+    calls = record_points(monkeypatch)
+    path = write_config(tmp_path, sweep_config())
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert cli_main([argv[0], "--config", path, "--out", str(out), *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out}: cannot write: ")
+    assert calls == []
 
 
 def test_verdict_counts_checked_flow_hops():
