@@ -4,9 +4,9 @@ and the slotted engine that emulates it, served in one pass.
 Flows enter at their injection instants, require a slot-rounded service
 x_eps = eps * ceil(x / eps) at every queue on their route, and hop with
 zero transfer latency.  The newest arrival at a queue always preempts;
-preempted work resumes where it left off.  The per-flow, per-queue
-departure instants recorded here, and the arrivals they make at the
-next queue, drive the discrete-time emulation and its invariant check.
+preempted work resumes where it left off.  The per-queue departure
+instants computed here, and the arrivals they make at the next queue,
+drive the discrete-time emulation and its invariant check.
 
 A queue's arrivals are its flows' injections or their departures from
 the queue before it, so `run_ct` sweeps the queues one at a time in
@@ -28,20 +28,29 @@ The slot engine (see `dt_network`) is the same LCFS-PR schedule read on
 those slot ceilings: at each queue a flow is activated at the slot
 ceiling of its reference arrival and sends its packets there.  Rounding
 up is monotone, so the queue's order by key is the engine's order too,
-and `run_ct` serves each queue once: one gather and one sort, then
+and `_sweep` serves each queue once: one gather and one sort, then
 `lcfs_pr` on the keys with works n_slots * R, and on their slot
-ceilings with packet counts.  It keeps the engine's departure slot at
-every flow-hop.
+ceilings with packet counts.
+
+The emulation's guarantee is local to each queue: every flow leaves it
+by the slot boundary that covers its reference departure.  So `run_ct`
+checks each queue as it is served.  While the queues are served it
+holds, per flow, only the key the flow carries to its next queue, and
+then only the engine's departure slot from its last queue.  Per-hop records are derived when
+read: `CtResult.hop_records` runs the same sweep again.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InternalConsistencyError, StabilityViolationError
+from .errors import (ConfigError, EmulationInfeasibilityError, InternalConsistencyError,
+                     StabilityViolationError)
 from .topology import LoadProfile, QueueNode, Route, _queue_rates, queue_paths, require_admissible
 from .flow_gen import FlowType
 
@@ -120,32 +129,31 @@ def rule_violations(profile: LoadProfile, eps: EpsilonConfig) -> list[str]:
 
 @dataclass(eq=False)
 class CtResult:
-    """Per-flow, per-hop arrival/departure instants along each route, and
-    the slot engine's run on them.
+    """The reference run and the slot engine's run on it, held per flow.
 
-    Flows are numbered in arrival order, (t, uid), here and nowhere else:
-    flow f has uid `uid[f]`, type `types[ti[f]]`, the injection instant
-    `t_inject[f]` it was given, and stood at position `order[f]` in the
-    injections.  It leaves the hop-th queue of its route at the lattice
-    key `delta_key[offsets[f] + hop]`, and the slot engine's flow leaves
-    it when slot `delta_slot[offsets[f] + hop]` begins; key k stands for
-    I * epsilon + residue[rank], with I, rank = divmod(k, len(residue)).
-    Hops take no time, so of a flow's arrivals only the first,
-    `inject_key[f]`, is stored: it reaches each later queue as it leaves
-    the one before, and `tau_key` builds every arrival key when read.
+    Flows are numbered in arrival order, (t, uid), the order of the
+    injections `run_ct` took: flow f has uid `uid[f]`, type `types[ti[f]]`
+    and injection instant `t_inject[f]`, the three columns of those
+    injections, not copies.  A type-k flow crosses the queues `paths[k]`,
+    indices into `queues`, with `pkts[k]` packets at each.  It is
+    injected at the lattice key `inject_key[f]`, where key k stands for
+    I * epsilon + residue[rank], with I, rank = divmod(k, len(residue)),
+    and the slot engine's flow leaves its last queue when slot
+    `last_slot[f]` begins.  Nothing is kept per flow-hop: `hop_records`
+    serves the queues again and returns every flow-hop's keys and slots.
     """
 
     epsilon: float
     types: tuple[FlowType, ...]
-    uid: np.ndarray        # int64, one entry per flow
-    ti: np.ndarray         # int64, one entry per flow
-    order: np.ndarray      # int64, one entry per flow
-    offsets: np.ndarray    # int64, one entry per flow plus the total flow-hop count
-    t_inject: np.ndarray   # float64, one entry per flow
-    residue: np.ndarray    # float64, one entry per rank
+    queues: tuple[QueueNode, ...]
+    paths: tuple[tuple[int, ...], ...]   # per type
+    pkts: np.ndarray        # int64, one entry per type
+    uid: np.ndarray         # int64, one entry per flow
+    ti: np.ndarray          # int64, one entry per flow
+    t_inject: np.ndarray    # float64, one entry per flow
+    residue: np.ndarray     # float64, one entry per rank
     inject_key: np.ndarray  # int64, one entry per flow
-    delta_key: np.ndarray  # int64, one entry per flow-hop
-    delta_slot: np.ndarray  # int64, one entry per flow-hop
+    last_slot: np.ndarray   # int64, one entry per flow
 
     def slot(self, key: np.ndarray) -> np.ndarray:
         """The first slot boundary at or after each keyed instant, I + (r > 0)."""
@@ -157,13 +165,56 @@ class CtResult:
         return whole * self.epsilon + self.residue[rank]
 
     @property
+    def n_hops(self) -> np.ndarray:
+        """Each flow's count of queues."""
+        return np.array([len(p) for p in self.paths], dtype=np.int64)[self.ti]
+
+    def hop_records(self) -> HopRecords:
+        """Every flow-hop's departure key and slot, from the queues served
+        again as `run_ct` served them."""
+        offsets = np.zeros(len(self.uid) + 1, dtype=np.int64)
+        np.cumsum(self.n_hops, out=offsets[1:])
+        delta_key, delta_slot = np.zeros((2, offsets[-1]), dtype=np.int64)
+        hop = np.zeros(len(self.types), dtype=np.int64)
+        for run in _sweep(self):
+            for k, h in run.pairs:
+                hop[k] = h
+            o = offsets[run.flow] + hop[self.ti[run.flow]]
+            delta_key[o] = run.depart
+            delta_slot[o] = run.depart_slot
+            del run, o   # freed before the next queue is served
+        return HopRecords(ct=self, offsets=offsets, delta_key=delta_key, delta_slot=delta_slot)
+
+    @property
+    def taus(self) -> dict[int, list[float]]:
+        """uid -> arrival instant at each queue.  Only the benchmark's stage
+        tracer reads it, to count flow-hops (ROADMAP items 1 and 2)."""
+        hops = self.hop_records()
+        tau, bounds = hops.tau.tolist(), hops.offsets.tolist()
+        return {u: tau[a:b] for u, a, b in zip(self.uid.tolist(), bounds, bounds[1:])}
+
+
+@dataclass(frozen=True, eq=False)
+class HopRecords:
+    """Every flow-hop of the run `ct`, flows in arrival order, then route
+    order: flow f's hop-th queue is flow-hop `offsets[f] + hop`.  It
+    leaves that queue at the lattice key `delta_key` there, and the slot
+    engine's flow leaves it when slot `delta_slot` begins.  Hops take no
+    time, so a flow arrives at each later queue as it leaves the one
+    before, and `tau_key` builds every arrival key when read."""
+
+    ct: CtResult
+    offsets: np.ndarray     # int64, one entry per flow plus the total flow-hop count
+    delta_key: np.ndarray   # int64, one entry per flow-hop
+    delta_slot: np.ndarray  # int64, one entry per flow-hop
+
+    @property
     def tau_key(self) -> np.ndarray:
-        """Arrival keys, one per flow-hop, built when read: a flow's
-        injection key at its first queue, and at each later queue its
-        departure key from the queue before."""
+        """Arrival keys: a flow's injection key at its first queue, and at
+        each later queue its departure key from the queue before."""
         tau = np.empty_like(self.delta_key)
         tau[1:] = self.delta_key[:-1]
-        tau[self.offsets[:-1]] = self.inject_key
+        tau[self.offsets[:-1]] = self.ct.inject_key
         return tau
 
     @property
@@ -171,20 +222,13 @@ class CtResult:
         """Arrival instants.  A flow arrives at its first queue at the
         injection instant it was given, which its key, I * eps + r, can
         miss by an ulp."""
-        tau = self.instant(self.tau_key)
-        tau[self.offsets[:-1]] = self.t_inject
+        tau = self.ct.instant(self.tau_key)
+        tau[self.offsets[:-1]] = self.ct.t_inject
         return tau
 
     @property
     def delta(self) -> np.ndarray:
-        return self.instant(self.delta_key)
-
-    @property
-    def taus(self) -> dict[int, list[float]]:
-        """uid -> arrival instant at each queue.  Only the benchmark's stage
-        tracer reads it, to count flow-hops (ROADMAP items 1 and 2)."""
-        tau, bounds = self.tau.tolist(), self.offsets.tolist()
-        return {u: tau[a:b] for u, a, b in zip(self.uid.tolist(), bounds, bounds[1:])}
+        return self.ct.instant(self.delta_key)
 
 
 def lcfs_pr(arrive: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -224,6 +268,52 @@ def lcfs_pr(arrive: np.ndarray, work: np.ndarray) -> np.ndarray:
     return departs
 
 
+class QueueRun(NamedTuple):
+    """One queue served in both networks: the (type, hop) pairs that
+    visit it, its flows in priority order, ascending arrival key, then
+    uid, and each one's reference departure key and slot-engine
+    departure slot."""
+
+    queue: int
+    pairs: list[tuple[int, int]]
+    flow: np.ndarray
+    depart: np.ndarray
+    depart_slot: np.ndarray
+
+
+def _sweep(ct: CtResult) -> Iterator[QueueRun]:
+    """Serve the queues of `ct` in index order, each after every queue
+    that feeds it.  Each flow carries one key: its injection, then its
+    departure from each queue served so far, which is its arrival at the
+    next queue on its route.  A queue gathers its flows, sorts them by
+    (key, uid) and serves them with `lcfs_pr` twice: on the keys with
+    works n_slots * R, and on their slot ceilings with packet counts.
+    Its departure keys are written back once the caller has read them."""
+    visits: list[list[tuple[int, int]]] = [[] for _ in ct.queues]
+    for k, path in enumerate(ct.paths):
+        for h, q in enumerate(path):
+            visits[q].append((k, h))
+    key = ct.inject_key.copy()
+    n_ranks = len(ct.residue)
+    for q, pairs in enumerate(visits):
+        if not pairs:
+            continue
+        visiting = np.zeros(len(ct.types), dtype=bool)
+        visiting[[k for k, _ in pairs]] = True
+        flow = np.flatnonzero(visiting[ct.ti])
+        arrive = key[flow]
+        by_key = np.lexsort((ct.uid[flow], arrive))
+        flow, arrive = flow[by_key], arrive[by_key]
+        del by_key
+        n_pkts = ct.pkts[ct.ti[flow]]
+        run = QueueRun(q, pairs, flow, lcfs_pr(arrive, n_pkts * n_ranks),
+                       lcfs_pr(ct.slot(arrive), n_pkts))
+        del arrive, n_pkts   # freed before the caller reads the run
+        yield run
+        key[run.flow] = run.depart
+        del run   # freed before the next queue is gathered
+
+
 def run_ct(
     injections: np.ndarray,
     routes: list[Route],
@@ -231,24 +321,30 @@ def run_ct(
     eps: EpsilonConfig,
 ) -> CtResult:
     """Simulate the reference network for injections given as a `FLOW`
-    array, t >= 0 the injection instant, in any order, and the slot
-    engine on it.
+    array in arrival order, (t, uid), t >= 0 the injection instant, and
+    the slot engine on it; check the engine at every flow-hop.
 
-    This is where flows get their numbers: arrival order, (t, uid).  The
-    queues are served by `lcfs_pr` in index order, which serves each
-    after every queue that feeds it; a flow arrives at its next queue the
-    instant it leaves one, so each queue gathers its arrivals from the
-    injection keys and the departure keys already written, and only the
-    departures are stored per flow-hop.  Raises ConfigError for an
-    injection before 0 or a run spanning more slots than int64 lattice
-    keys can hold.
+    Flow f is the f-th injection, and the result keeps the injections'
+    columns.  The queues are served by `_sweep`; of each queue's run
+    only the last departure slot of every flow is kept, and each
+    engine departure is compared with the slot ceiling of its reference
+    departure, exactly in integers.  Raises ConfigError for injections
+    out of arrival order, an injection before 0 or a run spanning more
+    slots than int64 lattice keys can hold, and, after every queue is
+    served, EmulationInfeasibilityError naming the late flow-hop first
+    in (uid, hop) order.
     """
+    t_inject, ti, uid = injections["t"], injections["ti"], injections["uid"]
+    later = ((t_inject[1:] > t_inject[:-1])
+             | ((t_inject[1:] == t_inject[:-1]) & (uid[1:] > uid[:-1])))
+    if not later.all():
+        f = int(np.argmin(later)) + 1
+        raise ConfigError(f"injections out of arrival order (t, uid): flow {uid[f]} at "
+                          f"{float(t_inject[f])!r} comes after flow {uid[f - 1]} at "
+                          f"{float(t_inject[f - 1])!r}")
     queues, route_paths = queue_paths(routes)
-    paths = [route_paths[t.route] for t in types]
+    paths = tuple(route_paths[t.route] for t in types)
 
-    order = np.lexsort((injections["uid"], injections["t"]))
-    ti, uid = injections["ti"][order], injections["uid"][order]   # flows in arrival order
-    t_inject = injections["t"][order]
     residual = np.fmod(t_inject, eps.epsilon)
     whole = np.rint((t_inject - residual) / eps.epsilon)
     residue, rank = np.unique(np.append(0.0, residual), return_inverse=True)
@@ -256,42 +352,30 @@ def run_ct(
     pkts = np.array([eps.n_slots[t.size] for t in types], dtype=np.int64)
     hops = np.array([len(p) for p in paths], dtype=np.int64)
     # no key exceeds the last injection plus every packet of the run
-    if len(order) and (t_inject[0] < 0 or
-                       (whole[-1] + float((pkts * hops)[ti].sum()) + 1) * n_ranks >= 2.0 ** 63):
+    if len(uid) and (t_inject[0] < 0 or
+                     (whole[-1] + float((pkts * hops)[ti].sum()) + 1) * n_ranks >= 2.0 ** 63):
         raise ConfigError(f"injections before 0 or past int64 keys at slot length {eps.epsilon}")
-    offsets = np.zeros(len(order) + 1, dtype=np.int64)
-    np.cumsum(hops[ti], out=offsets[1:])
     inject = whole.astype(np.int64) * n_ranks + rank[1:]
     del residual, whole, rank   # freed before the queues are served
-    delta, delta_slot = np.zeros((2, offsets[-1]), dtype=np.int64)
-    ct = CtResult(epsilon=eps.epsilon, types=types, uid=uid, ti=ti, order=order, offsets=offsets,
-                  t_inject=t_inject, residue=residue, inject_key=inject, delta_key=delta,
-                  delta_slot=delta_slot)
+    ct = CtResult(epsilon=eps.epsilon, types=types, queues=tuple(queues), paths=paths, pkts=pkts,
+                  uid=uid, ti=ti, t_inject=t_inject, residue=residue, inject_key=inject,
+                  last_slot=np.zeros(len(uid), dtype=np.int64))
 
-    # each queue's (type, hop) pairs; the flows of type k, of_type[k], have
-    # their hop-h flow-hops at offsets[of_type[k]] + h
-    visits: list[list[tuple[int, int]]] = [[] for _ in queues]
-    for k, path in enumerate(paths):
-        for h, q in enumerate(path):
-            visits[q].append((k, h))
-    of_type = [np.flatnonzero(ti == k) for k in range(len(types))]
-    for pairs in visits:
-        if not pairs:
-            continue
-        ks = [k for k, _ in pairs]
-        # the queue's arrivals: at a flow's first queue its injection, at a
-        # later one its departure from the queue before; then its flow-hops
-        # and packet counts, each put in priority order, ascending key, then
-        # uid, as it is gathered
-        arrive = np.concatenate([delta[offsets[of_type[k]] + (h - 1)] if h else inject[of_type[k]]
-                                 for k, h in pairs])
-        by_key = np.lexsort((uid[np.concatenate([of_type[k] for k in ks])], arrive))
-        arrive = arrive[by_key]
-        offs = np.concatenate([offsets[of_type[k]] + h for k, h in pairs])[by_key]
-        n_pkts = np.repeat(pkts[ks], [len(of_type[k]) for k in ks])[by_key]
-        del by_key
-        delta[offs] = lcfs_pr(arrive, n_pkts * n_ranks)
-        delta_slot[offs] = lcfs_pr(ct.slot(arrive), n_pkts)
-        del arrive, offs, n_pkts   # freed before the next queue gathers
+    first_late = None   # (uid, hop, queue, slot, bound)
+    for run in _sweep(ct):
+        # queues are served in route order, so the last write is the last hop's
+        ct.last_slot[run.flow] = run.depart_slot
+        late = np.flatnonzero(run.depart_slot > ct.slot(run.depart))
+        if late.size:
+            i = late[np.argmin(uid[run.flow[late]])]
+            f = run.flow[i]
+            found = (int(uid[f]), dict(run.pairs)[int(ti[f])], run.queue,
+                     int(run.depart_slot[i]), int(ct.slot(run.depart[i])))
+            if first_late is None or found < first_late:
+                first_late = found
+        del run, late   # freed before the next queue is served
+    if first_late is not None:
+        u, _, q, s, bound = first_late
+        raise EmulationInfeasibilityError(
+            f"flow {u} left {queues[q]} in slot {s}, reference bound is {bound}")
     return ct
-

@@ -20,8 +20,8 @@ schedule slots for instants and packet counts for work: a flow leaves at
 its schedule slot plus the packets of every activation it waits under,
 its own included.  Sent packets then equal demanded packets by
 construction.  `ct_network.run_ct` serves both networks in one pass per
-queue, and this module checks the engine's run and derives its tallies
-from it when they are read.
+queue and checks the engine there; this module builds the ledger and
+derives the per-hop records and tallies when they are read.
 
 What couples the queues is checked, not simulated.  Two sample-path
 invariants hold for every flow at every queue:
@@ -34,13 +34,14 @@ The first is the second read one hop on.  Hops take no time, so a flow's
 reference arrival at its next queue is its reference departure from this
 one, and its schedule slot there is the very slot ceiling that bounds
 Delta here.  At a flow's first queue its reference arrival is its
-injection, which the schedule slot rounds up.  So `run_dt` compares the
-engine's departure slot with that ceiling at every flow-hop, exactly in
-integers; if none is late, every flow is present when its schedule slot
-comes, activating it there is what the coupled network does, and the
-per-queue runs are that network's run.  A violation raises
-EmulationInfeasibilityError naming the flow and queue; of several, the
-one met first in uid order, and within a flow in route order.
+injection, which the schedule slot rounds up.  So `run_ct` compares the
+engine's departure slot with that ceiling at every flow-hop as it serves
+each queue, exactly in integers; if none is late, every flow is present
+when its schedule slot comes, activating it there is what the coupled
+network does, and the per-queue runs are that network's run.  A
+violation raises EmulationInfeasibilityError naming the flow and queue;
+of several, the one met first in uid order, and within a flow in route
+order.
 
 The CSV writers format each numeric column in one orjson call
 (`column_tokens`), whose shortest round-trip floats have `repr`'s digits;
@@ -58,10 +59,9 @@ from typing import NamedTuple
 import numpy as np
 import orjson
 
-from .ct_network import CtResult, slot_ceil
-from .errors import EmulationInfeasibilityError
+from .ct_network import CtResult
 from .flow_gen import FlowType
-from .topology import Route, queue_paths
+from .topology import Route
 
 
 COLUMNS = ("uid", "route", "size", "t_arrive", "t_inject", "d_w", "d_s", "d")
@@ -73,10 +73,9 @@ class DelayLedger:
     beside the reference run `ct` they are read from: 16 bytes per flow.
 
     `flow` holds each row's flow number in `ct` and `t_arrive` its
-    external arrival; the slot engine's departure slots are
-    `ct.delta_slot`.  The other `COLUMNS` are built from `ct` when read,
-    so read each once: D_W = t_inject - t_arrive, D_S = (last departure
-    slot) * eps - t_inject and D = D_W + D_S, where eps is `ct.epsilon`;
+    external arrival.  The other `COLUMNS` are built from `ct` when read,
+    so read each once: D_W = t_inject - t_arrive, D_S = `ct.last_slot` *
+    eps - t_inject and D = D_W + D_S, where eps is `ct.epsilon`;
     a negative uid marks a dummy flow.  `ledger[rows]` is the ledger of
     some of its rows, which derives only theirs."""
 
@@ -112,8 +111,7 @@ class DelayLedger:
 
     @property
     def d_s(self) -> np.ndarray:
-        last = self.ct.offsets[self.flow + 1] - 1
-        return self.ct.delta_slot[last] * self.ct.epsilon - self.t_inject
+        return self.ct.last_slot[self.flow] * self.ct.epsilon - self.t_inject
 
     @property
     def d(self) -> np.ndarray:
@@ -122,10 +120,12 @@ class DelayLedger:
 
 class HopColumns(NamedTuple):
     """Every flow-hop of a ledger, in ledger-row order, then route order:
-    continuous instants from the reference run, slot indices from the
-    slot engine, and `a`, the instant the flow is fully present."""
+    its queue, an index into `ct.queues`, continuous instants from the
+    reference run, slot indices from the slot engine, and `a`, the
+    instant the flow is fully present."""
 
     uid: np.ndarray
+    queue: np.ndarray
     tau: np.ndarray
     delta: np.ndarray
     a: np.ndarray
@@ -134,34 +134,41 @@ class HopColumns(NamedTuple):
 
 
 def hop_columns(ledger: DelayLedger) -> HopColumns:
-    """The per-queue trail of every ledger row, as flat columns."""
-    ct, slots = ledger.ct, ledger.ct.delta_slot
-    n_hops = np.diff(ct.offsets)[ledger.flow]
+    """The per-queue trail of every ledger row, as flat columns, from the
+    reference run's hop records."""
+    ct = ledger.ct
+    hops = ct.hop_records()
+    slots = hops.delta_slot
+    n_hops = np.diff(hops.offsets)[ledger.flow]
     row = np.repeat(np.arange(len(ledger)), n_hops)
     hop = np.arange(len(row)) - np.repeat(np.cumsum(n_hops) - n_hops, n_hops)
-    offs = ct.offsets[ledger.flow][row] + hop
-    tau = ct.tau[offs]
+    offs = hops.offsets[ledger.flow][row] + hop
+    tau = hops.tau[offs]
     # a flow is present at its first queue from its injection, its reference
     # arrival there, and at each next one when its last packet's slot ends
     a = np.where(hop == 0, tau, slots[offs - 1] * ct.epsilon)
-    return HopColumns(uid=ledger.uid[row], tau=tau, delta=ct.instant(ct.delta_key[offs]), a=a,
-                      s_slot=ct.slot(ct.tau_key[offs]), delta_slot=slots[offs])
+    width = max(map(len, ct.paths))
+    path = np.array([p + (0,) * (width - len(p)) for p in ct.paths], dtype=np.int64)
+    return HopColumns(uid=ledger.uid[row], queue=path[ct.ti[ledger.flow][row], hop],
+                      tau=tau, delta=ct.instant(hops.delta_key[offs]), a=a,
+                      s_slot=ct.slot(hops.tau_key[offs]), delta_slot=slots[offs])
 
 
 @dataclass(eq=False)
 class DtRunResult:
     """A checked slot engine's run, held as its ledger.  Its tallies are
     derived from the ledger's reference run when read, so read each once:
-    `flow_hops_checked` counts flow-hops that passed the departure check,
-    and with it the arrival check one hop on; `n_slots_processed` counts
-    slots in which at least one queue sends a packet, and
-    `n_transmissions` the packets sent."""
+    `flow_hops_checked` counts flow-hops that passed `run_ct`'s departure
+    check, and with it the arrival check one hop on; `n_slots_processed`
+    counts slots in which at least one queue sends a packet, from the
+    reference run's hop records, and `n_transmissions` the packets
+    sent."""
 
     ledger: DelayLedger
 
     @property
     def flow_hops_checked(self) -> int:
-        return len(self.ledger.ct.delta_slot)
+        return int(self.ledger.ct.n_hops.sum())
 
     @property
     def n_slots_processed(self) -> int:
@@ -171,8 +178,9 @@ class DtRunResult:
         never before the i-th begin, and the slots no queue sends in are
         the gaps from the i-th end to the (i+1)-th begin."""
         ct = self.ledger.ct
-        begins = np.sort(ct.slot(ct.tau_key))
-        ends = np.sort(ct.delta_slot)
+        hops = ct.hop_records()
+        begins = np.sort(ct.slot(hops.tau_key))
+        ends = np.sort(hops.delta_slot)
         gaps = np.maximum(begins[1:] - ends[:-1], 0).sum()
         return int(ends[-1] - begins[0] - gaps) if len(ends) else 0
 
@@ -180,18 +188,7 @@ class DtRunResult:
     def n_transmissions(self) -> int:
         """Each flow's packet count at every queue of its route."""
         ct = self.ledger.ct
-        pkts = np.array([slot_ceil(t.size, ct.epsilon) for t in ct.types], dtype=np.int64)
-        return int((pkts[ct.ti] * np.diff(ct.offsets)).sum())
-
-
-def _ledger(ct: CtResult, arrive_times: np.ndarray | None) -> DelayLedger:
-    """The ledger of the slot engine's run in `ct`.  `arrive_times` is in
-    the order of the injections `run_ct` took, and defaults to the
-    injection instants."""
-    t_arrive = ct.t_inject if arrive_times is None else np.asarray(arrive_times,
-                                                                   dtype=np.float64)[ct.order]
-    flow = np.lexsort((ct.uid, t_arrive))
-    return DelayLedger(ct=ct, flow=flow, t_arrive=t_arrive[flow])
+        return int((ct.pkts[ct.ti] * ct.n_hops).sum())
 
 
 def run_dt(
@@ -200,24 +197,16 @@ def run_dt(
     types: tuple[FlowType, ...],
     arrive_times: np.ndarray | None = None,
 ) -> DtRunResult:
-    """Check the slot engine's run that `run_ct` made, flow-hop by
-    flow-hop, and return it with its ledger.
+    """The ledger of the slot engine's run that `run_ct` made and checked.
 
     `arrive_times` holds each flow's external arrival, in the order of
     the injections `run_ct` took (defaults to its injection time).
+    `routes` and `types` repeat what `ct` holds; the benchmark's stage
+    tracer binds them by name (ROADMAP item 2).
     """
-    late = np.flatnonzero(ct.delta_slot > ct.slot(ct.delta_key))
-    if late.size:
-        # late flow-hops ascend, so the first with the least uid is the
-        # first in (uid, hop) order
-        flow = np.searchsorted(ct.offsets, late, side="right") - 1
-        i = np.argmin(ct.uid[flow])
-        f, o = flow[i], late[i]
-        queues, route_paths = queue_paths(routes)
-        q = queues[route_paths[types[ct.ti[f]].route][o - ct.offsets[f]]]
-        raise EmulationInfeasibilityError(f"flow {ct.uid[f]} left {q} in slot {ct.delta_slot[o]}, "
-                                          f"reference bound is {ct.slot(ct.delta_key[o])}")
-    return DtRunResult(ledger=_ledger(ct, arrive_times))
+    t_arrive = ct.t_inject if arrive_times is None else np.asarray(arrive_times, dtype=np.float64)
+    flow = np.lexsort((ct.uid, t_arrive))
+    return DtRunResult(ledger=DelayLedger(ct=ct, flow=flow, t_arrive=t_arrive[flow]))
 
 
 LEDGER_VERSION = "# dcflow ledger v1"
@@ -283,38 +272,36 @@ def write_injection_trace(ledger: DelayLedger, path: str) -> None:
             fh.write(_csv_rows([c[span] for c in cols]))
 
 
-def _hop_nodes(ledger: DelayLedger, routes: list[Route], name=str) -> np.ndarray:
-    """`name` of every flow-hop's queue, in `hop_columns` order."""
-    names = {r.id: [name(str(q)) for q in r.queue_path] for r in routes}
-    return np.array([node for route in ledger.route.tolist() for node in names[route]],
-                    dtype=object)
+def _queue_names(ledger: DelayLedger, name=str) -> np.ndarray:
+    """`name` of each queue of the ledger's reference run, by index."""
+    return np.array([name(str(q)) for q in ledger.ct.queues], dtype=object)
 
 
-def write_ct_table(ledger: DelayLedger, routes: list[Route], path: str) -> None:
+def write_ct_table(ledger: DelayLedger, hops: HopColumns, path: str) -> None:
     """CSV table `uid,node,tau,delta` of the reference run, one row per
-    flow-hop, in uid order, then route order."""
-    hops = hop_columns(ledger)
+    flow-hop of `hops`, the ledger's `hop_columns`, in uid order, then
+    route order."""
     order = np.argsort(hops.uid, kind="stable")
-    cols = (hops.uid[order], _hop_nodes(ledger, routes)[order], hops.tau[order],
-            hops.delta[order])
+    uid, queue, tau, delta = (c[order] for c in (hops.uid, hops.queue, hops.tau, hops.delta))
+    names = _queue_names(ledger)
     with open(path, "w") as fh:
         fh.write("# dcflow ct-table v1\n")
         fh.write("uid,node,tau,delta\n")
         for span in _chunks(len(order)):
-            fh.write(_csv_rows([c[span] for c in cols]))
+            fh.write(_csv_rows([uid[span], names[queue[span]], tau[span], delta[span]]))
 
 
-def write_hop_table_jsonl(ledger: DelayLedger, routes: list[Route], path: str) -> None:
-    """Per-flow per-queue timestamps, one JSON object per line, in
-    `hop_columns` order: the text `json.dumps` writes for each, formatted
-    `CSV_CHUNK` rows at a time."""
-    hops = hop_columns(ledger)
-    nodes = _hop_nodes(ledger, routes, json.dumps)
+def write_hop_table_jsonl(ledger: DelayLedger, hops: HopColumns, path: str) -> None:
+    """Per-flow per-queue timestamps of `hops`, the ledger's `hop_columns`,
+    one JSON object per line, in their order: the text `json.dumps`
+    writes for each, formatted `CSV_CHUNK` rows at a time."""
+    names = _queue_names(ledger, json.dumps)
     cols = hops.uid, hops.tau, hops.delta, hops.a, hops.s_slot * ledger.ct.epsilon, hops.delta_slot
     with open(path, "w") as fh:
         fh.write(json.dumps({"format": "dcflow-hops", "version": 1}) + "\n")
-        for span in _chunks(len(nodes)):
+        for span in _chunks(len(hops.uid)):
             uid, *times, d_slot = (column_tokens(c[span], json.dumps) for c in cols)
             fh.write("".join(f'{{"uid": {u}, "node": {n}, "tau": {t}, "delta": {d}, "A": {a}, '
                              f'"S": {s}, "delta_slot": {k}}}\n'
-                             for u, n, t, d, a, s, k in zip(uid, nodes[span], *times, d_slot)))
+                             for u, n, t, d, a, s, k in zip(uid, names[hops.queue[span]], *times,
+                                                            d_slot)))

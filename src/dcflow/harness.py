@@ -22,8 +22,8 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from . import __version__
 from .ct_network import EpsilonConfig, choose_epsilon, rule_violations, run_ct
-from .dt_network import (run_dt, write_ct_table, write_hop_table_jsonl, write_injection_trace,
-                         write_ledger_csv)
+from .dt_network import (hop_columns, run_dt, write_ct_table, write_hop_table_jsonl,
+                         write_injection_trace, write_ledger_csv)
 from .errors import ConfigError, MalformedTreeError, StabilityViolationError
 from .flow_gen import FlowType, gen_poisson, regularize
 from .metrics import TypeStats, format_report, summarize, write_summary_csv
@@ -291,7 +291,7 @@ class PointResult:
     mult: float
     stats: list[TypeStats]
     n_flows: int
-    flow_hops_checked: int     # flow-hops whose departure slot `run_dt` verified
+    flow_hops_checked: int     # flow-hops whose departure slot `run_ct` verified
 
 
 def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
@@ -310,12 +310,11 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
 
     nb = run_emulation(stream, routes, profile=plan.profile)
     del stream   # freed before the engines run
-    # from here the reference run's flow table is the only full per-flow
-    # record: of the virtual net's result only the arrivals are kept
-    injections, t_arrive, n_flows = nb.schedule(), nb.t_arrive, len(nb)
+    # from here the injections, which the reference run keeps as its flow
+    # table, are the only full per-flow record beside the arrivals
+    (injections, t_arrive), n_flows = nb.schedule(), len(nb)
     del nb
     ct = run_ct(injections, routes, types, plan.eps)
-    del injections
     dt = run_dt(ct, routes, types, arrive_times=t_arrive)
     del t_arrive
     stats = summarize(dt.ledger, config.burn_in * config.horizon, plan.profile, plan.eps,
@@ -326,8 +325,9 @@ def run_point(config: ExperimentConfig, mult: float, out_dir: str | None = None,
         write_ledger_csv(dt.ledger, os.path.join(out_dir, "ledger.csv"))
         if config.emit_hop_tables:
             write_injection_trace(dt.ledger, os.path.join(out_dir, "injections.csv"))
-            write_ct_table(dt.ledger, routes, os.path.join(out_dir, "ct_table.csv"))
-            write_hop_table_jsonl(dt.ledger, routes, os.path.join(out_dir, "hops.jsonl"))
+            hops = hop_columns(dt.ledger)   # both tables read one set of hop records
+            write_ct_table(dt.ledger, hops, os.path.join(out_dir, "ct_table.csv"))
+            write_hop_table_jsonl(dt.ledger, hops, os.path.join(out_dir, "hops.jsonl"))
 
     return PointResult(mult=mult, stats=stats, n_flows=n_flows,
                        flow_hops_checked=dt.flow_hops_checked)
@@ -346,7 +346,7 @@ class ExperimentResult:
 
 
 def _build_verdict(config: ExperimentConfig, points: list[PointResult]) -> dict:
-    """The checks that can fail.  `run_dt` raises on the first late flow-hop, so
+    """The checks that can fail.  `run_ct` raises on a late flow-hop, so
     a finished run's emulation result is reported as the count it verified."""
     checks = []
     for p in points:

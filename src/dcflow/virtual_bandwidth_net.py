@@ -20,7 +20,8 @@ uid order.  The loop reads the stream's `FLOW` columns as Python
 numbers a chunk of rows at a time and writes each flow's departure into
 one float64 array, so it holds no whole-stream list; everything else
 about a run is read from `NbRunResult`'s columns afterwards, and
-`schedule` hands the reference net the same `FLOW` record.
+`schedule` hands the reference net the same `FLOW` record, sorted into
+the order in which flows reach it.
 
 The congestion-control rule is: a flow becomes eligible for the internal
 network exactly when it departs this virtual network.  Its external wait
@@ -152,10 +153,13 @@ class NbRunResult:
         """uid -> arrival into the virtual net, built when read."""
         return dict(zip(self.uid.tolist(), self.t_enter.tolist()))
 
-    def schedule(self) -> np.ndarray:
-        """The injections as `run_ct` takes them: a `FLOW` array, t the
-        injection instant, in stream order, the order of `t_arrive`."""
-        return flow_array(self.t_inject, self.type, self.uid)
+    def schedule(self) -> tuple[np.ndarray, np.ndarray]:
+        """The injections as `run_ct` takes them, a `FLOW` array with t the
+        injection instant, in arrival order (t, uid), and each flow's
+        external arrival in the same order."""
+        order = np.lexsort((self.uid, self.t_inject))
+        injections = flow_array(self.t_inject[order], self.type[order], self.uid[order])
+        return injections, self.t_arrive[order]
 
     def _route(self) -> np.ndarray:
         return np.array([t.route for t in self.types], dtype=np.int64)[self.type]

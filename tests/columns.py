@@ -1,7 +1,8 @@
 """Views of the engines' flat columns, for tests.
 
-`as_flows` builds a `FLOW` array from (t, ti, uid) rows; `per_flow` reads
-any per-flow-hop column of a reference run, one list per flow;
+`as_flows` builds a `FLOW` array from (t, ti, uid) rows, in arrival
+order; `per_flow` reads any per-flow-hop column of a reference run's hop
+records, one list per flow;
 `assert_same_run` compares two slot-engine results column by column,
 including every flow-hop of their ledgers' hop trails; `write_ledger_rows`
 writes a ledger file the plain way, row by row from whole columns.
@@ -16,16 +17,17 @@ from dcflow.flow_gen import FLOW
 
 
 def as_flows(rows) -> np.ndarray:
-    """A `FLOW` array of (t, type index, uid) rows, as `run_ct` takes it."""
-    return np.array(list(rows), dtype=FLOW)
+    """A `FLOW` array of (t, type index, uid) rows, as `run_ct` takes it:
+    sorted into arrival order, (t, uid)."""
+    return np.sort(np.array(list(rows), dtype=FLOW), order=["t", "uid"])
 
 
-def per_flow(ct, column) -> dict[int, list]:
-    """uid -> the flow's entries of `column`, a flat column at the
-    reference run `ct`'s flow-hop offsets, in route order."""
+def per_flow(hops, column) -> dict[int, list]:
+    """uid -> the flow's entries of `column`, a flat column at the hop
+    records `hops`' flow-hop offsets, in route order."""
     values = np.asarray(column).tolist()
-    bounds = ct.offsets.tolist()
-    return {u: values[a:b] for u, a, b in zip(ct.uid.tolist(), bounds, bounds[1:])}
+    bounds = hops.offsets.tolist()
+    return {u: values[a:b] for u, a, b in zip(hops.ct.uid.tolist(), bounds, bounds[1:])}
 
 
 def assert_same_run(got, want) -> None:

@@ -3,18 +3,19 @@
 `run_dt_per_slot` steps every slot in which some queue holds a
 transmittable flow and lets the head of each queue's LCFS heap send one
 packet.  That is the definition the slot engine must reproduce, which
-`ct_network.run_ct` runs queue by queue and `dt_network.run_dt` checks
-and reports.  It checks both sample-path invariants as it goes, A <= S
-and Delta <= eps * ceil(delta / eps), so `run_dt`'s one departure check
-must raise where this pair does.  It can log every transmission and
+`ct_network.run_ct` runs and checks queue by queue.  It checks both
+sample-path invariants as it goes, A <= S and Delta <= eps * ceil(delta
+/ eps), so `run_ct`'s one departure check must raise where this pair
+does.  It can log every transmission and
 iterate the queues in any order, so tests can check slot capacity and
 packet conservation directly and show that the queue order is
-immaterial.  It records each
-flow's per-queue trail as it goes and checks, hop by hop, that the
-ledger's hop columns, which both engines build from their departure
-slots, report that same trail.  It counts the slots it steps and the
-packets it sends itself, so its `SlotRun` checks the tallies that
-`run_dt`'s result derives from the reference run.
+immaterial.  It reads the
+reference run's hop records, records each flow's per-queue trail as it
+goes and checks, hop by hop, that the ledger's hop columns, derived from
+those records, report that same trail, every departure slot included.
+Its ledger reads its own last departure slots.  It counts the slots it
+steps and the packets it sends itself, so its `SlotRun` checks the
+tallies that `run_dt`'s result derives from the reference run.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dcflow.dt_network import DelayLedger, _ledger, hop_columns
+from dcflow.dt_network import DelayLedger, hop_columns, run_dt
 from dcflow.errors import EmulationInfeasibilityError, InternalConsistencyError
 from dcflow.topology import queue_paths
 
@@ -68,8 +69,9 @@ def run_dt_per_slot(ct, routes, types, eps, arrive_times=None, node_order=None):
         queues = list(node_order)
     qidx = {q: i for i, q in enumerate(queues)}
 
-    taus, deltas = ct.tau.tolist(), ct.delta.tolist()
-    keys, delta_keys = ct.tau_key.tolist(), ct.delta_key.tolist()
+    hops = ct.hop_records()
+    taus, deltas = hops.tau.tolist(), hops.delta.tolist()
+    keys, delta_keys = hops.tau_key.tolist(), hops.delta_key.tolist()
     residue, n_ranks = ct.residue.tolist(), len(ct.residue)
 
     def first_slot(key):
@@ -86,7 +88,7 @@ def run_dt_per_slot(ct, routes, types, eps, arrive_times=None, node_order=None):
     eligible = [[] for _ in queues]
     activations = []  # (slot, queue index, uid, arrival key, flow)
     flows = {}
-    for uid, ti, offset in zip(ct.uid.tolist(), ct.ti.tolist(), ct.offsets.tolist()):
+    for uid, ti, offset in zip(ct.uid.tolist(), ct.ti.tolist(), hops.offsets.tolist()):
         # a flow is injected at its reference arrival at its first queue
         fl = _Flow(uid, ti, offset, taus[offset])
         fl.remaining = pkts[ti]
@@ -149,10 +151,12 @@ def run_dt_per_slot(ct, routes, types, eps, arrive_times=None, node_order=None):
 
     if n_done != len(flows):
         raise InternalConsistencyError("some flows never drained from the slot engine")
-    ledger = _ledger(dataclasses.replace(ct, delta_slot=delta_slots), arrive_times)
-    hops = hop_columns(ledger)
-    engine = zip(hops.uid.tolist(), hops.tau.tolist(), hops.delta.tolist(), hops.a.tolist(),
-                 hops.s_slot.tolist(), hops.delta_slot.tolist())
+    last_slot = delta_slots[hops.offsets[1:] - 1]
+    ledger = run_dt(dataclasses.replace(ct, last_slot=last_slot), routes, types,
+                    arrive_times).ledger
+    trails = hop_columns(ledger)
+    engine = zip(trails.uid.tolist(), trails.tau.tolist(), trails.delta.tolist(),
+                 trails.a.tolist(), trails.s_slot.tolist(), trails.delta_slot.tolist())
     trail = (hop for uid in ledger.uid.tolist() for hop in flows[uid].trail)
     for (uid, *hop), want in zip(engine, trail, strict=True):
         if tuple(hop) != want:

@@ -97,8 +97,9 @@ def sweep_runs():
         stream = gen_poisson(types, horizon, seed=5)
         nb = run_emulation(stream, routes)
         eps = choose_epsilon(profile, 2.0)
-        ct = run_ct(nb.schedule(), routes, types, eps)
-        dt = run_dt(ct, routes, types, arrive_times=nb.t_arrive)
+        injections, t_arrive = nb.schedule()
+        ct = run_ct(injections, routes, types, eps)
+        dt = run_dt(ct, routes, types, arrive_times=t_arrive)
         stats = summarize(dt.ledger, 0.2 * horizon, profile, eps)
         out[rho] = {
             "profile": profile,
@@ -224,7 +225,8 @@ def test_criterion_06_reference_network_delay_law():
             stream = gen_poisson(types, horizon, seed=int(f_target * 100) + route.hop_count)
             ct = run_ct(stream.events, [route], types, eps)
             burn = 0.2 * horizon
-            sample = (ct.delta[ct.offsets[1:] - 1] - ct.t_inject)[ct.t_inject >= burn]
+            hops = ct.hop_records()
+            sample = (hops.delta[hops.offsets[1:] - 1] - ct.t_inject)[ct.t_inject >= burn]
             assert len(sample) >= 90_000
             oracle = oracle_table(profile, eps)[(0, 1.0)].oracle_ds
             rel = abs(sample.mean() - oracle) / oracle
@@ -244,16 +246,19 @@ def test_criterion_07_emulation_invariants(sweep_runs):
         run = sweep_runs[rho]
         ledger = run["ledger"]
         ct = ledger.ct
-        offsets = ct.offsets
+        hops = ct.hop_records()
+        offsets = hops.offsets
         # the ledger's rows hold every flow of the reference run once
         assert np.array_equal(np.sort(ledger.flow), np.arange(len(ct.uid)))
         assert np.array_equal(ct.uid[ledger.flow], ledger.uid)
-        d_slot = ct.delta_slot
-        assert np.all(d_slot <= ct.slot(ct.delta_key))
+        d_slot = hops.delta_slot
+        assert np.all(d_slot <= ct.slot(hops.delta_key))
         # a flow arrives downstream in the slot it departs upstream
         onward = np.ones(len(d_slot), dtype=bool)
         onward[offsets[:-1]] = False
-        assert np.all(d_slot[:-1][onward[1:]] <= ct.slot(ct.tau_key)[onward])
+        assert np.all(d_slot[:-1][onward[1:]] <= ct.slot(hops.tau_key)[onward])
+        # and the ledger's D_S reads each flow's last departure slot
+        assert np.array_equal(ct.last_slot, d_slot[offsets[1:] - 1])
         checked += len(d_slot)
     # no upward backlog trend at the bottleneck of the adversarial run:
     # compare time-average occupancy between the two halves.  Every flow
@@ -261,9 +266,10 @@ def test_criterion_07_emulation_invariants(sweep_runs):
     # to the end of its departure slot there; at one instant departures
     # count first
     ledger = adversarial["ledger"]
-    first = ledger.ct.offsets[ledger.flow]
+    hops = ledger.ct.hop_records()
+    first = hops.offsets[ledger.flow]
     epsv = adversarial["eps"].epsilon
-    leave = ledger.ct.delta_slot[first] * epsv
+    leave = hops.delta_slot[first] * epsv
     at = np.concatenate((ledger.t_inject, leave))
     step = np.repeat([1, -1], len(ledger))
     order = np.lexsort((step, at))

@@ -110,8 +110,9 @@ def test_lone_flow_hops(two_hop_route):
     profile = compute_loads([two_hop_route], {(0, 1.0): 0.1})
     eps = choose_epsilon(profile, 2.0, override=0.5)   # x_eps = 1.0
     ct = run_ct(as_flows([(0.0, 0, 0)]), [two_hop_route], types, eps)
-    assert per_flow(ct, ct.tau) == {0: [0.0, 1.0]}
-    assert per_flow(ct, ct.delta) == {0: [1.0, 2.0]}
+    rec = ct.hop_records()
+    assert per_flow(rec, rec.tau) == {0: [0.0, 1.0]}
+    assert per_flow(rec, rec.delta) == {0: [1.0, 2.0]}
     assert ct.t_inject.tolist() == [0.0]
 
 
@@ -122,7 +123,8 @@ def test_preemption_resume(chain_tree):
     eps = choose_epsilon(profile, 2.0, override=0.5)
     # flow 0 starts at 0; flow 1 lands at 0.6 and preempts (remaining 0.4)
     ct = run_ct(as_flows([(0.0, 0, 0), (0.6, 0, 1)]), [route], types, eps)
-    deltas = per_flow(ct, ct.delta)
+    rec = ct.hop_records()
+    deltas = per_flow(rec, rec.delta)
     assert deltas[1][0] == pytest.approx(1.6)
     assert deltas[0][0] == pytest.approx(2.0)  # 0.6 + 1.0 + 0.4
 
@@ -134,7 +136,8 @@ def test_simultaneous_events_order(star_tree):
     types = (FlowType(0, 1.0, 0.1),)
     eps = choose_epsilon(compute_loads(routes, {(0, 1.0): 0.1}), 2.0, override=0.5)
     ct = run_ct(as_flows([(0.0, 0, 0), (1.0, 0, 1)]), routes, types, eps)
-    assert per_flow(ct, ct.delta) == {0: [1.0], 1: [2.0]}
+    rec = ct.hop_records()
+    assert per_flow(rec, rec.delta) == {0: [1.0], 1: [2.0]}
 
     # equal arrivals at a queue stack in uid order: both flows leave
     # their first queue at 1.0 and meet at r/down, where flow 1, the
@@ -144,8 +147,9 @@ def test_simultaneous_events_order(star_tree):
     profile = compute_loads(routes, {(0, 1.0): 0.1, (1, 1.0): 0.1})
     eps = choose_epsilon(profile, 2.0, override=0.5)
     ct = run_ct(as_flows([(0.0, 1, 1), (0.0, 0, 0)]), routes, types, eps)
-    assert per_flow(ct, ct.tau) == {0: [0.0, 1.0, 3.0], 1: [0.0, 1.0, 2.0]}
-    assert per_flow(ct, ct.delta) == {0: [1.0, 3.0, 4.0], 1: [1.0, 2.0, 3.0]}
+    rec = ct.hop_records()
+    assert per_flow(rec, rec.tau) == {0: [0.0, 1.0, 3.0], 1: [0.0, 1.0, 2.0]}
+    assert per_flow(rec, rec.delta) == {0: [1.0, 3.0, 4.0], 1: [1.0, 2.0, 3.0]}
 
 
 def test_equal_arrivals_from_two_queues_stack_by_uid(star_tree):
@@ -157,11 +161,12 @@ def test_equal_arrivals_from_two_queues_stack_by_uid(star_tree):
     eps = choose_epsilon(compute_loads(routes, {(0, 1.0): 0.1, (1, 0.5): 0.1}), 2.0,
                          override=0.5)
     ct = run_ct(as_flows([(0.0, 0, 5), (0.5, 1, 3)]), routes, types, eps)
-    assert per_flow(ct, ct.tau) == {5: [0.0, 1.0, 2.0], 3: [0.5, 1.0, 2.5]}
-    assert per_flow(ct, ct.delta) == {5: [1.0, 2.0, 3.0], 3: [1.0, 2.5, 3.0]}
+    rec = ct.hop_records()
+    assert per_flow(rec, rec.tau) == {5: [0.0, 1.0, 2.0], 3: [0.5, 1.0, 2.5]}
+    assert per_flow(rec, rec.delta) == {5: [1.0, 2.0, 3.0], 3: [1.0, 2.5, 3.0]}
     dt = run_dt(ct, routes, types)
-    s_slots = per_flow(ct, ct.slot(ct.tau_key))
-    d_slots = per_flow(ct, ct.delta_slot)
+    s_slots = per_flow(rec, ct.slot(rec.tau_key))
+    d_slots = per_flow(rec, rec.delta_slot)
     at_r_down = {uid: (s_slots[uid][1], d_slots[uid][1]) for uid in (5, 3)}
     assert at_r_down == {5: (2, 4), 3: (2, 5)}
     oracle, _ = run_dt_per_slot(ct, routes, types, eps)
@@ -176,7 +181,8 @@ def test_completion_at_an_arrival_instant_departs(chain_tree):
     eps = choose_epsilon(compute_loads(routes, {(0, 1.0): 0.1, (1, 0.5): 0.1}), 2.0,
                          override=0.5)
     ct = run_ct(as_flows([(0.0, 0, 1), (0.5, 1, 2)]), routes, types, eps)
-    assert per_flow(ct, ct.delta) == {1: [1.0, 2.0], 2: [1.0]}
+    rec = ct.hop_records()
+    assert per_flow(rec, rec.delta) == {1: [1.0, 2.0], 2: [1.0]}
 
 
 def test_float_noise_keeps_a_completion_tie(star_tree):
@@ -189,10 +195,11 @@ def test_float_noise_keeps_a_completion_tie(star_tree):
     types = (FlowType(0, 0.5, 0.1),)
     eps = choose_epsilon(compute_loads(routes, {(0, 0.5): 0.1}), 2.0, override=0.995)
     ct = run_ct(as_flows([(0.0, 0, uid) for uid in range(3)]), routes, types, eps)
-    taus, deltas = per_flow(ct, ct.tau), per_flow(ct, ct.delta)
+    rec = ct.hop_records()
+    taus, deltas = per_flow(rec, rec.tau), per_flow(rec, rec.delta)
     assert taus[0][2] == pytest.approx(3.98, rel=1e-12)
     # departs at the arrival it did not wait for
-    assert per_flow(ct, ct.delta_key)[1][2] == per_flow(ct, ct.tau_key)[0][2]
+    assert per_flow(rec, rec.delta_key)[1][2] == per_flow(rec, rec.tau_key)[0][2]
     assert deltas[1][2] == taus[0][2]
     assert deltas[0][2] == pytest.approx(4.975, rel=1e-12)
 
@@ -219,7 +226,8 @@ def queue_logs(ct, routes, types, injections):
     per-hop lattice keys; at one instant departures come first, then
     arrivals in uid order, as in run_ct."""
     by_id = {r.id: r for r in routes}
-    taus, deltas = per_flow(ct, ct.tau_key), per_flow(ct, ct.delta_key)
+    rec = ct.hop_records()
+    taus, deltas = per_flow(rec, rec.tau_key), per_flow(rec, rec.delta_key)
     logs = {}
     for _, ti, uid in injections.tolist():
         path = by_id[types[ti].route].queue_path
@@ -279,7 +287,8 @@ def test_work_conservation_per_hop(two_hop_route):
     eps = choose_epsilon(profile, 2.0)
     stream = gen_poisson(types, 1_000.0, seed=33)
     ct = run_ct(stream.events, [two_hop_route], types, eps)
-    assert np.all(ct.delta_key - ct.tau_key >= eps.n_slots[1.0] * len(ct.residue))
+    rec = ct.hop_records()
+    assert np.all(rec.delta_key - rec.tau_key >= eps.n_slots[1.0] * len(ct.residue))
 
 
 def test_ergodic_sojourn_matches_oracle(chain_tree):
@@ -289,7 +298,8 @@ def test_ergodic_sojourn_matches_oracle(chain_tree):
     stream = gen_poisson(types, 40_000.0, seed=34)
     ct = run_ct(stream.events, routes, types, eps)
     burn = 8_000.0
-    soj = (ct.delta[ct.offsets[1:] - 1] - ct.t_inject)[ct.t_inject >= burn]
+    rec = ct.hop_records()
+    soj = (rec.delta[rec.offsets[1:] - 1] - ct.t_inject)[ct.t_inject >= burn]
     want = reference_oracle(eps, profile, 0, 1.0)
     assert soj.mean() == pytest.approx(want, rel=0.08)
 

@@ -1,16 +1,18 @@
+import contextlib
 import itertools
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+from dcflow import ct_network
 from dcflow.ct_network import choose_epsilon, lcfs_pr, run_ct
-from dcflow.dt_network import (COLUMNS, _ledger, column_tokens, hop_columns, run_dt,
-                                write_ledger_csv)
-from dcflow.errors import DcflowError, EmulationInfeasibilityError
+from dcflow.dt_network import COLUMNS, column_tokens, hop_columns, run_dt, write_ledger_csv
+from dcflow.errors import ConfigError, DcflowError, EmulationInfeasibilityError
 from dcflow.flow_gen import FlowType, gen_poisson
 from dcflow.harness import ExperimentConfig, run_point
 from dcflow.metrics import oracle_table
@@ -40,7 +42,7 @@ def test_lone_flow_single_node_base_case(chain_tree):
     assert hops.s_slot.tolist() == [0]
     assert hops.delta_slot.tolist() == [2]
     assert hops.delta[0] == pytest.approx(1.0)
-    assert hops.delta_slot.tolist() == ct.slot(ct.delta_key).tolist()
+    assert hops.delta_slot.tolist() == ct.slot(ct.hop_records().delta_key).tolist()
     assert dt.ledger.d_s[0] == pytest.approx(1.0)
 
 
@@ -59,7 +61,7 @@ def test_injection_just_after_slot_zero_is_scheduled_in_slot_one():
         [0], [0], [1.0], [1.5e-9], [1.5e-9], [0.0], [6.0 - 1.5e-9], [6.0 - 1.5e-9]]
     hops = hop_columns(ledger)
     assert (hops.s_slot.tolist(), hops.delta_slot.tolist()) == ([1, 2], [2, 3])
-    assert ct.slot(ct.delta_key).tolist() == [2, 3]
+    assert ct.slot(ct.hop_records().delta_key).tolist() == [2, 3]
 
 
 def test_two_flow_busy_cycle_case_two(chain_tree):
@@ -73,14 +75,15 @@ def test_two_flow_busy_cycle_case_two(chain_tree):
     _, eps, ct, dt = pipeline([route], types, injections, override=1.0)
     assert eps.epsilon == 1.0
     # reference run: opener departs at 3.5, the short flow at 2.7
-    deltas = per_flow(ct, ct.delta)
+    rec = ct.hop_records()
+    deltas = per_flow(rec, rec.delta)
     assert deltas[1][0] == pytest.approx(3.5)
     assert deltas[2][0] == pytest.approx(2.7)
-    d_slots = per_flow(ct, ct.delta_slot)
+    d_slots = per_flow(rec, rec.delta_slot)
     assert d_slots[2] == [3]   # short flow leaves in slot 3
     assert d_slots[1] == [4]   # opener: S=1 plus both sizes
-    assert per_flow(ct, ct.slot(ct.tau_key))[1] == [1]   # schedule slot of opener
-    assert d_slots[1] == per_flow(ct, ct.slot(ct.delta_key))[1] == [4]
+    assert per_flow(rec, ct.slot(rec.tau_key))[1] == [1]   # schedule slot of opener
+    assert d_slots[1] == per_flow(rec, ct.slot(rec.delta_key))[1] == [4]
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
@@ -136,7 +139,8 @@ def test_random_run_invariants_and_capacity(star_tree):
     # ledger invariants, exact in slot units
     hops = hop_columns(ledger)
     assert np.all(hops.a <= hops.s_slot * eps.epsilon + 1e-9)
-    assert np.all(ct.delta_slot <= ct.slot(ct.delta_key))
+    rec = ct.hop_records()
+    assert np.all(rec.delta_slot <= ct.slot(rec.delta_key))
 
 
 def test_node_iteration_order_is_immaterial(star_tree):
@@ -250,32 +254,48 @@ def test_column_tokens_are_str_of_each_integer(values):
     assert column_tokens(column) == [str(int(x)) for x in column]
 
 
+@contextlib.contextmanager
+def departures_pulled_earlier(late):
+    """Serve the queues with the reference departures at `late`, (uid,
+    hop) -> slots, pulled that many whole slots earlier as each queue is
+    served.  The next queue on the route takes the moved departure as its
+    arrival, in both networks, so the run stays whole; only its check can
+    fail."""
+    sweep = ct_network._sweep
+
+    def tampered(ct):
+        for run in sweep(ct):
+            hop = dict(run.pairs)
+            for i, f in enumerate(run.flow.tolist()):
+                run.depart[i] -= late.get((int(ct.uid[f]), hop[int(ct.ti[f])]), 0) * len(ct.residue)
+            yield run
+
+    with mock.patch.object(ct_network, "_sweep", tampered):
+        yield
+
+
 def _late_run(routes, types, injections, late):
-    """A reference run whose departures at `late`, uid -> hops, are each
-    pulled one slot earlier, at slot length 0.5."""
+    """`run_ct` at slot length 0.5 with the departures at `late`, uid ->
+    hops, each pulled one slot earlier."""
     profile = compute_loads(routes, {(t.route, t.size): t.rate for t in types})
     eps = choose_epsilon(profile, 2.0, override=0.5)
-    ct = run_ct(as_flows(injections), routes, types, eps)
-    first = dict(zip(ct.uid.tolist(), ct.offsets.tolist()))
-    for uid, hops in late.items():
-        for hop in hops:
-            ct.delta_key[first[uid] + hop] -= len(ct.residue)
-    return ct
+    with departures_pulled_earlier({(uid, hop): 1 for uid, hops in late.items() for hop in hops}):
+        return run_ct(as_flows(injections), routes, types, eps)
 
 
 def test_violations_are_named_in_uid_order(two_hop_route):
     # flow 9 breaks a check at the first queue and flow 2 at the second;
     # the error names the smaller uid, whatever the queue order
     types = (FlowType(0, 1.0, 0.1),)
-    ct = _late_run([two_hop_route], types, [(1.0, 0, 9), (10.0, 0, 2)], {9: (0,), 2: (1,)})
     with pytest.raises(EmulationInfeasibilityError,
                        match=r"^flow 2 left a/up in slot 24, reference bound is 23$"):
-        run_dt(ct, [two_hop_route], types)
+        _late_run([two_hop_route], types, [(1.0, 0, 9), (10.0, 0, 2)], {9: (0,), 2: (1,)})
 
     # deeper hops on routes with different queues: flow 6 crosses h1/up
     # a1/up r/down a2/down h3/down from slot 2, flow 4 r/down a1/down
     # h2/down from slot 20, two packets a queue, each alone.  The error
-    # names the late hop's own queue, and a flow's first late hop
+    # names the late hop's own queue, and a flow's first late hop, though
+    # its later one is found at a later queue
     routes = [make_route(TREE, "h1", "h3", route_id=0), make_route(TREE, "r", "h2", route_id=1)]
     types = (FlowType(0, 1.0, 0.1), FlowType(1, 1.0, 0.1))
     injections = [(1.0, 0, 6), (10.0, 1, 4)]
@@ -283,7 +303,26 @@ def test_violations_are_named_in_uid_order(two_hop_route):
             ({6: (3,), 4: (2,)}, "flow 4 left h2/down in slot 26, reference bound is 25"),
             ({6: (4, 3)}, "flow 6 left a2/down in slot 10, reference bound is 9")):
         with pytest.raises(EmulationInfeasibilityError, match=f"^{message}$"):
-            run_dt(_late_run(routes, types, injections, late), routes, types)
+            _late_run(routes, types, injections, late)
+
+
+def test_injections_out_of_arrival_order_are_refused(two_hop_route):
+    # flows are numbered in the order they come; a caller that hands them
+    # over in another order is told which flow is out of place
+    types = (FlowType(0, 1.0, 0.1),)
+    eps = choose_epsilon(compute_loads([two_hop_route], {(0, 1.0): 0.1}), 2.0)
+    flows = as_flows([(0.5, 0, 1), (1.0, 0, 2), (1.0, 0, 4), (2.0, 0, 3)])
+    run_ct(flows, [two_hop_route], types, eps)
+    for swap, message in (((0, 1), "flow 1 at 0.5 comes after flow 2 at 1.0"),
+                          ((1, 2), "flow 2 at 1.0 comes after flow 4 at 1.0"),
+                          ((2, 3), "flow 4 at 1.0 comes after flow 3 at 2.0")):
+        shuffled = flows.copy()
+        shuffled[list(swap)] = shuffled[list(swap[::-1])]
+        with pytest.raises(ConfigError, match=f"out of arrival order .*: {message}$"):
+            run_ct(shuffled, [two_hop_route], types, eps)
+    # a repeated uid at one instant is not an order either
+    with pytest.raises(ConfigError, match="flow 2 at 1.0 comes after flow 2 at 1.0"):
+        run_ct(as_flows([(1.0, 0, 2), (1.0, 0, 2)]), [two_hop_route], types, eps)
 
 
 STAR = TreeSpec(nodes=("r", "a", "b"), root="r", parent={"a": "r", "b": "r"})
@@ -308,8 +347,8 @@ def tree5hop():
 def tree5hop_run():
     """A short tree5hop-0.9 run: its injections and both engines' runs."""
     routes, types, profile, eps = tree5hop()
-    injections = run_emulation(gen_poisson(types, 2_000.0, seed=1), routes,
-                               profile=profile).schedule()
+    injections, _ = run_emulation(gen_poisson(types, 2_000.0, seed=1), routes,
+                                  profile=profile).schedule()
     ct = run_ct(injections, routes, types, eps)
     return routes, types, eps, injections, ct, run_dt(ct, routes, types)
 
@@ -325,8 +364,10 @@ def test_injecting_k_slots_later_moves_every_slot_by_k(tree5hop_run, k):
     ct_later = run_ct(later, routes, types, eps)
     dt_later = run_dt(ct_later, routes, types)
     assert np.array_equal(ct_later.uid, ct.uid)
-    assert np.array_equal(ct_later.slot(ct_later.tau_key), ct.slot(ct.tau_key) + k)
-    assert np.array_equal(ct_later.delta_slot, ct.delta_slot + k)
+    rec, rec_later = ct.hop_records(), ct_later.hop_records()
+    assert np.array_equal(ct_later.slot(rec_later.tau_key), ct.slot(rec.tau_key) + k)
+    assert np.array_equal(rec_later.delta_slot, rec.delta_slot + k)
+    assert np.array_equal(ct_later.last_slot, ct.last_slot + k)
     assert dt_later.flow_hops_checked == dt.flow_hops_checked == 5 * len(injections)
 
 
@@ -338,7 +379,7 @@ def test_no_flows_and_two_flows_on_the_benchmark_plan():
     routes, types, _, eps = tree5hop()
     ct = run_ct(as_flows([]), routes, types, eps)
     dt = run_dt(ct, routes, types)
-    assert (len(ct.uid), len(ct.tau_key), len(dt.ledger)) == (0, 0, 0)
+    assert (len(ct.uid), len(ct.hop_records().tau_key), len(dt.ledger)) == (0, 0, 0)
     assert (dt.n_slots_processed, dt.n_transmissions, dt.flow_hops_checked) == (0, 0, 0)
     # two 18-packet flows along one 5-queue route, the second injected
     # while the first is at its first queue
@@ -362,12 +403,12 @@ def _traced(call):
 
 def test_engines_hold_little_memory_per_flow_hop():
     # the tree5hop-0.9 benchmark point, shortened: two 5-queue routes
-    # sharing three queues at load 0.9.  Flat per-hop arrays keep the
-    # engines near 100 B per flow-hop; per-flow objects with per-hop
-    # lists and tuples take over 400 B here.  The ledger holds its flow
-    # numbers and arrivals, 16 B per flow, and derives its other columns
-    # from the reference run; one array per column took 72 B, and one row
-    # object per flow about 187 B.
+    # sharing three queues at load 0.9.  Per-flow arrays and one queue's
+    # scratch at a time keep the engines near 25 B per flow-hop at their
+    # peak; per-flow objects with per-hop lists and tuples take over
+    # 400 B here.  The ledger holds its flow numbers and arrivals, 16 B
+    # per flow, and derives its other columns from the reference run; one
+    # array per column took 72 B, and one row object per flow about 187 B.
     # The virtual net's result holds one array per column, about 40 B per
     # flow; with five uid-keyed dicts and per-type departure lists it
     # held about 209 B.
@@ -376,15 +417,15 @@ def test_engines_hold_little_memory_per_flow_hop():
     # a first run fills the normalizer memo, which outlives any one run
     run_emulation(stream, routes, profile=profile)
     nb, kept, _ = _traced(lambda: run_emulation(stream, routes, profile=profile))
-    injections = nb.schedule()
+    injections, t_arrive = nb.schedule()
 
     def engines():
         ct = run_ct(injections, routes, types, eps)
-        return ct, run_dt(ct, routes, types, arrive_times=nb.t_arrive)
+        return ct, run_dt(ct, routes, types, arrive_times=t_arrive)
 
     (ct, dt), _, peak = _traced(engines)
     # the ledger build alone, beside the engine's departure slots
-    ledger, held, _ = _traced(lambda: _ledger(ct, nb.t_arrive))
+    ledger, held, _ = _traced(lambda: run_dt(ct, routes, types, t_arrive).ledger)
     for name in ("flow",) + COLUMNS:
         assert np.array_equal(getattr(ledger, name), getattr(dt.ledger, name)), name
     assert dt.flow_hops_checked == 5 * len(injections) > 5_000
@@ -393,44 +434,62 @@ def test_engines_hold_little_memory_per_flow_hop():
     assert held / len(injections) <= 32
 
 
-def test_memory_budget_per_flow_and_flow_hop():
+def test_memory_budget_per_flow():
     # peak memory sets how long a run can be.  On the tree5hop-0.9 plan at
     # horizon 1e4, seed 1 (9,048 flows, 45,240 flow-hops), tracemalloc
-    # reads 94 B per flow at the virtual net's peak and 45 B per flow-hop
-    # at the reference run's.  The bounds fail a virtual net that holds
-    # the stream as whole Python lists (169 B per flow) and a reference
-    # run that stores every arrival key beside every departure key, with
-    # wider per-queue scratch (71 B per flow-hop).
+    # reads 94 B per flow at the virtual net's peak, and 116 B per flow at
+    # the reference run's, which keeps 25 B per flow.  The bounds fail a
+    # virtual net that holds the stream as whole Python lists (169 B per
+    # flow), and a reference run that keeps every departure key and slot
+    # per flow-hop (221 B per flow at its peak, 137 B kept).
     routes, types, profile, eps = tree5hop()
     stream = gen_poisson(types, 10_000.0, seed=1)
     # a first run fills the normalizer memo, which outlives any one run
     run_emulation(stream, routes, profile=profile)
     nb, _, vnet_peak = _traced(lambda: run_emulation(stream, routes, profile=profile))
-    injections = nb.schedule()
-    ct, _, ct_peak = _traced(lambda: run_ct(injections, routes, types, eps))
-    assert (len(nb), ct.offsets[-1]) == (9_048, 45_240)
+    injections, _ = nb.schedule()
+    ct, ct_kept, ct_peak = _traced(lambda: run_ct(injections, routes, types, eps))
+    assert (len(nb), int(ct.n_hops.sum())) == (9_048, 45_240)
     assert vnet_peak / len(nb) <= 125
-    assert ct_peak / ct.offsets[-1] <= 60
+    assert ct_peak / len(nb) <= 150
+    assert ct_kept / len(nb) <= 40
+
+
+def test_run_ct_keeps_no_bytes_per_flow_hop():
+    # one route of load 0.45 at one queue, a1/up, then at five, h1 to h3:
+    # the same 4,474 flows at the same slot length.  The reference run
+    # keeps the same bytes for both, 24 B per flow; keeping a departure
+    # key and slot per flow-hop, it kept 64 B per flow more on five queues.
+    kept = []
+    for src, dst in (("a1", "r"), ("h1", "h3")):
+        route = make_route(TREE, src, dst, route_id=0)
+        types = (FlowType(0, 1.0, 0.45),)
+        eps = choose_epsilon(compute_loads([route], {(0, 1.0): 0.45}), 2.0)
+        injections = gen_poisson(types, 10_000.0, seed=1).events
+        ct, held, _ = _traced(lambda: run_ct(injections, [route], types, eps))
+        assert (len(injections), route.hop_count, eps.epsilon) == (4_474, len(kept) * 4 + 1, 0.55)
+        kept.append(held / len(injections))
+    assert kept[1] - kept[0] <= 8
 
 
 def test_run_point_holds_each_flow_once_after_the_virtual_net():
-    # the tree5hop-0.9 benchmark point at horizon 2e3, seed 1 (1,818
-    # flows, 9,090 flow-hops), run whole under tracemalloc, writing no
-    # files.  From the virtual net on, only the reference run holds every
-    # flow, and each queue's scratch goes before the next is gathered:
-    # 56.7 B per flow-hop at the peak.  Keeping the virtual net's result
-    # alive through the engines reads 63.3 B, and keeping the scratch of
-    # each queue until the next one's is built as well, 69.0 B.
+    # the tree5hop-0.9 benchmark point at horizon 1e4, seed 1 (9,048
+    # flows), run whole under tracemalloc, writing no files.  From the
+    # virtual net on, the injections in arrival order are the reference
+    # run's own flow table, only one queue's scratch is held at a time and
+    # nothing is kept per flow-hop: 153 B per flow at the peak.  Keeping a
+    # departure key and slot per flow-hop, beside the unsorted injections,
+    # read 257 B.
     routes, types, _, _ = tree5hop()
     config = ExperimentConfig(
         name="tree5hop-0.9", topology_nodes=TREE.nodes, topology_root=TREE.root,
         topology_parent=TREE.parent, routes=tuple((r.src, r.dst) for r in routes),
-        types=tuple((t.route, t.size, t.rate) for t in types), horizon=2_000.0, seed=1)
+        types=tuple((t.route, t.size, t.rate) for t in types), horizon=10_000.0, seed=1)
     # a first run fills the normalizer memo, which outlives any one run
     run_point(config, 1.0)
     point, _, peak = _traced(lambda: run_point(config, 1.0))
-    assert (point.n_flows, point.flow_hops_checked) == (1_818, 9_090)
-    assert peak / point.flow_hops_checked <= 60
+    assert (point.n_flows, point.flow_hops_checked) == (9_048, 45_240)
+    assert peak / point.n_flows <= 190
 
 
 def test_ledger_writer_memory_does_not_grow_with_the_ledger(tmp_path):
@@ -440,9 +499,10 @@ def test_ledger_writer_memory_does_not_grow_with_the_ledger(tmp_path):
     # 4,096-row ones 3.4 MB
     routes, types, profile, eps = tree5hop()
     for horizon, n_rows in ((10_000.0, 9_048), (50_000.0, 44_834)):
-        nb = run_emulation(gen_poisson(types, horizon, seed=1), routes, profile=profile)
-        ct = run_ct(nb.schedule(), routes, types, eps)
-        ledger = run_dt(ct, routes, types, arrive_times=nb.t_arrive).ledger
+        injections, t_arrive = run_emulation(gen_poisson(types, horizon, seed=1), routes,
+                                             profile=profile).schedule()
+        ct = run_ct(injections, routes, types, eps)
+        ledger = run_dt(ct, routes, types, arrive_times=t_arrive).ledger
         assert len(ledger) == n_rows
         _, _, peak = _traced(lambda: write_ledger_csv(ledger, str(tmp_path / "ledger.csv")))
         assert peak <= 1_200_000, horizon
@@ -457,9 +517,10 @@ def _outcome(engine):
 
 @st.composite
 def slot_runs(draw, tamper=True):
-    """A random network, flow types, injections and slot length, and,
-    if `tamper`, optionally a tampered reference run that breaks an
-    invariant; the last item says whether it was tampered."""
+    """A random network, flow types, injections, slot length and their
+    reference run; last, if `tamper`, the departures some flow-hops may
+    have pulled whole slots earlier, (uid, hop) -> slots, to be served
+    under `departures_pulled_earlier`."""
     tree, pairs = NETWORKS[draw(st.sampled_from(sorted(NETWORKS)))]
     n_routes = draw(st.integers(1, len(pairs)))
     routes = [make_route(tree, s, d, route_id=i) for i, (s, d) in enumerate(pairs[:n_routes])]
@@ -472,46 +533,40 @@ def slot_runs(draw, tamper=True):
     times = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
     uids = draw(st.lists(st.integers(-30, 60), min_size=n, max_size=n, unique=True))
     tis = draw(st.lists(st.integers(0, len(types) - 1), min_size=n, max_size=n))
-    injections = as_flows(draw(st.permutations(
-        [(0.25 * t, ti, uid) for t, ti, uid in zip(times, tis, uids)])))
+    injections = as_flows([(0.25 * t, ti, uid) for t, ti, uid in zip(times, tis, uids)])
     override = draw(st.sampled_from((None, 0.1, 0.25, 0.4, 0.5, 1.0)))
     profile = compute_loads(routes, {(t.route, t.size): t.rate for t in types})
     eps = choose_epsilon(profile, 2.0, override=override)
     ct = run_ct(injections, routes, types, eps)
-    tampered = tamper and draw(st.booleans())
-    if tampered:
-        # pull some reference departures whole slots earlier: a flow may
-        # then leave a queue after its bound.  The schedule comes from the
-        # arrivals alone, so both engines still send the same packets.  A
-        # departure before a flow's last queue is also its arrival at the
-        # next one, which the engine was scheduled from before the tamper;
-        # such a departure is pulled below the engine's own, so both
-        # engines raise there, before anything reads the moved arrival.
+    late = {}
+    if tamper and draw(st.booleans()):
+        # a flow may then leave a queue after its bound; either way the
+        # next queue takes the moved departure as the flow's arrival
         for _ in range(draw(st.integers(1, 3))):
             f = draw(st.integers(0, len(injections) - 1))
-            hop = draw(st.integers(0, int(ct.offsets[f + 1] - ct.offsets[f]) - 1))
-            o, slots = ct.offsets[f] + hop, draw(st.sampled_from((1, 2, 5)))
-            ct.delta_key[o] -= slots * len(ct.residue)
-            if o + 1 < ct.offsets[f + 1]:
-                ct.delta_key[o] = min(ct.delta_key[o], (ct.delta_slot[o] - slots) * len(ct.residue))
-    return ct, injections, routes, types, eps, tampered
+            hop = draw(st.integers(0, int(ct.n_hops[f]) - 1))
+            late[int(ct.uid[f]), hop] = draw(st.sampled_from((1, 2, 5)))
+    return ct, injections, routes, types, eps, late
 
 
 @pytest.mark.oracle_property
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(slot_runs())
 def test_event_engine_matches_per_slot_oracle(run):
-    ct, injections, routes, types, eps, tampered = run
+    ct, injections, routes, types, eps, late = run
     arrive = injections["t"] - 0.1
-    got, got_exc = _outcome(lambda: run_dt(ct, routes, types, arrive))
-    want, want_exc = _outcome(lambda: run_dt_per_slot(ct, routes, types, eps, arrive)[0])
-    event(f"outcome: {want_exc.__name__ if want_exc else 'ledger'}")
-    assert got_exc == want_exc
-    if not tampered:
-        # the slot engine emulates an untampered reference run exactly
-        assert want_exc is None
-    if want is not None:
-        assert_same_run(got, want)
+    with departures_pulled_earlier(late):
+        # the oracle reads the tampered hop records of the run drawn
+        got, got_exc = _outcome(
+            lambda: run_dt(run_ct(injections, routes, types, eps), routes, types, arrive))
+        want, want_exc = _outcome(lambda: run_dt_per_slot(ct, routes, types, eps, arrive)[0])
+        event(f"outcome: {want_exc.__name__ if want_exc else 'ledger'}")
+        assert got_exc == want_exc
+        if not late:
+            # the slot engine emulates an untampered reference run exactly
+            assert want_exc is None
+        if want is not None:
+            assert_same_run(got, want)
 
 
 @pytest.mark.oracle_property
@@ -524,6 +579,7 @@ def test_reference_run_is_exact_on_the_lattice(run):
     # queue is decided by float noise
     ct, injections, routes, types, eps, _ = run
     want = run_ct_stack(injections, routes, types, eps)
+    rec = ct.hop_records()
     assert ct.uid.tolist() == want.uid
-    assert lattice_instants(ct, ct.tau_key) == want.tau
-    assert lattice_instants(ct, ct.delta_key) == want.delta
+    assert lattice_instants(ct, rec.tau_key) == want.tau
+    assert lattice_instants(ct, rec.delta_key) == want.delta

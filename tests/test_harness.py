@@ -243,8 +243,9 @@ def test_ledger_file_is_the_same_across_its_chunks(tmp_path):
     plan = plan_point(config, config.sweep[0])
     nb = run_emulation(gen_poisson(plan.types, config.horizon, config.seed), plan.routes,
                        profile=plan.profile)
-    ct = run_ct(nb.schedule(), plan.routes, plan.types, plan.eps)
-    ledger = run_dt(ct, plan.routes, plan.types, arrive_times=nb.t_arrive).ledger
+    injections, t_arrive = nb.schedule()
+    ct = run_ct(injections, plan.routes, plan.types, plan.eps)
+    ledger = run_dt(ct, plan.routes, plan.types, arrive_times=t_arrive).ledger
     assert len(ledger) == 7_512
     write_ledger_rows(ledger, tmp_path / "rows.csv")
     write_ledger_csv(ledger, str(tmp_path / "ledger.csv"))
@@ -490,12 +491,13 @@ def test_smoke_reference_run_matches_stack_oracle():
     plan = harness.plan_point(smoke, smoke.sweep[0])
     nb = harness.run_emulation(harness.gen_poisson(plan.types, smoke.horizon, smoke.seed),
                                plan.routes, profile=plan.profile)
-    args = (nb.schedule(), plan.routes, plan.types, plan.eps)
+    args = (nb.schedule()[0], plan.routes, plan.types, plan.eps)
     got, want = harness.run_ct(*args), run_ct_stack(*args)
+    hops = got.hop_records()
     assert got.uid.tolist() == want.uid
-    assert got.offsets.tolist() == want.offsets
-    assert lattice_instants(got, got.tau_key) == want.tau
-    assert lattice_instants(got, got.delta_key) == want.delta
+    assert hops.offsets.tolist() == want.offsets
+    assert lattice_instants(got, hops.tau_key) == want.tau
+    assert lattice_instants(got, hops.delta_key) == want.delta
 
 
 def test_config_with_retired_occupancy_cap_loads_and_runs(tmp_path):
